@@ -1,0 +1,5 @@
+"""Oracle-checked extraction benchmark for ocr_pipeline_ray.
+
+Run ``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s>
+--trace <0|1>`` from the repository root; see ``perfbench/README.md``.
+"""
