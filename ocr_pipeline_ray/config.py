@@ -25,6 +25,7 @@ LINK_DENSITY_DROP = 0.5    # > this fraction of link chars → boilerplate
 MIN_TEXT_CHARS = 12        # shorter text nodes are boilerplate unless heading
 
 # Shuffle knobs.
+SKEW_THRESHOLD = 512           # docs with more spans take the exploded+shuffle tail
 DEFAULT_SALT_BUCKETS = 16      # salted groupby(doc_id) for skewed docs
 MEDIA_JOIN_BUCKETS = 64        # hash buckets for the large-side media join
 BROADCAST_MEDIA_MAX_BYTES = 256 * 1024 * 1024  # below this, broadcast the media table

@@ -27,9 +27,9 @@ from __future__ import annotations
 from typing import Any
 
 import pyarrow as pa
-import pyarrow.compute as pc
 
-from ..config import MEDIA_JOIN_BUCKETS, OCR_ACTOR_NUM_CPUS, OCR_BATCH_SIZE
+from ..config import (MEDIA_JOIN_BUCKETS, OCR_ACTOR_NUM_CPUS, OCR_BATCH_SIZE,
+                      SKEW_THRESHOLD)
 from ..stages.classify import classify_spans
 from ..stages.explode import explode_spans
 from ..stages.ocr import OcrStage, add_passthrough_cols
@@ -185,7 +185,7 @@ def extract_spans(docs_ds, *, media_lookup_ref=None, media_ds=None,
 
 
 def extract_spans_hybrid(docs_ds, *, media_lookup_ref=None,
-                         skew_threshold: int = 512,
+                         skew_threshold: int = SKEW_THRESHOLD,
                          ocr_concurrency=(1, 8),
                          skew_tail: str = "auto",
                          calib=None):
@@ -315,17 +315,3 @@ def extract_fields_per_doc(spans_ds, num_buckets: int = 64):
     return spans_ds.map_batches(add_bucket, batch_format="pyarrow") \
         .groupby("fbucket").map_groups(per_bucket, batch_format="pandas")
 
-
-def lineage_metrics(spans_ds) -> pa.Table:
-    """Small global metrics reduce (status/cascade counts, conf histogram)
-    — the per-partition lineage record payload (SURVEY §4 checkpoint row)."""
-    def partial(batch: pa.Table) -> pa.Table:
-        statuses = batch["status"]
-        uniq = pc.unique(statuses)
-        counts = [pc.sum(pc.cast(pc.equal(statuses, u), pa.int64())).as_py()
-                  for u in uniq]
-        return pa.table({"status": uniq, "n": pa.array(counts, type=pa.int64())})
-
-    partials = spans_ds.map_batches(partial, batch_format="pyarrow")
-    from ray.data.aggregate import Sum
-    return partials.groupby("status").aggregate(Sum("n", alias_name="n"))

@@ -4,11 +4,13 @@
         python -m ocr_pipeline_ray.run --corpus /data/corpus \
             --out /data/out --num-parts 64
 
-Runs the flagship extraction pipeline partition-by-partition through
-the checkpoint layer: a killed job re-submitted with the same args
-resumes from the last committed partition (state/checkpoint.py), and
-each partition leaves a lineage record. ``--gen-docs N`` synthesizes a
-corpus first (testing without external data).
+Runs the flagship extraction pipeline through the checkpoint layer
+(state/checkpoint.py): one Ray Data pass over every uncommitted
+partition, each committed atomically with its lineage record. A killed
+job re-submitted with the same args skips the committed partitions and
+recomputes the rest in one pass; a kill loses at most the in-flight
+pass's uncommitted partitions. ``--gen-docs N`` synthesizes a corpus
+first (testing without external data).
 
 This script OWNS the Ray session: on a cluster, ``ray.init()`` with no
 address inside a job attaches to the cluster; standalone it starts
