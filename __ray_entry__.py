@@ -60,50 +60,36 @@ def _span_corpus(sf_dir: str) -> str:
 def entry() -> Any:
     """Flagship pipeline (ensemble OCR + cascade + calibration) on the
     sf0.001-derived span corpus."""
+    corpus = _span_corpus("/root/testdata/sf0.001")
+    return _extract(corpus)
+
+
+def _extract(corpus: str):
+    """The benchmarked extraction path (``extract_spans_hybrid``, with
+    the isotonic calibrator fit on the corpus) → ordered span Dataset."""
     import ray.data as rd
 
     from ocr_pipeline_ray.pipelines.extract import (build_media_lookup,
-                                                    extract_spans,
+                                                    extract_spans_hybrid,
                                                     fit_page_calibrator)
 
-    corpus = _span_corpus("/root/testdata/sf0.001")
     docs = rd.read_parquet(f"{corpus}/documents_spans")
-    ref = build_media_lookup(f"{corpus}/media")
-    calib = fit_page_calibrator(f"{corpus}/media")
-    return extract_spans(docs, media_lookup_ref=ref, calib=calib)
+    return extract_spans_hybrid(
+        docs, media_lookup_ref=build_media_lookup(f"{corpus}/media"),
+        calib=fit_page_calibrator(f"{corpus}/media"))
 
 
 def _q_extract_spans(sf_dir: str):
-    import ray.data as rd
-
-    from ocr_pipeline_ray.pipelines.extract import (build_media_lookup,
-                                                    extract_spans,
-                                                    fit_page_calibrator)
-
-    corpus = _span_corpus(sf_dir)
-    docs = rd.read_parquet(f"{corpus}/documents_spans")
-    ref = build_media_lookup(f"{corpus}/media")
-    calib = fit_page_calibrator(f"{corpus}/media")
-    out = extract_spans(docs, media_lookup_ref=ref, calib=calib).to_pandas()
+    out = _extract(_span_corpus(sf_dir)).to_pandas()
     out["conf"] = out["conf"].round(6)
     out["conf_calibrated"] = out["conf_calibrated"].round(6)
     return out.sort_values(["doc_id", "order"]).reset_index(drop=True)
 
 
 def _q_extract_fields(sf_dir: str):
-    import ray.data as rd
+    from ocr_pipeline_ray.pipelines.extract import extract_fields_per_doc
 
-    from ocr_pipeline_ray.pipelines.extract import (build_media_lookup,
-                                                    extract_fields_per_doc,
-                                                    extract_spans,
-                                                    fit_page_calibrator)
-
-    corpus = _span_corpus(sf_dir)
-    docs = rd.read_parquet(f"{corpus}/documents_spans")
-    ref = build_media_lookup(f"{corpus}/media")
-    calib = fit_page_calibrator(f"{corpus}/media")
-    spans = extract_spans(docs, media_lookup_ref=ref, calib=calib)
-    out = extract_fields_per_doc(spans).to_pandas()
+    out = extract_fields_per_doc(_extract(_span_corpus(sf_dir))).to_pandas()
     out["doc_conf"] = out["doc_conf"].round(6)
     return out.sort_values("doc_id").reset_index(drop=True)
 

@@ -197,11 +197,11 @@ def extract_spans_hybrid(docs_ds, *, media_lookup_ref=None,
     exploded + groupby path where intra-document parallelism matters.
     Union of the two is byte-identical to ``extract_spans`` (tested).
 
-    ``skew_tail="never"``: skip the tail branch entirely when an
-    ingestion-side span cap guarantees no document exceeds the
-    threshold (the reference's MAX_PAGES pattern, pipeline.py:1414;
-    ``config.MAX_PAGES`` here) — even an *empty* tail branch costs the
-    full shuffle machinery's fixed wall time.
+    ``skew_tail="never"``: skip the tail branch entirely — even an
+    *empty* tail branch costs the full shuffle machinery's fixed wall
+    time. Nothing here enforces a span cap: the caller must know that
+    no document exceeds ``skew_threshold``, as ``run_partitioned``'s
+    plan step does (it reads every pending doc's span count first).
     """
     import pyarrow.compute as pc
 

@@ -22,62 +22,26 @@ results — "shuffle only the skew tail".
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 
 from .classify import classify_one
-from .ocr import _resolve_taus, ocr_page_cascade
+from .ocr import PageReader
+from .reassemble import KEEP_STATUSES
 
 
-class DocLocalExtract:
+class DocLocalExtract(PageReader):
     """map_batches actor pool over DOCUMENT rows.
 
     In:  documents(doc_id, spans: list<struct<kind,text,media_ref,offset>>)
     Out: ordered spans(doc_id, order:int32, kind, text, media_ref,
          conf:float64, conf_calibrated, status, cascade) — same schema
-         as stages.reassemble. Runs the identical ensemble + cascade +
-         calibration kernels as OcrStage (byte-equality tested).
+         as stages.reassemble. Media pages are read by the same
+         ``PageReader`` as OcrStage (byte-equality tested).
     """
-
-    def __init__(self, media_lookup_ref=None, calib=None) -> None:
-        if media_lookup_ref is not None:
-            import ray
-            self.media: pa.Table | None = ray.get(media_lookup_ref)  # zero-copy
-            self.media_refs = self.media["media_ref"]
-            self.media_payloads = self.media["payload"]
-        else:
-            self.media = None
-        self._ref_index: dict[str, int] | None = None
-        self.calib = None
-        if calib is not None:
-            self.calib = (np.asarray(calib[0], dtype=np.float64),
-                          np.asarray(calib[1], dtype=np.float64))
-        self.tau_enhance, self.tau_llm = _resolve_taus(self.calib)
-
-    def _payloads_for(self, refs: list[str]) -> dict[str, bytes]:
-        if self.media is None or not refs:
-            return {}
-        # once-per-actor ref index (see OcrStage._lookup_payloads:
-        # per-batch pc.index_in re-hashes the whole value_set and its
-        # cost grows with corpus size)
-        if self._ref_index is None:
-            self._ref_index = {r: i for i, r in
-                               enumerate(self.media_refs.to_pylist())}
-        out = {}
-        for ref in refs:
-            i = self._ref_index.get(ref)
-            if i is not None:
-                out[ref] = self.media_payloads[i].as_py()
-        return out
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         doc_ids = batch["doc_id"].to_pylist()
         spans_col = batch["spans"].to_pylist()
-
-        # one payload lookup per batch (vectorized index_in)
-        media_refs = [s["media_ref"] for spans in spans_col for s in spans
-                      if s["kind"] == "media"]
-        payloads = self._payloads_for(media_refs)
 
         o_doc, o_order, o_kind, o_text, o_ref = [], [], [], [], []
         o_conf, o_cal, o_status, o_casc = [], [], [], []
@@ -88,25 +52,15 @@ class DocLocalExtract:
                     kept, clean = classify_one(span["text"])
                     if not kept:
                         continue
-                    text, conf, status = clean, 1.0, "ok"
-                    cal, casc = conf, "accepted"
+                    text, conf, cal, status, casc = \
+                        clean, 1.0, 1.0, "ok", "accepted"
                 else:
-                    payload = payloads.get(span["media_ref"])
+                    payload = self.payload(span["media_ref"])
                     if payload is None:
                         continue  # missing_media: dropped, like filter_keep
-                    text, conf, status, casc = ocr_page_cascade(
-                        payload, self.tau_enhance)
-                    if status != "ok":
+                    text, conf, cal, status, casc = self.read(payload)
+                    if status not in KEEP_STATUSES:
                         continue  # blank / corrupt dropped
-                    if self.calib is None or casc == "digital":
-                        cal = conf
-                    else:
-                        cal = float(np.interp(conf, self.calib[0],
-                                              self.calib[1]))
-                    # tau_llm is raw-space (see OcrStage.__call__) —
-                    # gate on the raw conf, not the calibrated score
-                    if casc != "digital" and conf < self.tau_llm:
-                        status = "low_conf"
                 o_doc.append(doc_id)
                 o_order.append(order)
                 o_kind.append(span["kind"])

@@ -41,8 +41,8 @@ raw confidences achieving the reference's target accuracies
 calibrated score downstream.
 
 Everything around the stub decode is the real distributed design:
-payload resolution by zero-copy broadcast or pre-joined column,
-XY-cut reading order, char-correction canonicalization, failure-as-
+one warm ``PageReader`` per actor (zero-copy broadcast payloads,
+calibrated cascade thresholds) shared by the three OCR stages, XY-cut reading order, char-correction canonicalization, failure-as-
 data status columns.
 """
 
@@ -325,31 +325,22 @@ def _resolve_taus(calib) -> tuple[float, float]:
             tl if tl is not None else TAU_LLM)
 
 
-class OcrStage:
-    """map_batches actor pool over mixed span rows.
+class PageReader:
+    """Warm per-actor page-read state shared by the OCR stages.
 
-    Media rows (status='pending') are decoded by the 3-engine ensemble
-    with the cascade re-decode; text rows pass through. Payloads come
-    from the broadcast lookup (``media_lookup_ref``) or from a
-    ``payload`` column if the pipeline pre-joined it. ``calib`` is an
-    optional ``(knots_x, knots_y)`` isotonic calibrator: it derives the
-    cascade thresholds and fills ``conf_calibrated``.
-
-    Output columns: doc_id, kind, text, media_ref, offset, status,
-    conf, conf_calibrated, cascade.
+    Built once per actor (the reference's lazy engine singletons,
+    pipeline.py:1150-1195): the broadcast ``(media_ref, payload)``
+    table, its ref→row index, and the optional ``(knots_x, knots_y)``
+    isotonic calibrator with the cascade thresholds derived from it.
     """
 
     def __init__(self, media_lookup_ref=None, calib=None) -> None:
-        # Warm-engine setup, once per actor (reference singleton pattern).
-        # The broadcast media table is ZERO-COPY from the object store —
-        # ray.get maps shared buffers; no per-actor dict materialization.
+        # ZERO-COPY from the object store: ray.get maps shared buffers —
+        # no per-actor dict materialization of the payloads.
+        self.media: pa.Table | None = None
         if media_lookup_ref is not None:
             import ray
-            self.media: pa.Table | None = ray.get(media_lookup_ref)
-            self.media_refs = self.media["media_ref"]
-            self.media_payloads = self.media["payload"]
-        else:
-            self.media = None
+            self.media = ray.get(media_lookup_ref)
         self._ref_index: dict[str, int] | None = None
         self.calib = None
         if calib is not None:
@@ -357,7 +348,11 @@ class OcrStage:
                           np.asarray(calib[1], dtype=np.float64))
         self.tau_enhance, self.tau_llm = _resolve_taus(self.calib)
 
-    def _lookup_payloads(self, refs: pa.ChunkedArray) -> list[bytes | None]:
+    def payload(self, ref: str) -> bytes | None:
+        """Payload bytes for ``ref`` from the broadcast table (None when
+        there is no table or the ref is missing)."""
+        if self.media is None:
+            return None
         # ref→row index built ONCE per actor (lazily, off the zero-copy
         # broadcast table): pc.index_in re-hashes the whole value_set on
         # EVERY batch, which made per-batch cost grow with corpus size
@@ -366,53 +361,59 @@ class OcrStage:
         # when the media table is node-sized anyway (else: join path).
         if self._ref_index is None:
             self._ref_index = {r: i for i, r in
-                               enumerate(self.media_refs.to_pylist())}
-        out: list[bytes | None] = []
-        for r in refs.to_pylist():
-            i = self._ref_index.get(r)
-            out.append(None if i is None else self.media_payloads[i].as_py())
-        return out
+                               enumerate(self.media["media_ref"].to_pylist())}
+        i = self._ref_index.get(ref)
+        return None if i is None else self.media["payload"][i].as_py()
 
-    def _calibrated(self, conf: float, cascade: str) -> float:
+    def read(self, payload: bytes) -> tuple[str, float, float, str, str]:
+        """One page → (text, conf, conf_calibrated, status, cascade)."""
+        text, conf, status, cascade = ocr_page_cascade(payload,
+                                                       self.tau_enhance)
         # calibration applies to OCR'd pages only — the digital fast
-        # path and text spans keep their native confidence
-        if self.calib is None or cascade in ("digital", "none"):
-            return conf
-        return float(np.interp(conf, self.calib[0], self.calib[1]))
+        # path (and failed pages) keep their native confidence
+        cal = conf
+        if self.calib is not None and cascade not in ("digital", "none"):
+            cal = float(np.interp(conf, self.calib[0], self.calib[1]))
+        # tau_llm is a RAW-confidence threshold (threshold_for_accuracy
+        # inverts the calibrator back into raw space), so the gate
+        # compares the raw conf — comparing the calibrated score
+        # against it would double-apply the calibration and mis-route
+        # pages whenever the map is non-identity.
+        if status == "ok" and cascade != "digital" and conf < self.tau_llm:
+            status = "low_conf"  # last-resort branch, pipeline.py:2034-2065
+        return text, conf, cal, status, cascade
+
+
+class OcrStage(PageReader):
+    """map_batches actor pool over mixed span rows.
+
+    Media rows (status='pending') are read through the broadcast lookup
+    (``media_lookup_ref``); text rows pass through. ``calib`` is an
+    optional ``(knots_x, knots_y)`` isotonic calibrator: it derives the
+    cascade thresholds and fills ``conf_calibrated``.
+
+    Output columns: doc_id, kind, text, media_ref, offset, status,
+    conf, conf_calibrated, cascade.
+    """
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         status = batch["status"].to_pylist()
         texts = batch["text"].to_pylist()
         confs = batch["conf"].to_pylist()
+        refs = batch["media_ref"].to_pylist()
         cascades = ["accepted"] * batch.num_rows
         cals = list(confs)
-
-        if "payload" in batch.column_names:
-            payloads = batch["payload"].to_pylist()
-        elif self.media is not None:
-            payloads = self._lookup_payloads(batch["media_ref"])
-        else:
-            payloads = [None] * batch.num_rows
 
         for i, st in enumerate(status):
             if st != "pending":
                 continue
-            payload = payloads[i]
+            payload = self.payload(refs[i])
             if payload is None:
-                texts[i], confs[i], status[i] = "", 0.0, "missing_media"
-                cascades[i], cals[i] = "none", 0.0
+                texts[i], confs[i], cals[i] = "", 0.0, 0.0
+                status[i], cascades[i] = "missing_media", "none"
                 continue
-            text, conf, st2, casc = ocr_page_cascade(payload, self.tau_enhance)
-            cal = self._calibrated(conf, casc)
-            # tau_llm is a RAW-confidence threshold (threshold_for_accuracy
-            # inverts the calibrator back into raw space), so the gate
-            # compares the raw conf — comparing the calibrated score
-            # against it would double-apply the calibration and mis-route
-            # pages whenever the map is non-identity.
-            if st2 == "ok" and casc != "digital" and conf < self.tau_llm:
-                st2 = "low_conf"  # last-resort branch, pipeline.py:2034-2065
-            texts[i], confs[i], status[i] = text, conf, st2
-            cascades[i], cals[i] = casc, cal
+            texts[i], confs[i], cals[i], status[i], cascades[i] = \
+                self.read(payload)
 
         return pa.table({
             "doc_id": batch["doc_id"],
@@ -427,38 +428,21 @@ class OcrStage:
         })
 
 
-class MediaDecodeStage:
+class MediaDecodeStage(PageReader):
     """Actor-pool decode of the MEDIA TABLE itself (the join path's
     heavy stage): payload bytes are processed where they already live
     and never enter the shuffle — only the extracted text rows
     (media_ref, m_text, m_conf, m_conf_calibrated, m_status,
-    m_cascade) are joined back to the span rows. Same ensemble /
-    cascade / calibration kernels as OcrStage (byte-equality tested).
+    m_cascade) are joined back to the span rows.
     """
 
     def __init__(self, calib=None) -> None:
-        self.calib = None
-        if calib is not None:
-            self.calib = (np.asarray(calib[0], dtype=np.float64),
-                          np.asarray(calib[1], dtype=np.float64))
-        self.tau_enhance, self.tau_llm = _resolve_taus(self.calib)
+        super().__init__(calib=calib)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        texts, confs, cals, statuses, cascades = [], [], [], [], []
-        for payload in batch["payload"].to_pylist():
-            text, conf, st, casc = ocr_page_cascade(payload, self.tau_enhance)
-            if self.calib is None or casc in ("digital", "none"):
-                cal = conf
-            else:
-                cal = float(np.interp(conf, self.calib[0], self.calib[1]))
-            # raw-vs-raw comparison — see OcrStage.__call__
-            if st == "ok" and casc != "digital" and conf < self.tau_llm:
-                st = "low_conf"
-            texts.append(text)
-            confs.append(conf)
-            cals.append(cal)
-            statuses.append(st)
-            cascades.append(casc)
+        rows = [self.read(p) for p in batch["payload"].to_pylist()]
+        texts, confs, cals, statuses, cascades = zip(*rows) if rows \
+            else ((),) * 5
         return pa.table({
             "media_ref": batch["media_ref"],
             "m_text": pa.array(texts, type=pa.string()),

@@ -10,10 +10,7 @@ ordering row).
 Skew note (100 TB design): the expensive work (OCR) happened *before*
 this shuffle on exploded span rows, so groups here are narrow text
 rows — a 1000-span document is a few hundred KB, far below any block
-limit, and the hash shuffle spreads documents uniformly. Salting the
-groupby key is therefore only needed for pathological multi-GB single
-documents; ``salt_key`` implements the two-phase pattern for that case
-(pre-rank within (doc_id, salt), then merge — see tests).
+limit, and the hash shuffle spreads documents uniformly.
 """
 
 from __future__ import annotations
@@ -72,58 +69,3 @@ def reassemble(ds, num_buckets: int = 64):
     ds = ds.map_batches(filter_keep, batch_format="pyarrow")
     ds = ds.map_batches(_add_bucket(num_buckets), batch_format="pyarrow")
     return ds.groupby("bucket").map_groups(_rank_bucket, batch_format="pandas")
-
-
-def salt_key(doc_ids: pa.Array, buckets: int) -> pa.Array:
-    """Stable salt column for two-phase reassembly of pathological docs:
-    crc32-based (NOT Python hash(), which is per-process randomized)."""
-    return pa.array(
-        [zlib.crc32(d.encode()) % buckets for d in doc_ids.to_pylist()],
-        type=pa.int32(),
-    )
-
-
-def reassemble_salted(ds, salt_buckets: int = 8):
-    """Two-phase salted reassembly for skewed documents.
-
-    Phase 1 shuffles on the SALTED key ``(doc_id, salt)`` — a document
-    whose spans would overwhelm one reducer is split across
-    ``salt_buckets`` reducers, each sorting its slice by ``offset`` and
-    emitting a per-slice dense ``sub_order`` plus the slice's span
-    count. Phase 2 groups the (tiny) per-slice outputs by ``doc_id``
-    alone, orders slices by their minimum offset and adds the prefix
-    sums — per-span work in phase 2 is O(1) bookkeeping, so the
-    unsalted group is no longer a hot spot.
-
-    Salt = crc32(span offset) so a single doc's spans spread evenly.
-    Byte-identical to ``reassemble`` (asserted in tests).
-    """
-    ds = ds.map_batches(filter_keep, batch_format="pyarrow")
-
-    def add_salt(batch: pa.Table) -> pa.Table:
-        salts = [zlib.crc32(str(o).encode()) % salt_buckets
-                 for o in batch["offset"].to_pylist()]
-        return batch.append_column("salt", pa.array(salts, type=pa.int32()))
-
-    def rank_slice(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("offset", kind="mergesort")
-        g = g.assign(sub_order=np.arange(len(g), dtype=np.int64),
-                     slice_min_offset=np.int64(g["offset"].iloc[0]),
-                     slice_len=np.int64(len(g)))
-        return g
-
-    phase1 = ds.map_batches(add_salt, batch_format="pyarrow") \
-        .groupby(["doc_id", "salt"]) \
-        .map_groups(rank_slice, batch_format="pandas")
-
-    def merge_doc(g: pd.DataFrame) -> pd.DataFrame:
-        # order slices by their min offset (offsets are unique per doc,
-        # so slice ranges interleave but the final per-span sort key is
-        # just offset; prefix sums over slices sorted by min offset are
-        # NOT enough when ranges interleave → merge by offset directly,
-        # which is O(n log s) on pre-sorted slices)
-        g = g.sort_values("offset", kind="mergesort")
-        g = g.assign(order=np.arange(len(g), dtype=np.int32))
-        return g[OUT_COLUMNS]
-
-    return phase1.groupby("doc_id").map_groups(merge_doc, batch_format="pandas")

@@ -1,7 +1,7 @@
 """North-rule gate: engine span sequences == oracle golden spans,
 exactly, on (kind, text, media_ref, order) — plus conf/status/cascade/
-calibration parity. Both payload-resolution paths, with and without
-the isotonic calibrator active."""
+calibration parity. Both payload-resolution paths with and without
+the isotonic calibrator active, and the doc-local path with it."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import ray.data as rd
 
 from ocr_pipeline_ray.pipelines.extract import (build_media_lookup,
                                                 extract_spans,
+                                                extract_spans_hybrid,
                                                 fit_page_calibrator)
 from tests.oracle.golden import golden_calibrator, golden_spans
 
@@ -76,6 +77,15 @@ def test_broadcast_path_with_calibration(small_corpus, calib, golden_calib_df):
     docs = rd.read_parquet(f"{small_corpus}/documents_spans")
     ref = build_media_lookup(f"{small_corpus}/media")
     out = extract_spans(docs, media_lookup_ref=ref, calib=calib).to_pandas()
+    _assert_matches_golden(out, golden_calib_df)
+
+
+def test_doclocal_path_with_calibration(small_corpus, calib,
+                                       golden_calib_df):
+    docs = rd.read_parquet(f"{small_corpus}/documents_spans")
+    ref = build_media_lookup(f"{small_corpus}/media")
+    out = extract_spans_hybrid(docs, media_lookup_ref=ref, calib=calib,
+                               skew_tail="never").to_pandas()
     _assert_matches_golden(out, golden_calib_df)
 
 

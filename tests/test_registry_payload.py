@@ -1,49 +1,12 @@
-"""Stage registry (extension surface) + nested payload builder."""
+"""Nested payload builder and its JSONL sink."""
 
 from __future__ import annotations
 
 import json
 
-import pyarrow as pa
 import pytest
-import ray.data as rd
 
 from ocr_pipeline_ray.functions.payload import build_payload, write_payloads
-from ocr_pipeline_ray.stages import registry
-
-
-class TestRegistry:
-    def test_builtins_registered(self):
-        assert registry.get("text", "classify").fn is not None
-        assert registry.get("media", "ocr").stateful
-        kinds = {s.name for s in registry.stages_for("media")}
-        assert {"ocr", "decode", "features", "quality_route"} <= kinds
-        # '*' stages apply to every kind
-        assert "explode" in {s.name for s in registry.stages_for("text")}
-
-    def test_unknown_stage_raises_with_listing(self):
-        with pytest.raises(KeyError, match="registered"):
-            registry.get("text", "nope")
-
-    def test_duplicate_registration_rejected(self):
-        spec = registry.get("text", "classify")
-        with pytest.raises(ValueError):
-            registry.register(spec)
-
-    def test_validate_stage_io(self, small_corpus):
-        spec = registry.get("text", "classify")
-        docs = rd.read_parquet(f"{small_corpus}/documents_spans")
-        from ocr_pipeline_ray.stages.explode import explode_spans
-        doc_batch = next(iter(docs.iter_batches(batch_size=8,
-                                                batch_format="pyarrow")))
-        out = spec.fn(explode_spans(doc_batch))
-        registry.validate_stage_io(spec, out)  # must not raise
-
-    def test_validate_rejects_wrong_schema(self):
-        spec = registry.get("text", "classify")
-        bad = pa.table({"doc_id": pa.array([], type=pa.string())})
-        with pytest.raises(TypeError, match="schema mismatch"):
-            registry.validate_stage_io(spec, bad)
 
 
 class TestPayload:

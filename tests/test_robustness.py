@@ -135,22 +135,27 @@ class TestTornPayloads:
 
     def test_torn_rows_flow_through_the_ocr_stage(self):
         import pyarrow as pa
+        import ray
 
         from ocr_pipeline_ray.stages.ocr import OcrStage
 
         torn = self._torn()
         n = len(torn)
+        refs = [f"m{i}" for i in range(n)]
+        lookup = ray.put(pa.table({
+            "media_ref": pa.array(refs),
+            "payload": pa.array(torn, type=pa.binary()),
+        }))
         batch = pa.table({
             "doc_id": pa.array([f"d{i}" for i in range(n)]),
             "kind": pa.array(["media"] * n),
             "text": pa.array([""] * n),
-            "media_ref": pa.array([f"m{i}" for i in range(n)]),
+            "media_ref": pa.array(refs),
             "offset": pa.array(list(range(n)), type=pa.int32()),
             "status": pa.array(["pending"] * n),
             "conf": pa.array([0.0] * n),
-            "payload": pa.array(torn, type=pa.binary()),
         })
-        out = OcrStage()(batch)
+        out = OcrStage(media_lookup_ref=lookup)(batch)
         assert out["status"].to_pylist() == ["corrupt"] * n
         assert out["cascade"].to_pylist() == ["none"] * n
 
