@@ -100,10 +100,10 @@ def _build_extract(docs, media_ref, media_ds, calib, mode: str):
 
     conc = max(2, NUM_CPUS - 2)
     if mode == "join":
-        # 16 partitions; the OCR pool leaves headroom for the join
-        # aggregators (16 x 0.1 CPU) AND the task-pool map/shuffle
-        # stages — a pool of NUM_CPUS-2 starves them and the executor
-        # stalls (measured at 8 CPUs)
+        # 16 partitions; the OCR task cap leaves headroom for the join
+        # aggregators (16 x 0.1 CPU) AND the other map/shuffle stages
+        # (a cap of NUM_CPUS-2 stalled the executor when the OCR stage
+        # was an actor pool, measured at 8 CPUs)
         return extract_spans(docs, media_ds=media_ds, join_partitions=16,
                              ocr_concurrency=max(2, NUM_CPUS - 4),
                              calib=calib)

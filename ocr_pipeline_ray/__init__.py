@@ -6,8 +6,10 @@ capabilities of the reference ``sankalpsthakur/ocr-pipeline``
 
 - ``ray.data.Dataset`` pipelines of ``map_batches`` over zero-copy
   Arrow batches for every per-record transform,
-- actor pools (callable classes) for stateful stages (warm OCR
-  engines, compiled rule tables),
+- warm per-worker-process state for stateful stages: the OCR engines
+  are callable instances run as tasks on pooled workers
+  (``stages.ocr.warm_reader``), other stateful stages are actor pools
+  (callable classes),
 - ``groupby(doc_id)`` + offset sort for per-document span-sequence
   reassembly (the north rule's core shuffle),
 - partition-committed output + lineage records for checkpoint/resume.

@@ -2,8 +2,8 @@
 
 Mirrors the reference's routing thresholds (reference config.py:10-12:
 tau_accept=0.95, tau_enhance=0.90, tau_llm=0.85), re-expressed as
-dataflow constants for the cascade stage, plus the shuffle and actor
-pool knobs.
+dataflow constants for the cascade stage, plus the shuffle and OCR
+task knobs.
 """
 
 # Confidence-threshold cascade (SURVEY §2.7 R1). The reference's
@@ -24,7 +24,8 @@ MIN_TEXT_CHARS = 12        # shorter text nodes are boilerplate unless heading
 SKEW_THRESHOLD = 512           # docs with more spans take the exploded+shuffle tail
 MEDIA_JOIN_BUCKETS = 64        # hash buckets for the large-side media join
 
-# OCR actor pool sizing (reference caps paddle at cpu_threads=2,
-# pipeline.py:1177; we default to 1 CPU per actor and scale the pool).
-OCR_ACTOR_NUM_CPUS = 1
+# OCR task sizing (reference caps paddle at cpu_threads=2,
+# pipeline.py:1177; we reserve 1 CPU per OCR task and let Ray Data
+# scale the number of tasks).
+OCR_NUM_CPUS = 1
 OCR_BATCH_SIZE = 256           # media payloads are heavy → small batches

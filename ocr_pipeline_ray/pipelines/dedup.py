@@ -47,8 +47,10 @@ PAIR_DEDUP_BUCKETS = 64
 # Shingle-set wire format for the verify joins: pyarrow's acero join
 # rejects list<> payload columns, so each doc's (sorted, distinct)
 # shingle set travels as one \x1f-delimited utf8 cell and is split back
-# inside the verify kernel. \x1f (unit separator) cannot appear in
-# whitespace-tokenized shingles.
+# inside the verify kernel. Tokens split on ' ' only, so \x1f (unit
+# separator) CAN appear inside a shingle; it is stripped from each
+# shingle before the join (it would otherwise split one shingle into
+# extra fragments). Only shingles that differ by \x1f alone collapse.
 _SHINGLE_SEP = "\x1f"
 
 
@@ -163,7 +165,8 @@ class _CandidateFilter:
         hit = batch.filter(pc.is_in(batch["doc_id"],
                                     value_set=self.cand_ids))
         ids = hit["doc_id"].to_pylist()
-        sh = [_SHINGLE_SEP.join(sorted(ts.token_shingles(t)))
+        sh = [_SHINGLE_SEP.join(sorted({s.replace(_SHINGLE_SEP, "")
+                                        for s in ts.token_shingles(t)}))
               for t in hit["text"].to_pylist()]
         return pa.table({"doc_id": pa.array(ids, type=pa.int64()),
                          "sh": pa.array(sh, type=pa.string())})

@@ -1,7 +1,7 @@
 """Flagship extraction pipeline (north rule / SURVEY §7).
 
     read documents → explode to span rows → classify text spans →
-    OCR media spans (actor pool) → confidence cascade →
+    OCR media spans (tasks on pooled workers) → confidence cascade →
     groupby(doc_id)+offset-sort reassembly → ordered span sequences
     (+ a per-document field-extraction reduce on top).
 
@@ -9,11 +9,11 @@ Media-payload resolution has two strategies:
 
 - ``broadcast`` (default when the media table fits in memory): the
   ``(media_ref, payload)`` Arrow table is ``ray.put`` ONCE on the
-  driver and each OCR actor maps it zero-copy in ``__init__`` — the
-  classic small-side broadcast join; zero shuffle, payloads shipped to
-  each node once, not per batch.
+  driver and each OCR worker process maps it zero-copy once, in its
+  warm ``PageReader`` — the classic small-side broadcast join; zero
+  shuffle, payloads shipped to each node once, not per batch.
 - ``join`` (the 100 TB path, media table too big to broadcast): the
-  media table is OCR'd in place by an actor pool, then a
+  media table is OCR'd in place by a map stage, then a
   hash-partitioned ``Dataset.join`` on ``media_ref`` attaches the
   extracted TEXT to the span rows (text spans bypass the join and
   union back). Payload bytes never enter the shuffle — the exchange
@@ -28,7 +28,7 @@ from typing import Any
 
 import pyarrow as pa
 
-from ..config import (MEDIA_JOIN_BUCKETS, OCR_ACTOR_NUM_CPUS, OCR_BATCH_SIZE,
+from ..config import (MEDIA_JOIN_BUCKETS, OCR_BATCH_SIZE, OCR_NUM_CPUS,
                       SKEW_THRESHOLD)
 from ..stages.classify import classify_spans
 from ..stages.explode import explode_spans
@@ -109,7 +109,7 @@ def build_media_lookup(media_path: str) -> Any:
     """Driver-side: ``ray.put`` the (media_ref, payload) Arrow table ONCE.
 
     An Arrow table (unlike a Python dict) is ZERO-COPY out of the object
-    store: every OCR actor's ``ray.get`` maps the same shared-memory
+    store: every OCR worker's ``ray.get`` maps the same shared-memory
     buffers instead of unpickling a private multi-hundred-MB dict copy —
     pool-size × dict-deserialization was the dominant anti-scaling cost
     (measured: 32 CPUs slower than 8 before this change). Lookups use
@@ -123,7 +123,7 @@ def build_media_lookup(media_path: str) -> Any:
 
 
 def extract_spans(docs_ds, *, media_lookup_ref=None, media_ds=None,
-                  ocr_concurrency=(1, 8),
+                  ocr_concurrency: int | None = None,
                   join_partitions: int = MEDIA_JOIN_BUCKETS,
                   calib=None):
     """documents Dataset → ordered span-sequence Dataset.
@@ -133,12 +133,14 @@ def extract_spans(docs_ds, *, media_lookup_ref=None, media_ds=None,
     ``(knots_x, knots_y)`` isotonic calibrator (fit_page_calibrator);
     when given, the cascade thresholds are derived from target
     accuracies and ``conf_calibrated`` carries the calibrated score.
+    ``ocr_concurrency`` caps the OCR stage's concurrent tasks; None
+    leaves it uncapped, so it fuses with the map before it.
     """
     exploded = docs_ds.map_batches(explode_spans, batch_format="pyarrow")
 
     if media_ds is not None:
-        # Scale path: the media TABLE is decoded in place by an actor
-        # pool (ensemble + cascade + calibration run where the payload
+        # Scale path: the media TABLE is decoded in place by a map
+        # stage (ensemble + cascade + calibration run where the payload
         # bytes already live), and only the extracted TEXT rows enter
         # the hash join with the span rows — payloads never cross the
         # shuffle. (The previous design joined payloads first and
@@ -154,39 +156,36 @@ def extract_spans(docs_ds, *, media_lookup_ref=None, media_ds=None,
         from ..stages.ocr import MediaDecodeStage, apply_media_text
         media_text = media_ds.select_columns(["media_ref", "payload"]) \
             .map_batches(
-                MediaDecodeStage, batch_format="pyarrow",
+                MediaDecodeStage(calib=calib), batch_format="pyarrow",
                 batch_size=OCR_BATCH_SIZE, concurrency=ocr_concurrency,
-                num_cpus=OCR_ACTOR_NUM_CPUS,
-                fn_constructor_kwargs={"calib": calib})
+                num_cpus=OCR_NUM_CPUS)
         joined = media_rows.join(
             media_text, join_type="left_outer",
             num_partitions=join_partitions, on=("media_ref",),
             # Aggregators are memory-bound accumulators; tiny fractional
             # CPU so a wide join (many partitions) can never starve the
-            # OCR actor pool / map tasks into a deadlock on a small node.
+            # OCR / map tasks into a deadlock on a small node.
             aggregator_ray_remote_args={"num_cpus": 0.1},
         )
         ocrd = joined.map_batches(apply_media_text, batch_format="pyarrow")
         ds = ocrd.union(text_rows)
     else:
         # Broadcast path: single pass, no branches — classify handles text
-        # rows and passes media rows through; the OCR pool resolves
+        # rows and passes media rows through; the OCR stage resolves
         # payloads from the zero-copy broadcast table. No explicit
         # batch_size (see note above).
         ds = exploded.map_batches(classify_spans, batch_format="pyarrow")
         ds = ds.map_batches(
-            OcrStage, batch_format="pyarrow", batch_size=OCR_BATCH_SIZE,
-            concurrency=ocr_concurrency, num_cpus=OCR_ACTOR_NUM_CPUS,
-            fn_constructor_kwargs={"media_lookup_ref": media_lookup_ref,
-                                   "calib": calib},
-        )
+            OcrStage(media_lookup_ref=media_lookup_ref, calib=calib),
+            batch_format="pyarrow", batch_size=OCR_BATCH_SIZE,
+            concurrency=ocr_concurrency, num_cpus=OCR_NUM_CPUS)
 
     return reassemble(ds)
 
 
 def extract_spans_hybrid(docs_ds, *, media_lookup_ref=None,
                          skew_threshold: int = SKEW_THRESHOLD,
-                         ocr_concurrency=(1, 8),
+                         ocr_concurrency: int | None = None,
                          skew_tail: str = "auto",
                          calib=None):
     """Shuffle-only-the-skew-tail extraction.
@@ -196,6 +195,7 @@ def extract_spans_hybrid(docs_ds, *, media_lookup_ref=None,
     shuffle, linear scaling. The skew tail (huge PDFs) goes through the
     exploded + groupby path where intra-document parallelism matters.
     Union of the two is byte-identical to ``extract_spans`` (tested).
+    ``ocr_concurrency`` caps each branch's OCR tasks (None: uncapped).
 
     ``skew_tail="never"``: skip the tail branch entirely — even an
     *empty* tail branch costs the full shuffle machinery's fixed wall
@@ -215,33 +215,17 @@ def extract_spans_hybrid(docs_ds, *, media_lookup_ref=None,
         n = pc.list_value_length(batch["spans"])
         return batch.filter(pc.greater(n, skew_threshold))
 
-    # Both branches execute CONCURRENTLY under the streaming executor
-    # (union), so their fixed-size pools must co-fit in the node's
-    # CPUs. The tail branch carries FEW documents but a large span
-    # share (that is what makes them skewed); per-operator metrics at
-    # 600k docs measured the doc-local branch at ~60% of total CPU-s
-    # (1857 vs 1347, r3 BASELINE.md), so the budget splits 60/40 —
-    # a half/half split idled the tail pool for the last quarter of
-    # every run. An autoscaling (1, k) tail pool can stall at min=1
-    # actor and serialize the whole tail (measured).
-    if skew_tail != "never" and isinstance(ocr_concurrency, int):
-        small_conc: Any = max(2, int(round(ocr_concurrency * 0.6)))
-        tail_conc: Any = max(2, ocr_concurrency - int(small_conc) - 1)
-    else:
-        small_conc, tail_conc = ocr_concurrency, (1, 4)
-
     src = docs_ds if skew_tail == "never" \
         else docs_ds.map_batches(small_only, batch_format="pyarrow")
     small = src.map_batches(
-        DocLocalExtract, batch_format="pyarrow",
-        concurrency=small_conc, num_cpus=OCR_ACTOR_NUM_CPUS,
-        fn_constructor_kwargs={"media_lookup_ref": media_lookup_ref,
-                               "calib": calib})
+        DocLocalExtract(media_lookup_ref=media_lookup_ref, calib=calib),
+        batch_format="pyarrow", concurrency=ocr_concurrency,
+        num_cpus=OCR_NUM_CPUS)
     if skew_tail == "never":
         return small
     big = extract_spans(
         docs_ds.map_batches(big_only, batch_format="pyarrow"),
-        media_lookup_ref=media_lookup_ref, ocr_concurrency=tail_conc,
+        media_lookup_ref=media_lookup_ref, ocr_concurrency=ocr_concurrency,
         calib=calib)
     return small.union(big)
 

@@ -12,8 +12,8 @@ bytes are partition-invariant.
 
 A stateless ``map_batches`` function (NOT an actor pool): the only
 state is three compiled regexes, created once per *process* at module
-import — tasks stay elastic and cannot deadlock against the OCR actor
-pool on a small node. (The reference's analogous rule banks are also
+import — tasks stay elastic and cannot deadlock against an actor pool
+on a small node. (The reference's analogous rule banks are also
 module-level compiles, pipeline.py:2071-2090.)
 """
 

@@ -10,7 +10,10 @@ in one batch it buys nothing and costs a full all-to-all exchange
 This stage processes whole documents inside ``map_batches``: explode,
 classify, OCR, cascade, filter and dense-rank happen in-memory per
 document, emitting already-ordered span rows. Map-only → linear
-scaling, zero shuffle. Results are byte-identical to the exploded
+scaling, zero shuffle. It runs as Ray Data tasks on pooled worker
+processes, each reading pages through its one warm ``PageReader``
+(``stages.ocr.warm_reader``), so the stage fuses with the read before
+it and boots no actors. Results are byte-identical to the exploded
 path (asserted in tests) because both run the same kernels in the
 same canonical order.
 
@@ -25,12 +28,12 @@ from __future__ import annotations
 import pyarrow as pa
 
 from .classify import classify_one
-from .ocr import PageReader
+from .ocr import warm_reader
 from .reassemble import KEEP_STATUSES
 
 
-class DocLocalExtract(PageReader):
-    """map_batches actor pool over DOCUMENT rows.
+class DocLocalExtract:
+    """map_batches callable over DOCUMENT rows.
 
     In:  documents(doc_id, spans: list<struct<kind,text,media_ref,offset>>)
     Out: ordered spans(doc_id, order:int32, kind, text, media_ref,
@@ -39,7 +42,11 @@ class DocLocalExtract(PageReader):
          ``PageReader`` as OcrStage (byte-equality tested).
     """
 
+    def __init__(self, media_lookup_ref=None, calib=None) -> None:
+        self.media_lookup_ref, self.calib = media_lookup_ref, calib
+
     def __call__(self, batch: pa.Table) -> pa.Table:
+        reader = warm_reader(self.media_lookup_ref, self.calib)
         doc_ids = batch["doc_id"].to_pylist()
         spans_col = batch["spans"].to_pylist()
 
@@ -55,10 +62,10 @@ class DocLocalExtract(PageReader):
                     text, conf, cal, status, casc = \
                         clean, 1.0, 1.0, "ok", "accepted"
                 else:
-                    payload = self.payload(span["media_ref"])
+                    payload = reader.payload(span["media_ref"])
                     if payload is None:
                         continue  # missing_media: dropped, like filter_keep
-                    text, conf, cal, status, casc = self.read(payload)
+                    text, conf, cal, status, casc = reader.read(payload)
                     if status not in KEEP_STATUSES:
                         continue  # blank / corrupt dropped
                 o_doc.append(doc_id)

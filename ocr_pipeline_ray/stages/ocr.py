@@ -1,11 +1,13 @@
-"""Actor-pool OCR stage for ``kind="media"`` spans.
+"""OCR stage for ``kind="media"`` spans, run as Ray Data tasks.
 
 The Ray-Data re-expression of the reference's engine stack (SURVEY
-§2.3 M1-M8): a callable CLASS for ``map_batches(..., concurrency=N)``
-— the warm "engines" are built once per actor in ``__init__`` exactly
-like the reference's per-process lazy singletons (pipeline.py:1150-1195
-caches PaddleOCR on a function attribute), and ``__call__`` scores a
-whole Arrow batch.
+§2.3 M1-M8): a callable INSTANCE for ``map_batches`` that only carries
+its constructor arguments, so Ray Data runs it as tasks on its pooled,
+already-warm worker processes (and fuses it with the map before it).
+The warm "engines" live in ``warm_reader``'s per-process cache, built
+once per worker process exactly like the reference's per-process lazy
+singletons (pipeline.py:1150-1195 caches PaddleOCR on a function
+attribute), and ``__call__`` scores a whole Arrow batch.
 
 Multi-engine ensemble (reference pipeline.py:1948-1982): every page
 line is read by THREE deterministic stub engines with distinct error
@@ -41,9 +43,10 @@ raw confidences achieving the reference's target accuracies
 calibrated score downstream.
 
 Everything around the stub decode is the real distributed design:
-one warm ``PageReader`` per actor (zero-copy broadcast payloads,
-calibrated cascade thresholds) shared by the three OCR stages, XY-cut reading order, char-correction canonicalization, failure-as-
-data status columns.
+one warm ``PageReader`` per worker process (zero-copy broadcast
+payloads, calibrated cascade thresholds) shared by the three OCR
+stages, XY-cut reading order, char-correction canonicalization,
+failure-as-data status columns.
 """
 
 from __future__ import annotations
@@ -326,17 +329,18 @@ def _resolve_taus(calib) -> tuple[float, float]:
 
 
 class PageReader:
-    """Warm per-actor page-read state shared by the OCR stages.
+    """Warm per-process page-read state shared by the OCR stages.
 
-    Built once per actor (the reference's lazy engine singletons,
-    pipeline.py:1150-1195): the broadcast ``(media_ref, payload)``
-    table, its ref→row index, and the optional ``(knots_x, knots_y)``
-    isotonic calibrator with the cascade thresholds derived from it.
+    Built once per worker process by ``warm_reader`` (the reference's
+    lazy engine singletons, pipeline.py:1150-1195): the broadcast
+    ``(media_ref, payload)`` table, its ref→row index, and the optional
+    ``(knots_x, knots_y)`` isotonic calibrator with the cascade
+    thresholds derived from it.
     """
 
     def __init__(self, media_lookup_ref=None, calib=None) -> None:
         # ZERO-COPY from the object store: ray.get maps shared buffers —
-        # no per-actor dict materialization of the payloads.
+        # no per-process dict materialization of the payloads.
         self.media: pa.Table | None = None
         if media_lookup_ref is not None:
             import ray
@@ -353,11 +357,11 @@ class PageReader:
         there is no table or the ref is missing)."""
         if self.media is None:
             return None
-        # ref→row index built ONCE per actor (lazily, off the zero-copy
+        # ref→row index built ONCE per reader (lazily, off the zero-copy
         # broadcast table): pc.index_in re-hashes the whole value_set on
         # EVERY batch, which made per-batch cost grow with corpus size
         # (measured super-linear wall at 150k docs). The dict costs
-        # ~100 B/ref of actor heap — the broadcast path is only used
+        # ~100 B/ref of worker heap — the broadcast path is only used
         # when the media table is node-sized anyway (else: join path).
         if self._ref_index is None:
             self._ref_index = {r: i for i, r in
@@ -384,8 +388,27 @@ class PageReader:
         return text, conf, cal, status, cascade
 
 
-class OcrStage(PageReader):
-    """map_batches actor pool over mixed span rows.
+# One-entry per-process cache: (key, reader). Holding a single entry
+# means a worker pins at most one broadcast table.
+_warm: tuple[tuple, PageReader] | None = None
+
+
+def warm_reader(media_lookup_ref=None, calib=None) -> PageReader:
+    """This worker process's ``PageReader`` for ``(media_lookup_ref,
+    calib)``, built on first use and reused by every later task on the
+    same process. A different lookup ref or calibrator replaces the
+    entry."""
+    global _warm
+    key = (media_lookup_ref,
+           None if calib is None else (tuple(calib[0]), tuple(calib[1])))
+    if _warm is None or _warm[0] != key:
+        _warm = None  # drop the old table before mapping the new one
+        _warm = (key, PageReader(media_lookup_ref, calib))
+    return _warm[1]
+
+
+class OcrStage:
+    """map_batches callable over mixed span rows.
 
     Media rows (status='pending') are read through the broadcast lookup
     (``media_lookup_ref``); text rows pass through. ``calib`` is an
@@ -396,7 +419,11 @@ class OcrStage(PageReader):
     conf, conf_calibrated, cascade.
     """
 
+    def __init__(self, media_lookup_ref=None, calib=None) -> None:
+        self.media_lookup_ref, self.calib = media_lookup_ref, calib
+
     def __call__(self, batch: pa.Table) -> pa.Table:
+        reader = warm_reader(self.media_lookup_ref, self.calib)
         status = batch["status"].to_pylist()
         texts = batch["text"].to_pylist()
         confs = batch["conf"].to_pylist()
@@ -407,13 +434,13 @@ class OcrStage(PageReader):
         for i, st in enumerate(status):
             if st != "pending":
                 continue
-            payload = self.payload(refs[i])
+            payload = reader.payload(refs[i])
             if payload is None:
                 texts[i], confs[i], cals[i] = "", 0.0, 0.0
                 status[i], cascades[i] = "missing_media", "none"
                 continue
             texts[i], confs[i], cals[i], status[i], cascades[i] = \
-                self.read(payload)
+                reader.read(payload)
 
         return pa.table({
             "doc_id": batch["doc_id"],
@@ -428,8 +455,8 @@ class OcrStage(PageReader):
         })
 
 
-class MediaDecodeStage(PageReader):
-    """Actor-pool decode of the MEDIA TABLE itself (the join path's
+class MediaDecodeStage:
+    """map_batches decode of the MEDIA TABLE itself (the join path's
     heavy stage): payload bytes are processed where they already live
     and never enter the shuffle — only the extracted text rows
     (media_ref, m_text, m_conf, m_conf_calibrated, m_status,
@@ -437,10 +464,11 @@ class MediaDecodeStage(PageReader):
     """
 
     def __init__(self, calib=None) -> None:
-        super().__init__(calib=calib)
+        self.calib = calib
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        rows = [self.read(p) for p in batch["payload"].to_pylist()]
+        reader = warm_reader(calib=self.calib)
+        rows = [reader.read(p) for p in batch["payload"].to_pylist()]
         texts, confs, cals, statuses, cascades = zip(*rows) if rows \
             else ((),) * 5
         return pa.table({

@@ -39,9 +39,10 @@ OVERLAP = 12    # reference runs 256/32 — same ratios, both configurable)
 
 def _grid(n: int, patch: int, stride: int) -> tuple[int, list[int]]:
     """(padded length, tile offsets) along one axis: pad so
-    (padded - patch) is a multiple of stride, tiles at every stride."""
+    (padded - patch) is a multiple of stride, tiles at every stride. A
+    side shorter than one patch pads up to one whole patch."""
     pad = (stride - (n - patch) % stride) % stride
-    padded = n + pad
+    padded = max(n + pad, patch)
     return padded, list(range(0, padded - patch + 1, stride))
 
 

@@ -57,6 +57,29 @@ def test_simhash_near_dups_equals_brute_force(ray_session):
     assert set(zip(got["doc_a"], got["doc_b"])) == expected
 
 
+def test_minhash_verify_with_unit_separator_in_text(ray_session, tmp_path):
+    """The unit separator (the shingle-set wire separator) inside a
+    document's text must not split a shingle into fragments: this pair's
+    exact Jaccard clears the threshold, while the fragment-split sets
+    would not."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    base = " ".join(f"w{i}" for i in range(30)) + " e1"
+    texts = {100: base + "".join(f"\x1fe{i}" for i in range(2, 11)),
+             101: base}
+    pq.write_table(pa.table({"doc_id": pa.array(list(texts), pa.int64()),
+                             "text": list(texts.values())}),
+                   tmp_path / "documents.parquet")
+    jac = ts.jaccard(ts.token_shingles(texts[100]),
+                     ts.token_shingles(texts[101]))
+    assert jac >= dedup.JACCARD_THRESHOLD
+
+    got = dedup.near_dup_pairs_minhash(str(tmp_path))
+    assert got[["doc_a", "doc_b"]].values.tolist() == [[100, 101]]
+    assert got["jaccard"].tolist() == [jac]
+
+
 def test_lsh_band_ints_collide_iff_band_rows_equal():
     sig_a = ts.minhash_signature(["a b c", "b c d", "c d e"])
     sig_b = ts.minhash_signature(["a b c", "b c d", "c d e", "x y z"])

@@ -1,7 +1,8 @@
 """North-rule gate: engine span sequences == oracle golden spans,
 exactly, on (kind, text, media_ref, order) — plus conf/status/cascade/
 calibration parity. Both payload-resolution paths with and without
-the isotonic calibrator active, and the doc-local path with it."""
+the isotonic calibrator active, the doc-local path with it, and the
+doc-local path re-run in one session over different lookups."""
 
 from __future__ import annotations
 
@@ -87,6 +88,30 @@ def test_doclocal_path_with_calibration(small_corpus, calib,
     out = extract_spans_hybrid(docs, media_lookup_ref=ref, calib=calib,
                                skew_tail="never").to_pandas()
     _assert_matches_golden(out, golden_calib_df)
+
+
+def test_warm_reader_rekeys_across_datasets(small_corpus, tmp_path,
+                                           golden_df, calib,
+                                           golden_calib_df):
+    """Pooled workers outlive a Dataset and keep their warm PageReader:
+    a later run with another lookup, or with a calibrator, must not be
+    served by the reader an earlier run left on the same process."""
+    from ocr_pipeline_ray.sources.synth import write_corpus
+
+    other, other_seed, other_n = str(tmp_path / "other"), 7, 24
+    write_corpus(other, n_docs=other_n, seed=other_seed, skew_upper=SKEW,
+                 num_files=2)
+    other_gold = pd.DataFrame(golden_spans(other_seed, other_n, SKEW))
+
+    def run(corpus, c=None):
+        docs = rd.read_parquet(f"{corpus}/documents_spans")
+        ref = build_media_lookup(f"{corpus}/media")
+        return extract_spans_hybrid(docs, media_lookup_ref=ref, calib=c,
+                                    skew_tail="never").to_pandas()
+
+    _assert_matches_golden(run(small_corpus), golden_df)
+    _assert_matches_golden(run(other), other_gold)
+    _assert_matches_golden(run(small_corpus, calib), golden_calib_df)
 
 
 def test_cascade_is_a_real_redecode(golden_df):

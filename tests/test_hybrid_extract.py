@@ -33,3 +33,15 @@ def test_hybrid_with_forced_skew_tail(small_corpus):
     b = _norm(extract_spans_hybrid(docs, media_lookup_ref=ref,
                                    skew_threshold=10).to_pandas())
     pd.testing.assert_frame_equal(a, b)
+
+
+def test_operator_names_keep_the_stage_classes(small_corpus):
+    """Ray Data names a callable-object operator after its class; the
+    benchmark's op.doclocal.* and op.ocr_pool.* layers are keyed on
+    these names and would silently read 0 without them."""
+    docs = rd.read_parquet(f"{small_corpus}/documents_spans")
+    ref = build_media_lookup(f"{small_corpus}/media")
+    hybrid = extract_spans_hybrid(docs, media_lookup_ref=ref).materialize()
+    assert "DocLocalExtract" in hybrid.stats()
+    exploded = extract_spans(docs, media_lookup_ref=ref).materialize()
+    assert "OcrStage" in exploded.stats()

@@ -3,7 +3,8 @@ pattern): severity-controlled degraded pages → OCR → verify that
 (a) confidence decreases monotonically with severity,
 (b) char accuracy vs construction truth stays high (char-fix restores
     most confusions),
-(c) the distributed fields reduce equals the sequential computation."""
+(c) the distributed fields reduce equals the sequential computation,
+(d) a worker process that dies mid-batch loses no rows."""
 
 from __future__ import annotations
 
@@ -173,3 +174,40 @@ class TestTornPayloads:
         import pytest as _pt
         with _pt.raises(ValueError):
             media_stub.decode_page(payload)
+
+
+class TestWorkerDeath:
+    def test_worker_dying_mid_batch_is_retried_to_golden(self, small_corpus,
+                                                         tmp_path):
+        """The doc-local stage runs as tasks on pooled workers, so a
+        worker process killed inside ``__call__`` is a retried task: its
+        input block is re-read and the output still equals golden."""
+        import os
+
+        import ray.data as rd
+
+        from ocr_pipeline_ray.pipelines.extract import build_media_lookup
+        from ocr_pipeline_ray.stages.doclocal import DocLocalExtract
+        from tests.oracle.golden import golden_spans
+        from tests.test_extract_golden import (N_DOCS, SEED, SKEW,
+                                               _assert_matches_golden)
+
+        class DieOnce(DocLocalExtract):
+            def __init__(self, marker, **kw):
+                super().__init__(**kw)
+                self.marker = marker
+
+            def __call__(self, batch):
+                if not os.path.exists(self.marker):
+                    open(self.marker, "w").close()
+                    os._exit(1)  # no cleanup, no exception: the process dies
+                return super().__call__(batch)
+
+        marker = str(tmp_path / "died")
+        ref = build_media_lookup(f"{small_corpus}/media")
+        out = rd.read_parquet(f"{small_corpus}/documents_spans") \
+            .map_batches(DieOnce(marker, media_lookup_ref=ref),
+                         batch_format="pyarrow").to_pandas()
+        assert os.path.exists(marker)
+        _assert_matches_golden(out, pd.DataFrame(golden_spans(SEED, N_DOCS,
+                                                              SKEW)))

@@ -141,11 +141,13 @@ class TestCascadeGates:
 
         from ocr_pipeline_ray.stages import media_stub
         from ocr_pipeline_ray.stages.ocr import (MediaDecodeStage,
+                                                 PageReader,
                                                  ocr_page_cascade)
 
         kx, ky = [0.55, 0.98], [0.30, 0.90]
         stage = MediaDecodeStage(calib=(kx, ky))
-        tau_llm = stage.tau_llm
+        reader = PageReader(calib=(kx, ky))
+        tau_llm = reader.tau_llm
         assert tau_llm is not None and 0.90 < tau_llm < 0.98
 
         clean = media_stub.encode_page([("a clean line of plain text", 5, 5)],
@@ -159,7 +161,7 @@ class TestCascadeGates:
 
         for ref, payload in (("clean", clean), ("noisy", noisy)):
             _t, raw_conf, _st, casc = ocr_page_cascade(payload,
-                                                       stage.tau_enhance)
+                                                       reader.tau_enhance)
             expect = "low_conf" if raw_conf < tau_llm else "ok"
             assert rows[ref]["m_status"] == expect, (ref, raw_conf, tau_llm)
         # the clean page's CALIBRATED score sits below tau_llm — the old
@@ -167,6 +169,47 @@ class TestCascadeGates:
         assert rows["clean"]["m_status"] == "ok"
         assert rows["clean"]["m_conf_calibrated"] < tau_llm
         assert rows["noisy"]["m_status"] == "low_conf"
+
+
+class TestWarmReader:
+    """The OCR stages run as tasks on pooled worker processes; each
+    process keeps ONE warm PageReader, re-keyed by lookup ref and
+    calibrator knots."""
+
+    def test_rekeys_and_holds_one_entry(self):
+        import gc
+        import weakref
+
+        import pyarrow as pa
+        import ray
+
+        from ocr_pipeline_ray.stages import ocr
+
+        table = pa.table({"media_ref": ["m0"], "payload": [b"x"]})
+        ref_a, ref_b = ray.put(table), ray.put(table)
+        knots = ([0.55, 0.98], [0.30, 0.90])
+
+        first = ocr.warm_reader(ref_a, knots)
+        assert ocr.warm_reader(ref_a, knots) is first
+        # equal knots in new containers are the same key
+        assert ocr.warm_reader(ref_a, (list(knots[0]),
+                                       tuple(knots[1]))) is first
+        assert ocr.warm_reader(ref_a) is not first
+        by_ref = ocr.warm_reader(ref_b, knots)
+        assert by_ref is not first
+        by_knots = ocr.warm_reader(ref_b, ([0.55, 0.98], [0.40, 0.90]))
+        assert by_knots is not by_ref
+        assert by_knots.tau_llm != by_ref.tau_llm
+
+        # one entry only: the replaced readers are no longer referenced
+        gone = [weakref.ref(first), weakref.ref(by_ref)]
+        del first, by_ref
+        gc.collect()
+        assert all(w() is None for w in gone)
+        assert ocr._warm is not None and ocr._warm[1] is by_knots
+        # a ref seen before is rebuilt, not served from an older entry
+        again = ocr.warm_reader(ref_a, knots)
+        assert again is not by_knots and ocr._warm[1] is again
 
 
 class TestPreprocessKernels:

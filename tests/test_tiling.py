@@ -20,12 +20,17 @@ class TestBlendMachinery:
     def test_identity_kernel_is_exact_any_shape(self):
         """Weight normalization must be exact: an identity per-patch
         model makes the tiled pipeline a no-op, for page sizes below,
-        at, and off the patch grid."""
+        at, and off the patch grid — including a 10-px side, shorter
+        than one patch — on both the single-array path and the
+        distributed halves."""
         rng = np.random.RandomState(3)
-        for h, w in [(20, 31), (48, 48), (50, 97), (100, 100), (131, 77)]:
+        for h, w in [(20, 31), (48, 48), (50, 97), (100, 100), (131, 77),
+                     (10, 31), (10, 97), (97, 10)]:
             img = rng.randint(0, 256, (h, w)).astype(np.uint8)
             out = tl.tiled_apply(img, lambda t: t)
             np.testing.assert_array_equal(out, img)
+            np.testing.assert_array_equal(
+                tl.blend_patches(tl.explode_patches(img)), img)
 
     def test_constant_image_stays_constant_through_bilateral(self):
         """No seam banding: a flat page through a nonlinear kernel must
