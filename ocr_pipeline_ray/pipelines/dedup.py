@@ -35,13 +35,14 @@ import ray
 import ray.data as rd
 
 from ..functions import textstats as ts
+from ..stages.agg import bucketed_map_groups
 
 N_DUP_DOCS = 10
 DUP_OFFSET = 100_000
 JACCARD_THRESHOLD = 0.8
 
 # Shuffle fan-out for the global candidate-pair dedup (pairs found by
-# several bands land in the same pbucket task and collapse there).
+# several bands land in the same bucket task and collapse there).
 PAIR_DEDUP_BUCKETS = 64
 
 # Shingle-set wire format for the verify joins: pyarrow's acero join
@@ -58,28 +59,17 @@ def bucketed_min_survivor(ds: "rd.Dataset", key_col: str,
                           num_buckets: int,
                           id_col: str = "doc_id") -> "rd.Dataset":
     """The engine-standard exact-dedup reduction, as a named operator:
-    ``crc32(key) % num_buckets`` bounded int64 shuffle key + ONE
-    vectorized ``groupby(key).min(id)`` pandas pass per bucket — never
-    a raw utf8 groupby whose mostly-singleton string groups pay Ray's
-    per-group overhead plus a utf8 sort. Input: a Dataset with
-    (``id_col``:int64, ``key_col``:utf8); output: one (key, min id)
-    row per distinct key. Used by ``exact_dedup_augmented`` and
+    ``bucketed_map_groups`` on ``key_col`` with ONE vectorized
+    ``groupby(key).min(id)`` pandas pass per bucket. Input: a Dataset
+    with (``id_col``:int64, ``key_col``:utf8); output: one (key, min
+    id) row per distinct key. Used by ``exact_dedup_augmented`` and
     ``text.prefix_dedup_survivors`` (same reference capability:
     pipeline.py:2580-2585 content digests)."""
-    import zlib
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        keys = batch[key_col].to_pylist()
-        return batch.append_column(
-            "bucket", pa.array([zlib.crc32(k.encode()) % num_buckets
-                                for k in keys], type=pa.int64()))
-
     def bucket_dedup(g: pd.DataFrame) -> pd.DataFrame:
         return g.groupby(key_col, as_index=False) \
             .agg(**{id_col: (id_col, "min")})
 
-    return ds.map_batches(add_bucket, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(bucket_dedup, batch_format="pandas")
+    return bucketed_map_groups(ds, key_col, bucket_dedup, num_buckets)
 
 
 def _augmented_docs(sf_dir: str):
@@ -107,8 +97,7 @@ def exact_dedup_augmented(sf_dir: str) -> pd.DataFrame:
     hash. Returns (doc_id, fingerprint) of survivors.
 
     This is the DESIGNATED exact-dedup operator for the 100 TB story;
-    the reduction is the shared ``bucketed_min_survivor`` operator
-    (bounded int64 shuffle key + one vectorized pass per bucket)."""
+    the reduction is the shared ``bucketed_min_survivor`` operator."""
     from .relational import reduce_buckets
 
     num_buckets = reduce_buckets(sf_dir, "documents")
@@ -181,16 +170,15 @@ def _near_dup_pairs_minhash_ds(sf_dir: str) -> "rd.Dataset":
 
     Stages:
     1. per batch: shingle → 128-perm MinHash → 32 (band_key, doc_id)
-       rows per doc (band_key is an int64 fold — int shuffle keys are
-       far cheaper than utf8 for Ray's sort-based groupby). Docs with
-       no shingles are skipped: they carry no similarity evidence and
+       rows per doc (band_key is an int64 fold). Docs with no
+       shingles are skipped: they carry no similarity evidence and
        would otherwise all share the zero signature.
-    2. ``groupby(band_key % 64)`` → candidate pairs emitted AND
-       bucket-locally deduplicated per task; each pair leaves with a
-       ``pbucket`` hash key.
-    3. ``groupby(pbucket)`` → global pair dedup (a pair found by
-       several bands collapses in its one pbucket task). The deduped
-       candidate Dataset is materialized to the object store.
+    2. ``bucketed_map_groups`` on ``band_key`` → candidate pairs
+       emitted AND bucket-locally deduplicated per task.
+    3. ``bucketed_map_groups`` on ``doc_a`` → global pair dedup (a
+       pair found by several bands collapses in its one bucket task).
+       The deduped candidate Dataset is materialized to the object
+       store.
     4. a second corpus scan keeps candidate docs only
        (``_CandidateFilter`` actor pool, id set from block refs) and
        emits each candidate's sorted shingle set as one delimited utf8
@@ -211,10 +199,6 @@ def _near_dup_pairs_minhash_ds(sf_dir: str) -> "rd.Dataset":
     """
     from .relational import _join_partitions
 
-    num_buckets = 64  # coarse shuffle key: bounded groups, one
-    # vectorized pass per bucket (a raw groupby(band_key) would pay
-    # per-group overhead on millions of singleton buckets)
-
     def band_rows(batch: pa.Table) -> pa.Table:
         out_band, out_doc = [], []
         for did, text in zip(batch["doc_id"].to_pylist(), batch["text"].to_pylist()):
@@ -224,11 +208,8 @@ def _near_dup_pairs_minhash_ds(sf_dir: str) -> "rd.Dataset":
             sig = ts.minhash_signature(shingles, num_perms=128)
             out_band.extend(ts.lsh_band_ints(sig, bands=32))
             out_doc.extend([did] * 32)
-        band = np.asarray(out_band, dtype=np.int64)
-        return pa.table({"band_key": pa.array(band, type=pa.int64()),
-                         "doc_id": pa.array(out_doc, type=pa.int64()),
-                         "bucket": pa.array(band % num_buckets,
-                                            type=pa.int64())})
+        return pa.table({"band_key": pa.array(out_band, type=pa.int64()),
+                         "doc_id": pa.array(out_doc, type=pa.int64())})
 
     def emit_pairs(g: pd.DataFrame) -> pd.DataFrame:
         # only band keys shared by >1 doc can produce candidates
@@ -240,24 +221,18 @@ def _near_dup_pairs_minhash_ds(sf_dir: str) -> "rd.Dataset":
                 for j in range(i + 1, len(ids)):
                     a.append(ids[i])
                     b.append(ids[j])
-        out = pd.DataFrame({"doc_a": pd.Series(a, dtype="int64"),
-                            "doc_b": pd.Series(b, dtype="int64")}) \
+        return pd.DataFrame({"doc_a": pd.Series(a, dtype="int64"),
+                             "doc_b": pd.Series(b, dtype="int64")}) \
             .drop_duplicates()  # bucket-local dedup (cross-band folds)
-        pb = (out["doc_a"].to_numpy().astype(np.uint64)
-              * np.uint64(0x9E3779B97F4A7C15)
-              + out["doc_b"].to_numpy().astype(np.uint64)) \
-            >> np.uint64(32)
-        out["pbucket"] = pb.astype(np.int64) % PAIR_DEDUP_BUCKETS
-        return out
 
     def dedup_bucket(g: pd.DataFrame) -> pd.DataFrame:
         return g.drop_duplicates()[["doc_a", "doc_b"]]
 
-    cand = _augmented_docs(sf_dir) \
-        .map_batches(band_rows, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(emit_pairs, batch_format="pandas") \
-        .groupby("pbucket").map_groups(dedup_bucket, batch_format="pandas") \
-        .materialize()
+    bands = _augmented_docs(sf_dir).map_batches(band_rows,
+                                                batch_format="pyarrow")
+    cand = bucketed_map_groups(
+        bucketed_map_groups(bands, "band_key", emit_pairs, 64),
+        "doc_a", dedup_bucket, PAIR_DEDUP_BUCKETS).materialize()
     n_cand = cand.count()  # scalar aggregate — no rows to the driver
     if n_cand == 0:
         return rd.from_arrow(_EMPTY_PAIRS)
@@ -376,14 +351,13 @@ def simhash_near_dups(sf_dir: str, num_buckets: int = 64) -> pd.DataFrame:
     pairs at Hamming distance ≤ 8 found via 9 prefix bands (widths
     8+7×8; pigeonhole ⇒ complete for d ≤ 8 — see band constants).
 
-    Shuffle shape (the minhash pattern, dedup.py:120-137): band keys
-    are int64 folds ``(band << 8) | bits`` — never utf8 — coarsened to
-    ``band_key % num_buckets`` so the groupby sees ≤ num_buckets
-    bounded groups (one vectorized pandas pass per bucket) instead of
-    ~9n mostly-singleton string groups, and the per-batch band
-    explosion is a numpy broadcast, not a per-doc loop. Rows-only
-    check (no SQL oracle — bit-level hashing is not SQL-expressible);
-    completeness vs a brute-force oracle is asserted in tests."""
+    Shuffle shape (the minhash pattern): band keys are int64 folds
+    ``(band << 8) | bits`` reduced by ``bucketed_map_groups`` on
+    ``band_key`` (≤ num_buckets bounded groups, one vectorized pandas
+    pass per bucket), and the per-batch band explosion is a numpy
+    broadcast, not a per-doc loop. Rows-only check (no SQL oracle —
+    bit-level hashing is not SQL-expressible); completeness vs a
+    brute-force oracle is asserted in tests."""
     ds = _augmented_docs(sf_dir)
 
     offs = np.asarray(_SIMHASH_BAND_OFFSETS, dtype=np.uint64)
@@ -406,7 +380,6 @@ def simhash_near_dups(sf_dir: str, num_buckets: int = 64) -> pd.DataFrame:
             "band_key": pa.array(keys, type=pa.int64()),
             "doc_id": pa.array(np.repeat(dids, n_bands), type=pa.int64()),
             "sig": pa.array(np.repeat(sigs, n_bands), type=pa.uint64()),
-            "bucket": pa.array(keys % num_buckets, type=pa.int64()),
         })
 
     def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
@@ -429,9 +402,9 @@ def simhash_near_dups(sf_dir: str, num_buckets: int = 64) -> pd.DataFrame:
                                  "hamming": pd.Series([], dtype="int64")})
         return pd.DataFrame(out)
 
-    out = ds.map_batches(sig_rows, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(bucket_pairs, batch_format="pandas") \
-        .to_pandas().drop_duplicates()
+    out = bucketed_map_groups(
+        ds.map_batches(sig_rows, batch_format="pyarrow"), "band_key",
+        bucket_pairs, num_buckets).to_pandas().drop_duplicates()
     out = out.astype({"doc_a": "int64", "doc_b": "int64", "hamming": "int64"})
     return out.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
 
@@ -546,13 +519,10 @@ def _propagate_components(pairs, n_parts: int,
     # (kind=1) carry key=node, val=its current label. Every request
     # key is a node id (labels are node ids), so every request finds
     # its definition in its own bucket.
-    nb = n_parts
-
     def edge_req(batch: pa.Table) -> pa.Table:
         src = batch["src"].to_numpy(zero_copy_only=False)
         dst = batch["dst"].to_numpy(zero_copy_only=False)
         return pa.table({
-            "bkey": pa.array(src % nb, type=pa.int64()),
             "kind": pa.array(np.zeros(len(src), dtype=np.int64)),
             "key": pa.array(src, type=pa.int64()),
             "val": pa.array(dst, type=pa.int64())})
@@ -566,8 +536,6 @@ def _propagate_components(pairs, n_parts: int,
         lab = batch["label"].to_numpy(zero_copy_only=False)
         n = len(node)
         return pa.table({
-            "bkey": pa.array(np.concatenate([lab % nb, node % nb]),
-                             type=pa.int64()),
             "kind": pa.array(np.concatenate(
                 [np.zeros(n, dtype=np.int64),
                  np.ones(n, dtype=np.int64)])),
@@ -575,7 +543,6 @@ def _propagate_components(pairs, n_parts: int,
             "val": pa.array(np.concatenate([node, lab]), type=pa.int64())})
 
     _empty_resolved = pd.DataFrame({
-        "nbucket": pd.Series([], dtype="int64"),
         "node": pd.Series([], dtype="int64"),
         "label": pd.Series([], dtype="int64")})
 
@@ -591,24 +558,22 @@ def _propagate_components(pairs, n_parts: int,
         label = np.concatenate([m["val_def"].to_numpy(),
                                 defs["val"].to_numpy()])
         return pd.DataFrame({
-            "nbucket": pd.Series(node % nb, dtype="int64"),
             "node": pd.Series(node, dtype="int64"),
             "label": pd.Series(label, dtype="int64")})
 
     def min_reduce(g: pd.DataFrame) -> pd.DataFrame:
         if g.empty:
-            return _empty_resolved[["node", "label"]]
+            return _empty_resolved
         return g.groupby("node", as_index=False).agg(label=("label", "min"))
 
     converged = False
     rounds = 0
     for _ in range(max_rounds):
-        labels = edge_reqs.union(
-            labels.map_batches(label_reqs, batch_format="pyarrow")) \
-            .groupby("bkey").map_groups(resolve, batch_format="pandas") \
-            .groupby("nbucket").map_groups(min_reduce,
-                                           batch_format="pandas") \
-            .materialize()
+        reqs = edge_reqs.union(
+            labels.map_batches(label_reqs, batch_format="pyarrow"))
+        labels = bucketed_map_groups(
+            bucketed_map_groups(reqs, "key", resolve, n_parts),
+            "node", min_reduce, n_parts).materialize()
         rounds += 1
         cur_sum = int(labels.sum("label"))
         if cur_sum == prev_sum:

@@ -30,6 +30,7 @@ import pyarrow as pa
 
 from ..config import (MEDIA_JOIN_BUCKETS, OCR_BATCH_SIZE, OCR_NUM_CPUS,
                       SKEW_THRESHOLD)
+from ..stages.agg import bucketed_map_groups
 from ..stages.classify import classify_spans
 from ..stages.explode import explode_spans
 from ..stages.ocr import OcrStage, add_passthrough_cols
@@ -230,7 +231,7 @@ def extract_spans_hybrid(docs_ds, *, media_lookup_ref=None,
     return small.union(big)
 
 
-def extract_fields_per_doc(spans_ds, num_buckets: int = 64):
+def extract_fields_per_doc(spans_ds):
     """Ordered spans → one row per document with extracted utility fields
     (reference extract_fields path, pipeline.py:2340-2380, now incl. the
     F10 KIE fallback + F11 correction loop and the full F7 aux set),
@@ -239,12 +240,10 @@ def extract_fields_per_doc(spans_ds, num_buckets: int = 64):
     0.9/0.85), validation status (pipeline.py:2769-2808), a sha256
     content digest (F12, pipeline.py:2580-2585) and mean span conf.
 
-    Shuffle key is ``crc32(doc_id) % num_buckets`` (int64) with one
-    vectorized pandas pass per bucket — the same `_add_bucket` pattern
-    as reassembly; a raw utf8 ``groupby(doc_id)`` pays Ray's string
-    sort-agg floor and emits one-row frames per doc."""
+    Reduced with ``bucketed_map_groups`` on ``doc_id`` (64 buckets),
+    like reassembly: each bucket task runs ``per_doc`` over all of its
+    documents."""
     import hashlib
-    import zlib
 
     import numpy as np
     import pandas as pd
@@ -287,15 +286,9 @@ def extract_fields_per_doc(spans_ds, num_buckets: int = 64):
             "doc_digest": hashlib.sha256(full_text.encode()).hexdigest(),
         }
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        b = [zlib.crc32(d.encode()) % num_buckets
-             for d in batch["doc_id"].to_pylist()]
-        return batch.append_column("fbucket", pa.array(b, type=pa.int64()))
-
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         rows = [per_doc(sub) for _, sub in g.groupby("doc_id", sort=True)]
         return pd.DataFrame(rows)
 
-    return spans_ds.map_batches(add_bucket, batch_format="pyarrow") \
-        .groupby("fbucket").map_groups(per_bucket, batch_format="pandas")
+    return bucketed_map_groups(spans_ds, "doc_id", per_bucket, 64)
 

@@ -37,7 +37,7 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
-from ..stages.agg import global_sum, partial_merge
+from ..stages.agg import bucketed_map_groups, global_sum, partial_merge
 
 SCALE = 1_000_000.0
 
@@ -51,29 +51,13 @@ def _i64(x: np.ndarray) -> np.ndarray:
     return np.floor(np.asarray(x, dtype=np.float64) * SCALE + 0.5).astype(np.int64)
 
 
-def _mix_bucket(keys: np.ndarray, num_buckets: int) -> np.ndarray:
-    """Fibonacci multiplicative hash → bucket id. Int keys are often
-    strided/clustered (TPC-H orderkeys skip in runs), so a plain
-    ``key % k`` can land whole runs in one bucket; the golden-ratio
-    multiply decorrelates the low bits first."""
-    mixed = (keys.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) \
-        >> np.uint64(32)
-    return (mixed % np.uint64(num_buckets)).astype(np.int64)
-
-
-def _append_key_bucket(t: pa.Table, key: str, num_buckets: int) -> pa.Table:
-    b = _mix_bucket(t[key].to_numpy(), num_buckets)
-    return t.append_column("kbucket", pa.array(b, type=pa.int64()))
-
-
 def reduce_buckets(sf_dir: str, *tables: str) -> int:
     """Fan-out for the key-complete bucketed reductions, derived from
     the same on-disk-bytes rule as ``_join_partitions`` (one bucket per
     ~128 MB of the consumed tables, floor 16): a FIXED bucket count
-    means one ``groupby(kbucket)`` task materializes 1/16 of all
-    per-key partials in a single pandas frame at any scale, which
-    stops fitting exactly when the join it consumes starts needing
-    more partitions."""
+    means one bucket task materializes 1/16 of all per-key partials in
+    a single pandas frame at any scale, which stops fitting exactly
+    when the join it consumes starts needing more partitions."""
     return _join_partitions(sf_dir, *tables, lo=16, hi=1024)
 
 
@@ -81,22 +65,17 @@ def bucketed_sum_topk(ds, *, key: str, carry: str, val: str, k: int,
                       num_buckets: int = 16) -> pd.DataFrame:
     """KEY-COMPLETE per-key sum + global top-k over a Dataset of
     per-key PARTIALS (``(key, carry, val)`` rows, any fragmentation):
-    hash-bucket the key, ``groupby(kbucket).map_groups`` (each group
-    arrives whole, so per-key totals are exact regardless of how the
-    upstream join/map fragmented its blocks), top-k per bucket, then a
-    driver merge of num_buckets × k rows. The scale-safe replacement
-    for per-block top-k, which silently under-counts any key whose
-    rows span two blocks."""
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return _append_key_bucket(t, key, num_buckets)
-
+    ``bucketed_map_groups`` on the key (each key's rows arrive whole,
+    so per-key totals are exact regardless of how the upstream
+    join/map fragmented its blocks), top-k per bucket, then a driver
+    merge of num_buckets × k rows. The scale-safe replacement for
+    per-block top-k, which silently under-counts any key whose rows
+    span two blocks."""
     def bucket_topk(g: pd.DataFrame) -> pd.DataFrame:
         s = g.groupby([key, carry], as_index=False)[val].sum()
         return s.sort_values([val, key], ascending=[False, True]).head(k)
 
-    tops = ds.map_batches(add_bucket, batch_format="pyarrow") \
-        .groupby("kbucket").map_groups(bucket_topk, batch_format="pandas") \
-        .to_pandas()
+    tops = bucketed_map_groups(ds, key, bucket_topk, num_buckets).to_pandas()
     if tops.empty:
         return pd.DataFrame(columns=[key, carry, val])
     return tops[[key, carry, val]]
@@ -112,18 +91,17 @@ def bucketed_distinct_count(ds, *, key: str, by: str,
     def dedup_partial(t: pa.Table) -> pa.Table:
         df = pd.DataFrame({key: t[key].to_numpy(),
                            by: t[by].to_pylist()}).drop_duplicates(key)
-        out = pa.Table.from_pandas(df, preserve_index=False) \
+        return pa.Table.from_pandas(df, preserve_index=False) \
             .replace_schema_metadata()
-        return _append_key_bucket(out, key, num_buckets)
 
     def bucket_count(g: pd.DataFrame) -> pd.DataFrame:
         d = g.drop_duplicates(key)
         c = d.groupby(by, as_index=False).agg(n=(key, "size"))
         return c
 
-    parts = ds.map_batches(dedup_partial, batch_format="pyarrow") \
-        .groupby("kbucket").map_groups(bucket_count, batch_format="pandas") \
-        .to_pandas()
+    parts = bucketed_map_groups(
+        ds.map_batches(dedup_partial, batch_format="pyarrow"), key,
+        bucket_count, num_buckets).to_pandas()
     if parts.empty:
         return pd.DataFrame({by: pd.Series([], dtype="object"),
                              "n": pd.Series([], dtype="int64")})
@@ -231,9 +209,9 @@ def q3_top_revenue_orders(sf_dir: str) -> pd.DataFrame:
     2. lineitem (pre-aggregated per batch) inner-join the surviving
        orders on orderkey;
     3. KEY-COMPLETE final sum + top-10: the joined partials are
-       re-keyed on an explicit hash bucket and reduced per bucket
-       (``groupby(kbucket).map_groups``) — groupby guarantees each
-       group arrives whole, so per-orderkey totals are complete by
+       reduced per hash bucket of the orderkey
+       (``bucketed_map_groups``) — groupby guarantees each group
+       arrives whole, so per-orderkey totals are complete by
        construction. (The previous per-BLOCK reduction leaned on the
        undocumented "one block per join partition" invariant of Ray
        2.49's hash shuffle; if a fat partition ever splits into
@@ -404,9 +382,9 @@ def late_shipment_order_priority(sf_dir: str) -> pd.DataFrame:
     orders is fact-sized, so the order dates travel through a
     hash-partitioned ``Dataset.join`` (never an all-orders driver
     dict). The EXISTS-dedup (count DISTINCT orderkey per priority) is
-    KEY-COMPLETE: late rows are deduped per batch (combiner), re-keyed
-    on an explicit orderkey hash bucket and deduped exactly inside
-    ``groupby(kbucket).map_groups`` — no reliance on the join emitting
+    KEY-COMPLETE: late rows are deduped per batch (combiner), then
+    deduped exactly per orderkey hash bucket inside
+    ``bucketed_map_groups`` — no reliance on the join emitting
     one block per partition (see q3 note / tests/
     test_join_completeness.py). Driver sums 16 × 5 partial counts."""
     li = _lineitem(sf_dir, ["l_orderkey", "l_shipdate"])
@@ -555,7 +533,8 @@ def sample_documents(sf_dir: str) -> pd.DataFrame:
     """Deterministic 20% systematic sample (doc_id % 5 == 0): stable
     across engines and re-runs, unlike ds.random_sample whose seeded
     stream is engine-version-defined. For key-hash sampling at scale
-    use crc32(key) % k inside the same map_batches shape."""
+    use ``stages.agg.bucket_ids(key, k)`` inside the same map_batches
+    shape."""
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
                          columns=["doc_id", "lang"])
 

@@ -17,7 +17,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data as rd
 
-from ..stages.agg import partial_merge
+from ..stages.agg import bucketed_map_groups, partial_merge
 
 from ..functions import textstats as ts
 
@@ -79,22 +79,20 @@ def bpe_token_stats(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
-def token_frequency_top20(sf_dir: str, num_buckets: int = 32) -> pd.DataFrame:
+def token_frequency_top20(sf_dir: str) -> pd.DataFrame:
     """Global top-20 tokens over an UNBOUNDED key domain — the shuffle
     top-k shape, not ``partial_merge`` (which is for bounded-cardinality
     keys only; streaming n_batches × vocab partial rows to the driver
     would be a driver-side materialization of the vocabulary at 100 TB).
 
     1. per batch: local token counts (one row per distinct token);
-    2. hash-partition by ``crc32(token) % num_buckets`` (int64 shuffle
-       key) → ``groupby(bucket)``: each bucket task owns its tokens
-       exclusively, sums the partials and keeps its local top-20;
-    3. driver merge of num_buckets × 20 rows → global top-20.
+    2. ``bucketed_map_groups`` on ``token`` (32 buckets): each bucket
+       task owns its tokens exclusively, sums the partials and keeps
+       its local top-20;
+    3. driver merge of 32 × 20 rows → global top-20.
 
     Correct because every token lives in exactly one bucket, so the
     global top-20 is a subset of the union of per-bucket top-20s."""
-    import zlib
-
     ds = _docs(sf_dir, ["text"])
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -106,18 +104,14 @@ def token_frequency_top20(sf_dir: str, num_buckets: int = 32) -> pd.DataFrame:
         return pa.table({
             "token": pa.array(toks, type=pa.string()),
             "n": pa.array([c[t] for t in toks], type=pa.int64()),
-            "bucket": pa.array(
-                [zlib.crc32(t.encode()) % num_buckets for t in toks],
-                type=pa.int64()),
         })
 
     def bucket_topk(g: pd.DataFrame) -> pd.DataFrame:
         s = g.groupby("token", as_index=False)["n"].sum()
         return s.sort_values(["n", "token"], ascending=[False, True]).head(20)
 
-    top = ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(bucket_topk, batch_format="pandas") \
-        .to_pandas()
+    top = bucketed_map_groups(ds.map_batches(partial, batch_format="pyarrow"),
+                              "token", bucket_topk, 32).to_pandas()
     top["n"] = top["n"].astype("int64")
     top = top.sort_values(["n", "token"], ascending=[False, True]).head(20)
     return top[["token", "n"]].reset_index(drop=True)
@@ -195,8 +189,8 @@ def doc_fingerprints(sf_dir: str) -> pd.DataFrame:
 def prefix_dedup_survivors(sf_dir: str) -> pd.DataFrame:
     """Exact dedup on a blocking key (first-5-token prefix): keep the
     min doc_id per key, via the engine-standard
-    ``dedup.bucketed_min_survivor`` operator (crc32-bucketed int64
-    shuffle key, one vectorized ``groupby.min`` pass per bucket)."""
+    ``dedup.bucketed_min_survivor`` operator (``bucketed_map_groups``
+    on the key, one vectorized ``groupby.min`` pass per bucket)."""
     from .dedup import bucketed_min_survivor
     from .relational import reduce_buckets
 

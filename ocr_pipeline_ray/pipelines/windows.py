@@ -7,8 +7,9 @@ ts-sorted groups (the ordering is data, not an executor property —
 same principle as the reassembly stage). An as-of join is a per-key
 ``pandas.merge_asof`` after co-partitioning.
 
-Scale: the only shuffles are groupbys on (type, bucket) or user_id;
-hourly pre-aggregation happens per batch before the shuffle.
+Scale: the only shuffles are ``bucketed_map_groups`` reduces keyed on
+the hour or on user_id; hourly pre-aggregation happens per batch
+before the shuffle.
 """
 
 from __future__ import annotations
@@ -18,6 +19,9 @@ import pandas as pd
 import pyarrow as pa
 import ray.data as rd
 
+from ..stages.agg import bucketed_map_groups
+
+
 def _events(sf_dir: str, columns: list[str]):
     return rd.read_parquet(f"{sf_dir}/events.parquet", columns=columns)
 
@@ -25,14 +29,13 @@ def _events(sf_dir: str, columns: list[str]):
 def events_hourly(sf_dir: str) -> pd.DataFrame:
     """Tumbling 1-hour window per event_type: count + sum(value).
     Pre-aggregated per batch (combiner — the shuffle moves one row per
-    (type, hour, batch), never per event); the final combine is a
-    BUCKETED reduce on ``crc32(type|hour) % num_buckets`` so the merge
-    work is distributed across bucket tasks and the driver receives
-    only the output-sized result — the (type, hour) key domain GROWS
-    with the time span (decades of data ≈ millions of keys), so an
-    n_batches × keys driver merge is the wrong shape at scale."""
-    import zlib
-
+    (type, hour, batch), never per event); the final combine is
+    ``bucketed_map_groups`` keyed on ``hour`` (every (type, hour) group
+    stays in its hour's bucket), so the merge work is distributed
+    across bucket tasks and the driver receives only the output-sized
+    result — the (type, hour) key domain GROWS with the time span
+    (decades of data ≈ millions of keys), so an n_batches × keys
+    driver merge is the wrong shape at scale."""
     from .relational import reduce_buckets
 
     num_buckets = reduce_buckets(sf_dir, "events")
@@ -44,41 +47,33 @@ def events_hourly(sf_dir: str) -> pd.DataFrame:
         df = df.assign(
             hour=df["ts"].dt.floor("h").dt.strftime("%Y-%m-%d %H:%M:%S"),
             val_i=np.floor(df["value"].to_numpy() * 1e6 + 0.5).astype(np.int64))
-        g = df.groupby(["event_type", "hour"], as_index=False).agg(
+        return df.groupby(["event_type", "hour"], as_index=False).agg(
             n_events=("val_i", "size"), val_i=("val_i", "sum"))
-        g["bucket"] = [zlib.crc32(f"{t}|{h}".encode()) % num_buckets
-                       for t, h in zip(g["event_type"], g["hour"])]
-        return g
 
     def bucket_merge(g: pd.DataFrame) -> pd.DataFrame:
         return g.groupby(["event_type", "hour"], as_index=False).agg(
             n_events=("n_events", "sum"), val_i=("val_i", "sum"))
 
-    out = ds.map_batches(partial, batch_format="pandas") \
-        .groupby("bucket").map_groups(bucket_merge, batch_format="pandas") \
-        .to_pandas()
+    out = bucketed_map_groups(ds.map_batches(partial, batch_format="pandas"),
+                              "hour", bucket_merge, num_buckets).to_pandas()
     out["n_events"] = out["n_events"].astype("int64")
     out["sum_value"] = out["val_i"] / 1e6
     out = out[["event_type", "hour", "n_events", "sum_value"]]
     return out.sort_values(["event_type", "hour"]).reset_index(drop=True)
 
 
-def events_user_stats(sf_dir: str, num_buckets: int = 64) -> pd.DataFrame:
+def events_user_stats(sf_dir: str) -> pd.DataFrame:
     """Per-user rollup incl. a DISTINCT count (n_types) — needs each
-    user's rows together, so it shuffles; the key is ``user_id %
-    num_buckets`` (int64, bounded) instead of raw user_id, and each
-    bucket task aggregates ALL its users with one vectorized pandas
-    groupby — the `_add_bucket` pattern from reassembly, avoiding Ray's
-    per-group one-row-frame overhead and utf8 sort cost."""
+    user's rows together, so it shuffles: ``bucketed_map_groups`` on
+    ``user_id`` (64 buckets), each bucket task aggregating ALL its
+    users with one vectorized pandas groupby."""
     ds = _events(sf_dir, ["user_id", "event_type", "value"])
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        b = pa.array(t["user_id"].to_numpy() % num_buckets, type=pa.int64())
+    def quantize(t: pa.Table) -> pa.Table:
         val_i = np.floor(t["value"].to_numpy() * 1e6 + 0.5).astype(np.int64)
         return pa.table({"user_id": t["user_id"],
                          "event_type": t["event_type"],
-                         "val_i": pa.array(val_i, type=pa.int64()),
-                         "bucket": b})
+                         "val_i": pa.array(val_i, type=pa.int64())})
 
     def bucket_stats(g: pd.DataFrame) -> pd.DataFrame:
         out = g.groupby("user_id", as_index=False).agg(
@@ -89,19 +84,9 @@ def events_user_stats(sf_dir: str, num_buckets: int = 64) -> pd.DataFrame:
         out["n_types"] = out["n_types"].astype("int64")
         return out[["user_id", "n_events", "n_types", "avg_value"]]
 
-    out = ds.map_batches(add_bucket, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(bucket_stats, batch_format="pandas") \
-        .to_pandas()
+    out = bucketed_map_groups(ds.map_batches(quantize, batch_format="pyarrow"),
+                              "user_id", bucket_stats, 64).to_pandas()
     return out.sort_values("user_id").reset_index(drop=True)
-
-
-def _bucketed(ds, num_buckets: int = 64):
-    """user_id % num_buckets as the (bounded int64) shuffle key."""
-    def add_bucket(t: pa.Table) -> pa.Table:
-        b = pa.array(t["user_id"].to_numpy() % num_buckets, type=pa.int64())
-        return t.append_column("bucket", b)
-
-    return ds.map_batches(add_bucket, batch_format="pyarrow")
 
 
 def events_sessions(sf_dir: str) -> pd.DataFrame:
@@ -127,8 +112,7 @@ def events_sessions(sf_dir: str) -> pd.DataFrame:
         out["session_start"] = out["session_start"].dt.strftime("%Y-%m-%d %H:%M:%S.%f")
         return out[["user_id", "session_start", "n_events", "duration_s"]]
 
-    out = _bucketed(ds).groupby("bucket") \
-        .map_groups(sessionize_bucket, batch_format="pandas").to_pandas()
+    out = bucketed_map_groups(ds, "user_id", sessionize_bucket, 64).to_pandas()
     out["n_events"] = out["n_events"].astype("int64")
     return out.sort_values(["user_id", "session_start"]).reset_index(drop=True)
 
@@ -145,8 +129,7 @@ def events_running_total(sf_dir: str) -> pd.DataFrame:
         g["running_value"] = g.groupby("user_id")["val_i"].cumsum() / 1e6
         return g[["user_id", "event_id", "running_value"]]
 
-    out = _bucketed(ds).groupby("bucket") \
-        .map_groups(running_bucket, batch_format="pandas").to_pandas()
+    out = bucketed_map_groups(ds, "user_id", running_bucket, 64).to_pandas()
     return out.sort_values(["user_id", "event_id"]).reset_index(drop=True)
 
 
@@ -183,6 +166,5 @@ def errors_with_last_signup(sf_dir: str) -> pd.DataFrame:
         out = merged[["user_id", "event_id", "signup_event_id"]]
         return out.astype({"signup_event_id": "float64"})
 
-    out = _bucketed(ds).groupby("bucket") \
-        .map_groups(asof_bucket, batch_format="pandas").to_pandas()
+    out = bucketed_map_groups(ds, "user_id", asof_bucket, 64).to_pandas()
     return out.sort_values(["user_id", "event_id"]).reset_index(drop=True)

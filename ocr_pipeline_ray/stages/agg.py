@@ -1,28 +1,40 @@
-"""Partial-aggregate → tiny driver-side merge.
+"""How the engine reduces by key: two shapes, one module.
 
-The canonical scale pattern: the DISTRIBUTED pass does all per-row
-work and collapses each batch to one row per key inside
-``map_batches`` (so the wire carries ~n_keys × n_batches rows, not
-n_input rows); the final combine runs on the driver over that tiny
-partial table with pandas.
+1. Partial-aggregate → tiny driver-side merge (``partial_merge``,
+   ``global_sum``). The DISTRIBUTED pass does all per-row work and
+   collapses each batch to one row per key inside ``map_batches`` (so
+   the wire carries ~n_keys × n_batches rows, not n_input rows); the
+   final combine runs on the driver over that tiny partial table with
+   pandas. Use it for bounded-cardinality keys (dashboard rollups).
 
-Why not ``ds.groupby(...).aggregate(...)`` for the final combine:
-Ray Data's sort-based aggregate costs ~10 s of fixed overhead per call
-at any size (measured: 20.9 s for a 3,385-row final aggregate —
-AggregateMap 9.4 s + AggregateReduce 8.9 s on one block), which is
-pure loss when the partials already fit on the driver. Use Ray's
-groupby only when group *contents* must be processed together at scale
-(``map_groups`` — e.g. the reassembly shuffle) or the key cardinality
-itself is too big for one machine; for bounded-cardinality aggregates
-(dashboard-style rollups), partial+driver-merge is strictly better at
-every scale.
+   Why not ``ds.groupby(...).aggregate(...)`` for the final combine:
+   Ray Data's sort-based aggregate costs ~10 s of fixed overhead per
+   call at any size (measured: 20.9 s for a 3,385-row final aggregate
+   — AggregateMap 9.4 s + AggregateReduce 8.9 s on one block), which
+   is pure loss when the partials already fit on the driver.
+
+2. Hash-bucketed ``map_groups`` (``bucketed_map_groups``), for when
+   group *contents* must be processed together at scale (per-document
+   reassembly, per-doc field extraction, dedup, sessionization) or the
+   key domain is unbounded. The key is hashed into ``num_buckets``
+   int64 buckets (``bucket_ids``), the Dataset is grouped by that
+   bucket, and ``fn`` gets each bucket's rows as ONE pandas frame —
+   every key's rows arrive whole in exactly one call, and ``fn``
+   handles all of the bucket's keys in one vectorized pass. Grouping
+   by a bounded int64 is far cheaper for Ray's sort-based shuffle than
+   a raw (often utf8, mostly-singleton) key, which pays a string sort
+   plus one tiny frame per key. A multi-column group key needs no
+   composite hash: bucketing on any one of its columns keeps each
+   group in one bucket.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 
+import numpy as np
 import pandas as pd
+import pyarrow as pa
 
 
 def partial_merge(ds, partial_fn: Callable, keys: list[str],
@@ -52,3 +64,77 @@ def global_sum(ds, partial_fn: Callable, col: str,
     for b in partials.iter_batches(batch_format="pandas"):
         total += int(b[col].sum())
     return total
+
+
+def _crc32_byte_table() -> np.ndarray:
+    c = np.arange(256, dtype=np.uint32)
+    for _ in range(8):
+        c = np.where(c & 1, (c >> 1) ^ np.uint32(0xEDB88320), c >> 1)
+    return c
+
+
+_CRC32_TABLE = _crc32_byte_table()
+
+
+def _crc32_buckets(col: pa.Array, num_buckets: int) -> np.ndarray:
+    """zlib's ``crc32(s.encode()) % num_buckets`` per row, vectorized:
+    the distinct values are hashed by a table-driven CRC-32 that
+    advances every value by one byte per numpy step (keys are short),
+    then mapped back to the rows."""
+    enc = col.dictionary_encode()
+    ids = enc.dictionary.cast(pa.large_binary())
+    if len(ids) == 0:
+        return np.zeros(len(col), dtype=np.int64)
+    _, offs_buf, data_buf = ids.buffers()
+    offs = np.frombuffer(offs_buf, dtype=np.int64)[
+        ids.offset:ids.offset + len(ids) + 1]
+    data = np.frombuffer(data_buf or b"", dtype=np.uint8)
+    starts, lens = offs[:-1], np.diff(offs)
+    crc = np.full(len(ids), 0xFFFFFFFF, dtype=np.uint32)
+    for j in range(int(lens.max())):
+        live = np.flatnonzero(lens > j)
+        c = crc[live]
+        crc[live] = _CRC32_TABLE[(c ^ data[starts[live] + j]) & 0xFF] ^ (c >> 8)
+    buckets = ((crc ^ np.uint32(0xFFFFFFFF)) % num_buckets).astype(np.int64)
+    return buckets[enc.indices.to_numpy(zero_copy_only=False)]
+
+
+def _fibonacci_buckets(keys: np.ndarray, num_buckets: int) -> np.ndarray:
+    """Fibonacci multiplicative hash → bucket id. Int keys are often
+    strided/clustered (TPC-H orderkeys skip in runs), so a plain
+    ``key % k`` can land whole runs in one bucket; the golden-ratio
+    multiply decorrelates the low bits first."""
+    mixed = (keys.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) \
+        >> np.uint64(32)
+    return (mixed % np.uint64(num_buckets)).astype(np.int64)
+
+
+def bucket_ids(col, num_buckets: int) -> np.ndarray:
+    """Stable (never per-process randomized) int64 bucket in
+    ``[0, num_buckets)`` per row of an Arrow column. The hash follows
+    the Arrow type: string/binary keys take CRC-32 (equal to zlib's
+    ``crc32(key.encode()) % num_buckets``), integer keys the Fibonacci
+    multiplicative mix."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    t = col.type
+    if pa.types.is_integer(t):
+        return _fibonacci_buckets(col.to_numpy(zero_copy_only=False),
+                                  num_buckets)
+    if (pa.types.is_string(t) or pa.types.is_large_string(t)
+            or pa.types.is_binary(t) or pa.types.is_large_binary(t)):
+        return _crc32_buckets(col, num_buckets)
+    raise TypeError(f"no bucket hash for Arrow type {t}")
+
+
+def bucketed_map_groups(ds, key: str, fn: Callable, num_buckets: int):
+    """Shape 2 (see module docstring): ``fn(frame) -> frame`` runs once
+    per hash bucket of ``key`` with all of the bucket's rows, plus an
+    int64 ``bucket`` column. ``fn`` is passed to ``map_groups`` as is,
+    so Ray names the operator after it."""
+    def add_bucket(t: pa.Table) -> pa.Table:
+        return t.append_column("bucket", pa.array(
+            bucket_ids(t[key], num_buckets), type=pa.int64()))
+
+    return ds.map_batches(add_bucket, batch_format="pyarrow") \
+        .groupby("bucket").map_groups(fn, batch_format="pandas")

@@ -19,6 +19,7 @@ import numpy as np
 import pandas as pd
 
 from ..functions.geometry import bbox_iou_matrix
+from .agg import bucketed_map_groups
 
 IOU_THRESHOLD = 0.5
 
@@ -77,22 +78,11 @@ def vote_merge_tokens(tokens: pd.DataFrame, n_engines: int) -> pd.DataFrame:
         .reset_index(drop=True)
 
 
-def ensemble_merge(ds, n_engines: int, num_buckets: int = 64):
+def ensemble_merge(ds, n_engines: int):
     """Dataset of exploded engine tokens (doc_id, engine, text, conf,
-    x1..y2) → merged tokens per doc. Shuffle key is
-    ``crc32(doc_id) % num_buckets`` (int64, bounded groups — the same
-    pattern as reassembly/extract_fields) with a vectorized pandas
-    sub-groupby per bucket; a raw utf8 ``groupby(doc_id)`` pays Ray's
-    string sort-agg floor and emits one tiny frame per document."""
-    import zlib
-
-    import pyarrow as pa
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        b = [zlib.crc32(d.encode()) % num_buckets
-             for d in t["doc_id"].to_pylist()]
-        return t.append_column("ebucket", pa.array(b, type=pa.int64()))
-
+    x1..y2) → merged tokens per doc, via ``bucketed_map_groups`` on
+    ``doc_id`` (64 buckets) with a vectorized pandas sub-groupby per
+    bucket."""
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         frames = []
         for did, sub in g.groupby("doc_id", sort=True):
@@ -101,5 +91,4 @@ def ensemble_merge(ds, n_engines: int, num_buckets: int = 64):
             frames.append(merged)
         return pd.concat(frames, ignore_index=True)
 
-    return ds.map_batches(add_bucket, batch_format="pyarrow") \
-        .groupby("ebucket").map_groups(per_bucket, batch_format="pandas")
+    return bucketed_map_groups(ds, "doc_id", per_bucket, 64)

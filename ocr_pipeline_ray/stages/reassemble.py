@@ -15,12 +15,12 @@ limit, and the hash shuffle spreads documents uniformly.
 
 from __future__ import annotations
 
-import zlib
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from .agg import bucketed_map_groups
 
 KEEP_STATUSES = ("ok", "low_conf")
 OUT_COLUMNS = ["doc_id", "order", "kind", "text", "media_ref", "conf",
@@ -33,20 +33,6 @@ def filter_keep(batch: pa.Table) -> pa.Table:
     return batch.filter(pc.is_in(batch["status"], value_set=pa.array(KEEP_STATUSES)))
 
 
-def _rank_group(g: pd.DataFrame) -> pd.DataFrame:
-    g = g.sort_values("offset", kind="mergesort")
-    g = g.assign(order=np.arange(len(g), dtype=np.int32))
-    return g[OUT_COLUMNS]
-
-
-def _add_bucket(num_buckets: int):
-    def fn(batch: pa.Table) -> pa.Table:
-        b = [zlib.crc32(d.encode()) % num_buckets
-             for d in batch["doc_id"].to_pylist()]
-        return batch.append_column("bucket", pa.array(b, type=pa.int64()))
-    return fn
-
-
 def _rank_bucket(g: pd.DataFrame) -> pd.DataFrame:
     # one task per hash bucket: sort the bucket once by (doc_id, offset),
     # dense-rank per doc with a vectorized cumcount
@@ -55,17 +41,17 @@ def _rank_bucket(g: pd.DataFrame) -> pd.DataFrame:
     return g[OUT_COLUMNS]
 
 
-def reassemble(ds, num_buckets: int = 64):
+def reassemble(ds):
     """spans(doc_id, kind, text, media_ref, offset, status, conf) →
     ordered spans(doc_id, order, kind, text, media_ref, conf, status).
 
-    Hash-partitioned: the shuffle key is ``crc32(doc_id) % num_buckets``
-    (an int64 with ``num_buckets`` distinct values — far cheaper for
-    the range-partitioned shuffle than sorting millions of utf8
-    doc_ids), and each bucket task ranks all of its documents with one
-    vectorized sort + cumcount. Same result as a per-doc groupby;
-    bucket count bounds reducer memory (size it so one bucket's spans
-    fit a worker: at 10^12 docs use ~2^17 buckets)."""
+    Hash-partitioned with ``bucketed_map_groups`` on ``doc_id``: the
+    shuffle key is ``crc32(doc_id) % 64`` (an int64 with 64 distinct
+    values — far cheaper for the range-partitioned shuffle than sorting
+    millions of utf8 doc_ids), and each bucket task ranks all of its
+    documents with one vectorized sort + cumcount. Same result as a
+    per-doc groupby; the bucket count bounds reducer memory (one
+    bucket's spans must fit a worker: at 10^12 docs that needs
+    ~2^17 buckets)."""
     ds = ds.map_batches(filter_keep, batch_format="pyarrow")
-    ds = ds.map_batches(_add_bucket(num_buckets), batch_format="pyarrow")
-    return ds.groupby("bucket").map_groups(_rank_bucket, batch_format="pandas")
+    return bucketed_map_groups(ds, "doc_id", _rank_bucket, 64)

@@ -73,11 +73,12 @@ def _normalize_3ch(gray: np.ndarray) -> np.ndarray:
 
 
 def det_tensor(img: np.ndarray, target: int = DET_TARGET
-               ) -> tuple[np.ndarray, float]:
-    """Detection input: → ((1, 3, target, target) float32, scale).
-    Scale = target / max(h, w); resized dims snap DOWN to /32 multiples
-    (min 32); the valid region sits top-left, zero-padded right/bottom
-    (reference preprocess_for_detection)."""
+               ) -> tuple[np.ndarray, float, int, int]:
+    """Detection input: → ((1, 3, target, target) float32, scale,
+    new_h, new_w). Scale = target / max(h, w); the resized dims
+    (new_h, new_w) snap DOWN to /32 multiples (min 32); the valid
+    region sits top-left, zero-padded right/bottom (reference
+    preprocess_for_detection)."""
     h, w = img.shape
     scale = target / max(h, w)
     new_h = max(32, (int(h * scale) // 32) * 32)
@@ -86,7 +87,13 @@ def det_tensor(img: np.ndarray, target: int = DET_TARGET
     t = _normalize_3ch(resized)
     out = np.zeros((1, 3, target, target), dtype=np.float32)
     out[0, :, :new_h, :new_w] = t
-    return out, scale
+    return out, scale, new_h, new_w
+
+
+def rec_width(h: int, w: int) -> int:
+    """Recognition resize width of an (h, w) line crop: aspect-scaled
+    to height REC_H, clamped to [REC_W_MIN, REC_W_MAX]."""
+    return max(REC_W_MIN, min(int((w / h) * REC_H), REC_W_MAX))
 
 
 def rec_tensor(line_img: np.ndarray) -> np.ndarray:
@@ -94,8 +101,7 @@ def rec_tensor(line_img: np.ndarray) -> np.ndarray:
     aspect-scaled and clamped to [REC_W_MIN, REC_W_MAX], right-padded
     to REC_W_MAX → (1, 3, REC_H, REC_W_MAX) float32 (reference
     preprocess_for_recognition)."""
-    h, w = line_img.shape
-    new_w = max(REC_W_MIN, min(int((w / h) * REC_H), REC_W_MAX))
+    new_w = rec_width(*line_img.shape)
     resized = resize_bilinear(line_img, REC_H, new_w)
     t = _normalize_3ch(resized)
     out = np.zeros((1, 3, REC_H, REC_W_MAX), dtype=np.float32)
@@ -132,6 +138,7 @@ class TensorizeMedia:
     dropped INSIDE the task — only the narrow profile row leaves
     (shapes, scale, per-tensor crc32, rec line count). Batches stay
     small for the same reason (the query passes batch_size≤16).
+    Non-raster payloads and rasters with a zero side are skipped.
 
     Out columns: media_ref, det_h, det_w (valid region, pre-pad),
     det_scale_q (scale quantized to 1e-6 — exact int for the oracle
@@ -151,10 +158,9 @@ class TensorizeMedia:
             if media_stub.classify_payload(payload) != "raster":
                 continue
             img = media_stub.decode_raster(payload)
-            det, scale = det_tensor(img)
-            h, w = img.shape
-            new_h = max(32, (int(h * scale) // 32) * 32)
-            new_w = max(32, (int(w * scale) // 32) * 32)
+            if 0 in img.shape:
+                continue  # degenerate raster: no pixels to tensorize
+            det, scale, new_h, new_w = det_tensor(img)
             bands = line_bands(img)
             recs = [rec_tensor(b) for b in bands]
             ang = angle_tensor(img)
@@ -163,10 +169,7 @@ class TensorizeMedia:
             dw.append(new_w)
             dsq.append(int(np.floor(scale * 1e6 + 0.5)))
             rn.append(len(recs))
-            rw.append(max(
-                max(REC_W_MIN, min(int((b.shape[1] / b.shape[0]) * REC_H),
-                                   REC_W_MAX))
-                for b in bands))
+            rw.append(max(rec_width(*b.shape) for b in bands))
             cd.append(_crc_tensor(det))
             cr.append(int(sum(_crc_tensor(r) for r in recs)))
             ca.append(_crc_tensor(ang))

@@ -6,9 +6,9 @@ metrics — the reference has *no* checkpointing (SURVEY §3 state
 inventory: a killed run loses everything), so this is new design:
 
 - input documents are assigned to ``num_parts`` partitions by a STABLE
-  hash of ``doc_id``: ``zlib.crc32(doc_id.encode()) % num_parts``
-  (never Python ``hash()``, which is per-process randomized),
-  vectorized in ``_part_ids``;
+  hash of ``doc_id``: its CRC-32 modulo ``num_parts``
+  (``stages.agg.bucket_ids``; never Python ``hash()``, which is
+  per-process randomized);
 - one invocation is ONE Ray Data pass over every pending partition (a
   partition without a ``_SUCCESS`` marker): the corpus is read once and
   filtered to pending docs, extracted by ``extract_spans_hybrid``, and
@@ -61,43 +61,9 @@ from ray.data.block import BlockAccessor
 
 from ..config import SKEW_THRESHOLD
 from ..pipelines.extract import build_media_lookup, extract_spans_hybrid
+from ..stages.agg import bucket_ids
 
 CONF_BINS = 10
-
-
-def _crc32_table() -> np.ndarray:
-    c = np.arange(256, dtype=np.uint32)
-    for _ in range(8):
-        c = np.where(c & 1, (c >> 1) ^ np.uint32(0xEDB88320), c >> 1)
-    return c
-
-
-_CRC32_TABLE = _crc32_table()
-
-
-def _part_ids(doc_ids, num_parts: int) -> np.ndarray:
-    """``zlib.crc32(doc_id.encode()) % num_parts`` per row, vectorized:
-    the distinct ids are hashed by a table-driven CRC-32 that advances
-    every id by one byte per numpy step (ids are short), then mapped
-    back to the rows."""
-    if isinstance(doc_ids, pa.ChunkedArray):
-        doc_ids = doc_ids.combine_chunks()
-    enc = doc_ids.dictionary_encode()
-    ids = enc.dictionary.cast(pa.large_binary())
-    if len(ids) == 0:
-        return np.zeros(len(doc_ids), dtype=np.int64)
-    _, offs_buf, data_buf = ids.buffers()
-    offs = np.frombuffer(offs_buf, dtype=np.int64)[
-        ids.offset:ids.offset + len(ids) + 1]
-    data = np.frombuffer(data_buf or b"", dtype=np.uint8)
-    starts, lens = offs[:-1], np.diff(offs)
-    crc = np.full(len(ids), 0xFFFFFFFF, dtype=np.uint32)
-    for j in range(int(lens.max())):
-        live = np.flatnonzero(lens > j)
-        c = crc[live]
-        crc[live] = _CRC32_TABLE[(c ^ data[starts[live] + j]) & 0xFF] ^ (c >> 8)
-    parts = ((crc ^ np.uint32(0xFFFFFFFF)) % num_parts).astype(np.int64)
-    return parts[enc.indices.to_numpy(zero_copy_only=False)]
 
 
 def _max_pending_spans(path: str, num_parts: int, pending: np.ndarray) -> int:
@@ -108,7 +74,7 @@ def _max_pending_spans(path: str, num_parts: int, pending: np.ndarray) -> int:
     t = pq.ParquetFile(path).read(columns=["doc_id",
                                            "spans.list.element.offset"])
     n = pc.list_value_length(t["spans"]).fill_null(0).to_numpy()
-    keep = pending[_part_ids(t["doc_id"], num_parts)]
+    keep = pending[bucket_ids(t["doc_id"], num_parts)]
     return int(n[keep].max(initial=0))
 
 
@@ -179,7 +145,7 @@ class _PartitionSink(Datasink):
         if not tables:
             return {}
         t = pa.concat_tables(tables, promote_options="default")
-        pids = _part_ids(t["doc_id"], self.num_parts)
+        pids = bucket_ids(t["doc_id"], self.num_parts)
         by_pid = np.argsort(pids, kind="stable")
         t, pids = t.take(by_pid), pids[by_pid]
         bounds = np.flatnonzero(np.diff(pids)) + 1
@@ -238,7 +204,7 @@ def run_partitioned(corpus_dir: str, out_dir: str, num_parts: int = 8) -> dict:
 
     def keep_pending(batch: pa.Table) -> pa.Table:
         return batch.filter(pa.array(
-            is_pending[_part_ids(batch["doc_id"], num_parts)]))
+            is_pending[bucket_ids(batch["doc_id"], num_parts)]))
 
     docs = rd.read_parquet(files).map_batches(keep_pending,
                                               batch_format="pyarrow")

@@ -1,0 +1,123 @@
+"""The shared hash-bucketed reduce (stages/agg.py): ``bucket_ids`` and
+``bucketed_map_groups``."""
+
+from __future__ import annotations
+
+import zlib
+
+import numpy as np
+import pandas as pd
+import pyarrow as pa
+import pytest
+import ray.data as rd
+
+from ocr_pipeline_ray.stages import agg
+
+
+@pytest.mark.parametrize("num_parts", [1, 3, 8, 4096])
+def test_bucket_ids_match_zlib_crc32(num_parts):
+    ids = ["", "a", "doc-00000001", "doc-00000042", "dóc-é✓",
+           "x" * 300, "doc-00000001"] + [f"doc-{i:08d}" for i in range(500)]
+    want = [zlib.crc32(d.encode()) % num_parts for d in ids]
+    arr = pa.array(ids)
+    assert agg.bucket_ids(arr, num_parts).tolist() == want
+    chunked = pa.chunked_array([arr.slice(0, 3), arr.slice(3)])
+    assert agg.bucket_ids(chunked, num_parts).tolist() == want
+    assert agg.bucket_ids(arr.slice(5, 4), num_parts).tolist() == \
+        want[5:9]
+
+
+@pytest.mark.parametrize("ids", [
+    ["dóc-é✓", "日本語の文書", "naïve", "ß"],   # non-ASCII only
+    ["", "", ""],                               # empty strings only
+    ["y" * 300, "x" * 300, "y" * 299 + "z"],    # 300-char ids only
+])
+@pytest.mark.parametrize("typ", [pa.string(), pa.large_string(),
+                                 pa.binary()])
+def test_bucket_ids_edge_ids(ids, typ):
+    """Batches made only of one kind of awkward id (the whole batch's
+    byte loop runs 0 or 300 steps), in every string/binary type."""
+    want = [zlib.crc32(d.encode()) % 64 for d in ids]
+    col = pa.array([d.encode() for d in ids] if pa.types.is_binary(typ)
+                   else ids, type=typ)
+    assert agg.bucket_ids(col, 64).tolist() == want
+
+
+def test_bucket_ids_empty_column():
+    assert agg.bucket_ids(pa.array([], pa.string()), 8).tolist() == []
+    assert agg.bucket_ids(pa.chunked_array([], pa.int64()), 8).tolist() == []
+
+
+@pytest.mark.parametrize("k", [1, 7, 16, 64, 1024])
+def test_bucket_ids_integer_keys_in_range_and_deterministic(k):
+    rng = np.random.default_rng(0)
+    keys = np.concatenate([
+        np.arange(0, 10_000, 32),                      # strided run
+        rng.integers(-2**62, 2**62, 1000),             # wide, signed
+        np.array([0, -1, 2**63 - 1, -2**63])])
+    in_int32 = (keys >= -2**31) & (keys < 2**31)
+    for col in (pa.array(keys),
+                pa.array(keys[in_int32].astype(np.int32)),
+                pa.array(keys[keys >= 0].astype(np.uint64))):
+        b = agg.bucket_ids(col, k)
+        assert b.dtype == np.int64 and len(b) == len(col)
+        assert ((b >= 0) & (b < k)).all()
+        assert np.array_equal(b, agg.bucket_ids(col, k))
+        # chunking does not change a row's bucket
+        split = pa.chunked_array([col.slice(0, 10), col.slice(10)])
+        assert np.array_equal(b, agg.bucket_ids(split, k))
+
+
+def test_bucket_ids_spread_strided_integer_keys():
+    # plain ``key % 16`` would put all of 0, 32, 64, ... in bucket 0
+    strided = agg.bucket_ids(pa.array(np.arange(0, 10_000, 32)), 16)
+    assert len(set(strided.tolist())) == 16
+
+
+def test_bucket_ids_rejects_unhashed_types():
+    with pytest.raises(TypeError):
+        agg.bucket_ids(pa.array([1.5, 2.5]), 4)
+
+
+def _group_sizes_fn():
+    # built per test: Ray workers cannot import this test module, so
+    # the UDF must be a closure (pickled by value)
+    def _group_sizes(g: pd.DataFrame) -> pd.DataFrame:
+        # one output row per key per call: a key split across two calls
+        # would show up twice
+        out = g.groupby("k", as_index=False).agg(n=("v", "size"),
+                                                 total=("v", "sum"))
+        out["n_buckets_seen"] = g["bucket"].nunique()
+        return out
+    return _group_sizes
+
+
+@pytest.mark.parametrize("key_type", ["int", "str"])
+def test_bucketed_map_groups_delivers_each_key_whole(key_type):
+    """Keys spread over 12 blocks (every key has rows in every block)
+    reach ``fn`` whole, in exactly one call, with one bucket per call."""
+    n_keys, n_blocks = 97, 12
+    rng = np.random.default_rng(1)
+    frames = []
+    for blk in range(n_blocks):
+        ks = rng.permutation(n_keys)  # a different row order per block
+        frames.append(pd.DataFrame({
+            "k": ks if key_type == "int" else [f"key-{i}" for i in ks],
+            "v": np.full(n_keys, blk + 1, dtype=np.int64)}))
+    ds = rd.from_pandas(frames)
+    assert ds.num_blocks() >= 8
+    out = agg.bucketed_map_groups(ds, "k", _group_sizes_fn(), 8).to_pandas()
+    assert len(out) == n_keys
+    assert out["k"].nunique() == n_keys
+    assert (out["n"] == n_blocks).all()
+    assert (out["total"] == sum(range(1, n_blocks + 1))).all()
+    assert (out["n_buckets_seen"] == 1).all()
+
+
+def test_bucketed_map_groups_names_the_operator_after_fn():
+    """Operator-name contract: materialized stats name the user's fn
+    (the benchmark's per-operator probes match on it)."""
+    ds = rd.from_pandas([pd.DataFrame({"k": [1, 2, 3], "v": [1, 1, 1]}),
+                         pd.DataFrame({"k": [3, 4], "v": [1, 1]})])
+    out = agg.bucketed_map_groups(ds, "k", _group_sizes_fn(), 4).materialize()
+    assert "_group_sizes" in out.stats()

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import glob
 import os
-import zlib
 
 import numpy as np
 import pandas as pd
@@ -144,19 +143,6 @@ def test_lineage_records(small_corpus, out_dirs):
     total_docs = sum(r["n_docs"] for r in recs)
     docs = rd.read_parquet(f"{small_corpus}/documents_spans").count()
     assert total_docs == docs
-
-
-@pytest.mark.parametrize("num_parts", [1, 3, 8, 4096])
-def test_part_ids_match_zlib_crc32(num_parts):
-    ids = ["", "a", "doc-00000001", "doc-00000042", "dóc-é✓",
-           "x" * 300, "doc-00000001"] + [f"doc-{i:08d}" for i in range(500)]
-    want = [zlib.crc32(d.encode()) % num_parts for d in ids]
-    arr = pa.array(ids)
-    assert checkpoint._part_ids(arr, num_parts).tolist() == want
-    chunked = pa.chunked_array([arr.slice(0, 3), arr.slice(3)])
-    assert checkpoint._part_ids(chunked, num_parts).tolist() == want
-    assert checkpoint._part_ids(arr.slice(5, 4), num_parts).tolist() == \
-        want[5:9]
 
 
 def test_empty_partitions_commit(tmp_path, extract_calls):

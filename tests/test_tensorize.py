@@ -49,12 +49,13 @@ class TestResize:
 class TestDet:
     def test_shape_snap_and_scale(self):
         img = _page()
-        t, scale = tz.det_tensor(img)
+        t, scale, det_h, det_w = tz.det_tensor(img)
         assert t.shape == (1, 3, 960, 960)
         assert t.dtype == np.float32
         assert scale == 960 / max(img.shape)
         new_h = max(32, (int(img.shape[0] * scale) // 32) * 32)
         new_w = max(32, (int(img.shape[1] * scale) // 32) * 32)
+        assert (det_h, det_w) == (new_h, new_w)
         assert new_h % 32 == 0 and new_w % 32 == 0
         # padding is exactly zero outside the valid region
         assert not t[0, :, new_h:, :].any()
@@ -67,7 +68,7 @@ class TestDet:
         placement in one assertion."""
         rng = np.random.RandomState(3)
         img = rng.randint(0, 256, (960, 704)).astype(np.uint8)
-        t, scale = tz.det_tensor(img)
+        t, scale, _, _ = tz.det_tensor(img)
         assert scale == 1.0
         valid = t[0, :, :960, :704]
         back = (valid * tz.STD[:, None, None] + tz.MEAN[:, None, None]) * 255.0
@@ -76,8 +77,8 @@ class TestDet:
 
     def test_deterministic_fingerprint(self):
         img = _page()
-        a, _ = tz.det_tensor(img)
-        b, _ = tz.det_tensor(img)
+        a, *_ = tz.det_tensor(img)
+        b, *_ = tz.det_tensor(img)
         assert tz._crc_tensor(a) == tz._crc_tensor(b)
 
 
@@ -144,5 +145,40 @@ class TestStage:
                                     out["crc_det"].to_pylist())}
         for ref, payload in rows:
             img = media_stub.decode_raster(payload)
-            det, _ = tz.det_tensor(img)
+            det, *_ = tz.det_tensor(img)
             assert got[ref] == tz._crc_tensor(det), ref
+
+    def test_degenerate_rasters_are_skipped(self):
+        """FPX1 payloads with a zero side used to raise (IndexError for
+        (0, 40)/(40, 0), ZeroDivisionError for (0, 0)) and kill the
+        whole batch; they are skipped and the normal page's row is
+        unchanged."""
+        import pyarrow as pa
+
+        img = _page()
+        good = media_stub.encode_raster(img)
+        degenerate = [media_stub.encode_raster(np.zeros(s, dtype=np.uint8))
+                      for s in ((0, 40), (40, 0), (0, 0))]
+        stage = tz.TensorizeMedia()
+        alone = stage(pa.table({
+            "media_ref": pa.array(["good"]),
+            "payload": pa.array([good], type=pa.binary())}))
+        mixed = stage(pa.table({
+            "media_ref": pa.array(["d0", "d1", "good", "d2"]),
+            "payload": pa.array(degenerate[:2] + [good] + degenerate[2:],
+                                type=pa.binary())}))
+        assert mixed.to_pylist() == alone.to_pylist()
+        row = mixed.to_pylist()[0]
+        det, scale, det_h, det_w = tz.det_tensor(img)
+        bands = tz.line_bands(img)
+        assert row["media_ref"] == "good"
+        assert (row["det_h"], row["det_w"]) == (det_h, det_w)
+        assert row["det_scale_q"] == int(np.floor(scale * 1e6 + 0.5))
+        assert row["rec_n_lines"] == len(bands) == 2
+        assert row["rec_w_max"] == max(
+            max(tz.REC_W_MIN, min(int((b.shape[1] / b.shape[0]) * tz.REC_H),
+                                  tz.REC_W_MAX)) for b in bands)
+        assert row["crc_det"] == tz._crc_tensor(det)
+        assert row["crc_rec_fold"] == sum(
+            tz._crc_tensor(tz.rec_tensor(b)) for b in bands)
+        assert row["crc_angle"] == tz._crc_tensor(tz.angle_tensor(img))
