@@ -167,6 +167,41 @@ _SHINGLES = (
     "|| ' ' || string_split(text,' ')[i+2]))"
 )
 
+# The near-dup pair CTEs (aug → sh → pairs(doc_a, doc_b, j)) shared by
+# near_dup_pairs_minhash and dedup_clusters: the corpus plus 10
+# 'dup '-prefixed copies, all-pairs shingle Jaccard.
+_MINHASH_PAIRS = f"""aug AS (
+                SELECT doc_id, text FROM documents
+                UNION ALL
+                SELECT doc_id + 100000, 'dup ' || text FROM documents WHERE doc_id < 10),
+            sh AS (SELECT doc_id, {_SHINGLES} AS shingles FROM aug),
+            pairs AS (
+                SELECT a.doc_id AS doc_a, b.doc_id AS doc_b,
+                       len(list_intersect(a.shingles, b.shingles)) * 1.0
+                       / (len(a.shingles) + len(b.shingles)
+                          - len(list_intersect(a.shingles, b.shingles))) AS j
+                FROM sh a JOIN sh b ON a.doc_id < b.doc_id)"""
+
+
+def _closure(node: str) -> str:
+    """Connected components of an undirected ``edges(a, b)`` CTE by
+    recursive transitive closure, labelled with the min reachable node
+    (the engine's min-label propagation fixpoint); the tail of a
+    ``WITH RECURSIVE`` query whose node column is ``node``."""
+    return f"""reach AS (
+                SELECT a, b FROM edges
+                UNION
+                SELECT r.a, e.b FROM reach r JOIN edges e ON r.b = e.a
+                WHERE e.b <> r.a),
+            nodes AS (SELECT DISTINCT a AS {node} FROM edges),
+            lab AS (SELECT n.{node}, LEAST(n.{node}, MIN(r.b)) AS cluster_id
+                    FROM nodes n JOIN reach r ON r.a = n.{node}
+                    GROUP BY n.{node})
+            SELECT {node}, cluster_id,
+                   CAST({node} = cluster_id AS BIGINT) AS is_survivor
+            FROM lab ORDER BY {node}"""
+
+
 _STOP_EN = "('the','a','of','and','to','in','is','on')"
 _STOP_DE = "('der','die','das','und','ist','ein','zu','den')"
 _STOP_ES = "('el','la','de','que','y','en','un','es')"
@@ -513,17 +548,7 @@ def oracle_sql() -> dict[str, str]:
             ORDER BY doc_id
         """,
         "near_dup_pairs_minhash": f"""
-            WITH aug AS (
-                SELECT doc_id, text FROM documents
-                UNION ALL
-                SELECT doc_id + 100000, 'dup ' || text FROM documents WHERE doc_id < 10),
-            sh AS (SELECT doc_id, {_SHINGLES} AS shingles FROM aug),
-            pairs AS (
-                SELECT a.doc_id AS doc_a, b.doc_id AS doc_b,
-                       len(list_intersect(a.shingles, b.shingles)) * 1.0
-                       / (len(a.shingles) + len(b.shingles)
-                          - len(list_intersect(a.shingles, b.shingles))) AS j
-                FROM sh a JOIN sh b ON a.doc_id < b.doc_id)
+            WITH {_MINHASH_PAIRS}
             SELECT doc_a, doc_b, j AS jaccard
             FROM pairs
             WHERE j >= 0.8
@@ -535,31 +560,10 @@ def oracle_sql() -> dict[str, str]:
         # min reachable doc_id (matches the engine's min-label
         # propagation fixpoint exactly).
         "dedup_clusters": f"""
-            WITH RECURSIVE aug AS (
-                SELECT doc_id, text FROM documents
-                UNION ALL
-                SELECT doc_id + 100000, 'dup ' || text FROM documents WHERE doc_id < 10),
-            sh AS (SELECT doc_id, {_SHINGLES} AS shingles FROM aug),
-            pairs AS (
-                SELECT a.doc_id AS doc_a, b.doc_id AS doc_b,
-                       len(list_intersect(a.shingles, b.shingles)) * 1.0
-                       / (len(a.shingles) + len(b.shingles)
-                          - len(list_intersect(a.shingles, b.shingles))) AS j
-                FROM sh a JOIN sh b ON a.doc_id < b.doc_id),
+            WITH RECURSIVE {_MINHASH_PAIRS},
             edges AS (SELECT doc_a AS a, doc_b AS b FROM pairs WHERE j >= 0.8
                       UNION SELECT doc_b, doc_a FROM pairs WHERE j >= 0.8),
-            reach AS (
-                SELECT a, b FROM edges
-                UNION
-                SELECT r.a, e.b FROM reach r JOIN edges e ON r.b = e.a
-                WHERE e.b <> r.a),
-            nodes AS (SELECT DISTINCT a AS doc_id FROM edges),
-            lab AS (SELECT n.doc_id, LEAST(n.doc_id, MIN(r.b)) AS cluster_id
-                    FROM nodes n JOIN reach r ON r.a = n.doc_id
-                    GROUP BY n.doc_id)
-            SELECT doc_id, cluster_id,
-                   CAST(doc_id = cluster_id AS BIGINT) AS is_survivor
-            FROM lab ORDER BY doc_id
+            {_closure("doc_id")}
         """,
         "jaccard_consecutive": f"""
             WITH sh AS (SELECT doc_id, {_SHINGLES} AS shingles FROM documents)
@@ -609,7 +613,7 @@ def oracle_sql() -> dict[str, str]:
         """,
         # embedding_dup_clusters: same fixpoint contract as
         # dedup_clusters, over the cosine pair graph.
-        "embedding_dup_clusters": """
+        "embedding_dup_clusters": f"""
             WITH RECURSIVE aug AS (
                 SELECT vec_id, embedding FROM embeddings
                 UNION ALL
@@ -621,18 +625,7 @@ def oracle_sql() -> dict[str, str]:
                                              b.embedding::DOUBLE[]) >= 0.999),
             edges AS (SELECT va AS a, vb AS b FROM prs
                       UNION SELECT vb, va FROM prs),
-            reach AS (
-                SELECT a, b FROM edges
-                UNION
-                SELECT r.a, e.b FROM reach r JOIN edges e ON r.b = e.a
-                WHERE e.b <> r.a),
-            nodes AS (SELECT DISTINCT a AS vec_id FROM edges),
-            lab AS (SELECT n.vec_id, LEAST(n.vec_id, MIN(r.b)) AS cluster_id
-                    FROM nodes n JOIN reach r ON r.a = n.vec_id
-                    GROUP BY n.vec_id)
-            SELECT vec_id, cluster_id,
-                   CAST(vec_id = cluster_id AS BIGINT) AS is_survivor
-            FROM lab ORDER BY vec_id
+            {_closure("vec_id")}
         """,
         # media_feature_stats: size features are SQL-expressible — DuckDB
         # reads the SAME derived media parquet the Ray query reads (the

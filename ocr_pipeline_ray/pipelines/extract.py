@@ -20,6 +20,12 @@ Media-payload resolution has two strategies:
   moves only narrow text rows.
 
 Both return the same schema and byte-identical results (tested).
+
+``extract_spans_hybrid`` runs the same operators: for documents below
+the skew threshold, ``stages.doclocal.DocLocalExtract`` calls explode →
+classify → ``OcrStage`` → keep filter → rank inside one task (no
+shuffle, since each document is whole in its batch); only the skew
+tail takes the exploded + shuffle plan above.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from ..config import (MEDIA_JOIN_BUCKETS, OCR_BATCH_SIZE, OCR_NUM_CPUS,
 from ..stages.agg import bucketed_map_groups
 from ..stages.classify import classify_spans
 from ..stages.explode import explode_spans
-from ..stages.ocr import OcrStage, add_passthrough_cols
+from ..stages.ocr import OcrStage
 from ..stages.reassemble import reassemble
 
 
@@ -148,12 +154,14 @@ def extract_spans(docs_ds, *, media_lookup_ref=None, media_ds=None,
         # decoded after; shipping the binary column through the
         # exchange was 3-10× slower and scaled super-linearly.)
         media_rows = exploded.filter(expr="kind == 'media'")
-        # no explicit batch_size on the text chain: a mid-pipeline
+        # text rows have nothing pending, so OcrStage only adds the
+        # passthrough columns, under MediaDecodeStage's warm-reader key.
+        # No explicit batch_size on the text chain: a mid-pipeline
         # batch_size forces a re-bundling pass that measured 3x slower
         # end-to-end; block-sized batches keep the chain fused
         text_rows = exploded.filter(expr="kind == 'text'") \
             .map_batches(classify_spans, batch_format="pyarrow") \
-            .map_batches(add_passthrough_cols, batch_format="pyarrow")
+            .map_batches(OcrStage(calib=calib), batch_format="pyarrow")
         from ..stages.ocr import MediaDecodeStage, apply_media_text
         media_text = media_ds.select_columns(["media_ref", "payload"]) \
             .map_batches(

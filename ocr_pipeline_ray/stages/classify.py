@@ -46,7 +46,8 @@ def classify_one(raw: str) -> tuple[bool, str]:
 
 def classify_spans(batch: pa.Table) -> pa.Table:
     """Text rows classified+cleaned (boilerplate dropped), media rows pass
-    through with status='pending'.
+    through with status='pending'. A text span with null text is
+    boilerplate.
 
     In:  (doc_id, kind, text, media_ref, offset)
     Out: same + (status, conf).
@@ -59,7 +60,7 @@ def classify_spans(batch: pa.Table) -> pa.Table:
     conf = [0.0] * len(kinds)
     for i, (k, t) in enumerate(zip(kinds, texts)):
         if k == "text":
-            kept, clean = classify_one(t)
+            kept, clean = (False, "") if t is None else classify_one(t)
             keep[i] = kept
             out_text[i] = clean
             status[i] = "ok" if kept else "boilerplate"

@@ -44,9 +44,10 @@ calibrated score downstream.
 
 Everything around the stub decode is the real distributed design:
 one warm ``PageReader`` per worker process (zero-copy broadcast
-payloads, calibrated cascade thresholds) shared by the three OCR
-stages, XY-cut reading order, char-correction canonicalization,
-failure-as-data status columns.
+payloads, calibrated cascade thresholds) shared by ``OcrStage``
+(also run in-task by ``DocLocalExtract``) and ``MediaDecodeStage``,
+XY-cut reading order, char-correction canonicalization, failure-as-data
+status columns.
 """
 
 from __future__ import annotations
@@ -503,18 +504,3 @@ def apply_media_text(batch: pa.Table) -> pa.Table:
         "cascade": pc.if_else(have, batch["m_cascade"], pa.scalar("none")),
     })
 
-
-def add_passthrough_cols(batch: pa.Table) -> pa.Table:
-    """Text-branch rows (join path) get the ensemble columns so the
-    union's schema matches: cascade='accepted', conf_calibrated=conf."""
-    return pa.table({
-        "doc_id": batch["doc_id"],
-        "kind": batch["kind"],
-        "text": batch["text"],
-        "media_ref": batch["media_ref"],
-        "offset": batch["offset"],
-        "status": batch["status"],
-        "conf": batch["conf"],
-        "conf_calibrated": batch["conf"],
-        "cascade": pa.array(["accepted"] * batch.num_rows, type=pa.string()),
-    })

@@ -23,8 +23,11 @@ import pyarrow.compute as pc
 from .agg import bucketed_map_groups
 
 KEEP_STATUSES = ("ok", "low_conf")
-OUT_COLUMNS = ["doc_id", "order", "kind", "text", "media_ref", "conf",
-               "conf_calibrated", "status", "cascade"]
+OUT_SCHEMA = pa.schema([
+    ("doc_id", pa.string()), ("order", pa.int32()), ("kind", pa.string()),
+    ("text", pa.string()), ("media_ref", pa.string()),
+    ("conf", pa.float64()), ("conf_calibrated", pa.float64()),
+    ("status", pa.string()), ("cascade", pa.string())])
 
 
 def filter_keep(batch: pa.Table) -> pa.Table:
@@ -38,7 +41,7 @@ def _rank_bucket(g: pd.DataFrame) -> pd.DataFrame:
     # dense-rank per doc with a vectorized cumcount
     g = g.sort_values(["doc_id", "offset"], kind="mergesort")
     g = g.assign(order=g.groupby("doc_id").cumcount().astype(np.int32))
-    return g[OUT_COLUMNS]
+    return g[OUT_SCHEMA.names]
 
 
 def reassemble(ds):
