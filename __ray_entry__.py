@@ -645,13 +645,18 @@ def oracle_sql() -> dict[str, str]:
             ORDER BY media_kind
         """,
         # preprocess_media / pixel_restore_bank / pixel_tiled_restore:
-        # the bitmap decisions are not SQL-expressible, but each query
-        # WRITES its per-row lineage to a derived parquet partition
+        # the bitmap decisions are not SQL-expressible. Each query
+        # writes its per-row lineage to a derived parquet partition
         # (modelops._lineage_write) and returns the aggregation of that
-        # file — the oracle reads the SAME file, so the driver
-        # hash-checks schema + values end to end (the kernels
-        # themselves are gated exactly in tests/test_pixels.py,
-        # test_tiling.py, test_stages_extra.py).
+        # file, and these entries re-read the query's own file. So they
+        # check serialization and determinism (a stale or missing file
+        # fails), not the answer: nothing here recomputes a bitmap
+        # decision. The kernels are gated by pytest:
+        #   preprocess_media    tests/test_stages_extra.py::TestPreprocessKernels
+        #   pixel_restore_bank  tests/test_pixels.py::TestKernelRecovery,
+        #                       ::TestDistributedBank
+        #   pixel_tiled_restore tests/test_tiling.py::TestTiledRestore,
+        #                       ::TestBlendMachinery
         "preprocess_media": f"""
             SELECT media_ref, media_kind, pp_rotated, pp_dewarped,
                    pp_rescaled, pp_noise_score
@@ -677,8 +682,11 @@ def oracle_sql() -> dict[str, str]:
             ORDER BY media_ref
         """,
         # tensorize_profile: the P10 tensorizer dataflow's per-page
-        # profile (shapes, scale, tensor fingerprints) via the same
-        # derived-file contract; kernels gated in test_tensorize.py.
+        # profile (shapes, scale, tensor fingerprints) through the same
+        # derived file, re-read as is: a serialization and determinism
+        # check, not a recomputation. The kernels are gated by
+        # tests/test_tensorize.py::TestDet, ::TestRecAngle and
+        # ::TestStage::test_stage_fingerprints_match_direct_kernels.
         "tensorize_profile": f"""
             SELECT media_ref, det_h, det_w, det_scale_q, rec_n_lines,
                    rec_w_max, crc_det, crc_rec_fold, crc_angle

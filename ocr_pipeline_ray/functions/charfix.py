@@ -17,8 +17,15 @@ Re-implements the *semantics* of the reference's rule family
   map confusables, parse int.
 
 All rules are applied in ONE canonical order (F3 words, F2 context,
-F1 tokens) so output text is byte-stable regardless of batch or
-partition boundaries — required for span-sequence equality.
+F1 tokens), and that pass is iterated to a fixpoint (``fix_text``), so
+output text is byte-stable regardless of batch or partition
+boundaries — required for span-sequence equality.
+
+A pass costs 10 regex scans: F3 is one alternation of the four
+keyword rules, and each of the eight F2 rules opens with its character
+class so ``re`` can skip straight to candidate characters. Both forms
+match exactly what the separate / lookbehind-first rules matched
+(tests/test_kernel_differential.py).
 """
 
 from __future__ import annotations
@@ -54,26 +61,38 @@ def aggressive_digit_fix(text: str) -> str:
         lambda m: m.group(0).translate(_CONFUSION), text)
 
 # F2: confusables in direct numeric context (subset ordering matters —
-# apply left-context, right-context, then between-digit rules).
+# apply left-context, right-context, then between-digit rules). A rule
+# with left context opens with its character class and asserts the
+# context as a lookbehind over that character, so ``re`` can scan for
+# the class instead of trying the lookbehind at every position; it
+# matches exactly where ``(?<=ctx)[cls]`` does.
 _F2_RULES: list[tuple[re.Pattern[str], str]] = [
-    (re.compile(r"(?<=[0-9])[lI|](?=[0-9])"), "1"),
-    (re.compile(r"(?<=[0-9])[oO](?=[0-9])"), "0"),
-    (re.compile(r"(?<=[0-9])[sS](?=[0-9])"), "5"),
+    (re.compile(r"[lI|](?<=[0-9][lI|])(?=[0-9])"), "1"),
+    (re.compile(r"[oO](?<=[0-9][oO])(?=[0-9])"), "0"),
+    (re.compile(r"[sS](?<=[0-9][sS])(?=[0-9])"), "5"),
     (re.compile(r"[lI|](?=[0-9])"), "1"),
-    (re.compile(r"(?<=[0-9])[lI|]"), "1"),
+    (re.compile(r"[lI|](?<=[0-9][lI|])"), "1"),
     (re.compile(r"[oO](?=[0-9]{2})"), "0"),
-    (re.compile(r"(?<=[0-9]{2})[oO]"), "0"),
-    (re.compile(r"(?<=[0-9])[sS]\b"), "5"),
+    (re.compile(r"[oO](?<=[0-9]{2}[oO])"), "0"),
+    (re.compile(r"[sS](?<=[0-9][sS])\b"), "5"),
 ]
 
 # F3: canonical keyword spellings (domain words the field extractors
-# key on; mirrors the reference's Electr[il]city / coze / C0Ze fixes).
-_F3_RULES: list[tuple[re.Pattern[str], str]] = [
-    (re.compile(r"\bElectr[il1]c[il1]ty\b", re.IGNORECASE), "Electricity"),
-    (re.compile(r"\b[ck][o0]n[s5]umpt[il1][o0]n\b", re.IGNORECASE), "Consumption"),
-    (re.compile(r"\b(?:coze|c0ze|co2e|coz[e3]|c02e)\b", re.IGNORECASE), "CO2e"),
-    (re.compile(r"\bkwh\b", re.IGNORECASE), "kWh"),
-]
+# key on; mirrors the reference's Electr[il]city / coze / C0Ze fixes),
+# one alternation whose group number names the canonical word. Each
+# branch matches a whole word, and no word matches two branches, so
+# one pass equals applying the branches one after another.
+_F3_WORDS = ("Electricity", "Consumption", "CO2e", "kWh")
+_F3_RULE = re.compile(
+    r"\b(?:(Electr[il1]c[il1]ty)"
+    r"|([ck][o0]n[s5]umpt[il1][o0]n)"
+    r"|(coze|c0ze|co2e|coz[e3]|c02e)"
+    r"|(kwh))\b", re.IGNORECASE)
+
+
+def _f3_word(m: re.Match[str]) -> str:
+    return _F3_WORDS[m.lastindex - 1]
+
 
 _NON_DIGIT = re.compile(r"[^0-9]")
 
@@ -86,8 +105,7 @@ def _fix_confusable_word(m: re.Match[str]) -> str:
 
 
 def _fix_once(text: str) -> str:
-    for pat, repl in _F3_RULES:
-        text = pat.sub(repl, text)
+    text = _F3_RULE.sub(_f3_word, text)
     for pat, repl in _F2_RULES:
         text = pat.sub(repl, text)
     return _CONFUSABLE_WORD.sub(_fix_confusable_word, text)

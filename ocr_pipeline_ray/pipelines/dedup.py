@@ -131,7 +131,9 @@ class _CandidateFilter:
     candidate id set is handed over as OBJECT-STORE BLOCK REFS
     (``Dataset.to_arrow_refs`` — the rows themselves never visit the
     driver; the driver holds pointers only) and assembled ONCE per
-    actor in ``__init__``, not per batch."""
+    actor in ``__init__``, not per batch. Memory: each actor in the
+    pool (up to 8) holds its own O(|candidates|) id set for its
+    lifetime, so the pool's footprint is pool size × candidate ids."""
 
     def __init__(self, id_block_refs):
         blocks = ray.get(list(id_block_refs))

@@ -28,10 +28,13 @@ def _corpus(sf_dir: str) -> str:
 def _lineage_write(ds: "rd.Dataset", path: str) -> "rd.Dataset":
     """Materialize a lineage/profile Dataset to a deterministic parquet
     directory (cleared first — content is deterministic per corpus) and
-    return a Dataset reading it back. This is the derived-file oracle
-    contract: the paired DuckDB oracle reads the SAME files, so the
-    driver gate checks rows+schema+hash on the aggregation instead of
-    rows-only, and the written partition dir doubles as the resumable
+    return a Dataset reading it back. The paired DuckDB entry in
+    ``__ray_entry__.oracle_sql`` re-reads these same files, so its
+    hash comparison checks serialization and determinism of the
+    aggregation (rows + schema + hash; a stale or missing file fails),
+    not the answer itself: nothing recomputes the per-row decisions.
+    Those are gated by the pytest kernel tests named next to each
+    entry there. The written partition dir doubles as the resumable
     output the 100 TB run would checkpoint."""
     import shutil
 
@@ -73,10 +76,10 @@ def preprocess_media(sf_dir: str) -> pd.DataFrame:
     the PreprocessMedia actor stage deskews / dewarps / size-caps /
     noise-scores every payload. Returns per-media preprocessing
     lineage, WRITTEN to a derived parquet partition first (the
-    ``_lineage_write`` contract) so the driver's DuckDB oracle reads
-    the same file and hash-checks the result; the bitmap decisions
-    themselves (rotated-page reading-order recovery) are gated exactly
-    in tests/test_stages_extra.py."""
+    ``_lineage_write`` contract); the paired DuckDB entry re-reads
+    that file, which checks serialization and determinism only. The
+    bitmap decisions themselves (rotated-page reading-order recovery)
+    are gated exactly in tests/test_stages_extra.py."""
     import zlib
 
     corpus = _corpus(sf_dir)
@@ -126,8 +129,9 @@ def degradation_bank(sf_dir: str, severity: str = "medium",
     SQL-expressible, but the per-page scored rows ARE data: they are
     WRITTEN to a derived parquet partition (``_lineage_write``) and the
     returned profile aggregates that file with the engine-standard
-    scaled-int mean — the paired DuckDB oracle reads the SAME file, so
-    the driver gate checks rows+schema+hash end to end."""
+    scaled-int mean — the paired DuckDB entry re-reads the SAME file, a
+    rows+schema+hash check of serialization and determinism, not a
+    recomputation."""
     from ..functions.accuracy import char_accuracy
     from ..sources.degrade import DEGRADATION_OPS, degrade_page
 
@@ -228,9 +232,10 @@ def tensorize_profile(sf_dir: str, sample_n: int = 256) -> pd.DataFrame:
     only the narrow per-page profile row leaves the actor (an 11 MB
     det tensor must never enter the object store as a column). The
     profile is WRITTEN to a derived parquet partition
-    (``_lineage_write``) and the DuckDB oracle reads the same file, so
-    the driver gate checks rows+schema+hash; the tensorizer kernels
-    themselves are exactly gated in tests/test_tensorize.py."""
+    (``_lineage_write``) and the DuckDB entry re-reads the same file,
+    a rows+schema+hash check of serialization and determinism, not
+    of the tensors; the tensorizer kernels themselves are exactly
+    gated in tests/test_tensorize.py."""
     from ..stages.tensorize import TensorizeMedia
 
     corpus = _corpus(sf_dir)
@@ -335,9 +340,10 @@ def pixel_restore_bank(sf_dir: str, sample_n: int = 96) -> pd.DataFrame:
     (seeded per media_ref x op). The per-(page, op) outcome rows are
     WRITTEN to a derived parquet partition (``_lineage_write``) and
     the returned profile is aggregated FROM that file — the paired
-    DuckDB oracle runs the same GROUP BY over the same file, so the
-    driver gate hash-checks the aggregation (the bitmap kernels
-    themselves are gated exactly in tests/test_pixels.py).
+    DuckDB entry runs the same GROUP BY over the same file, which
+    checks serialization and determinism of the aggregation, not the
+    reads (the bitmap kernels themselves are gated exactly in
+    tests/test_pixels.py).
 
     The op is data (each page explodes into 5 rows inside the batch
     fn), so the whole profile is ONE streamed execution; only narrow
@@ -442,8 +448,9 @@ def pixel_tiled_restore(sf_dir: str, sample_n: int = 12) -> pd.DataFrame:
        the page back.
 
     Per-page outcome rows (patch count, Otsu-only read vs tiled-restore
-    read) are written via ``_lineage_write`` so the DuckDB oracle reads
-    the same derived file — the driver gate hash-checks this entry.
+    read) are written via ``_lineage_write`` and the DuckDB entry
+    re-reads the same derived file, a serialization and determinism
+    check only.
     Seam correctness and blend math are gated in tests/test_tiling.py;
     the end-to-end Ray path is gated in tests/test_modelops.py.
     """

@@ -143,6 +143,8 @@ def _build_font() -> dict[str, np.ndarray]:
 _FONT = _unpack_font()
 _FONT_CHARS = np.array(list(_FONT.keys()))
 _FONT_STACK = np.stack([_FONT[c].ravel() for c in _FONT_CHARS])  # (95, 35)
+_FONT_STACK_T = np.ascontiguousarray(_FONT_STACK.T.astype(np.int32))
+_FONT_INK = _FONT_STACK.sum(axis=1, dtype=np.int32)
 
 
 def render_lines(texts: list[str], pad_cols: int = 1) -> np.ndarray:
@@ -222,11 +224,10 @@ def degrade_stroke_breaks(img: np.ndarray, seed: int, frac: float = 0.35
 # --------------------------------------------------------------------------
 # P5: Otsu threshold + binarize
 
-def otsu_threshold(img: np.ndarray) -> int:
-    """Classic Otsu: the threshold maximizing between-class variance of
-    the 256-bin histogram (reference pipeline.py:633-644 uses cv2's
-    OTSU flag; this is that algorithm in numpy)."""
-    hist = np.bincount(img.ravel(), minlength=256).astype(np.float64)
+def _otsu_hist(hist: np.ndarray) -> int:
+    """Otsu's threshold from a 256-bin histogram: the ``t`` maximizing
+    the between-class variance of the split ``<= t`` / ``> t``."""
+    hist = hist.astype(np.float64)
     total = hist.sum()
     w0 = np.cumsum(hist) / total              # class-0 probability per t
     w1 = 1.0 - w0
@@ -236,6 +237,13 @@ def otsu_threshold(img: np.ndarray) -> int:
         between = (mu_t * w0 - mu) ** 2 / (w0 * w1)
     between[(w0 <= 0) | (w1 <= 0)] = -1.0
     return int(np.argmax(between))
+
+
+def otsu_threshold(img: np.ndarray) -> int:
+    """Classic Otsu: the threshold maximizing between-class variance of
+    the 256-bin histogram (reference pipeline.py:633-644 uses cv2's
+    OTSU flag; this is that algorithm in numpy)."""
+    return _otsu_hist(np.bincount(img.ravel(), minlength=256))
 
 
 def binarize(img: np.ndarray, threshold: int | None = None) -> np.ndarray:
@@ -352,9 +360,14 @@ def read_lines(mask: np.ndarray, max_err: int | None = None,
     The resolution is an EXPLICIT caller contract, not inferred from
     the height modulus: a 3-line logical mask is also a multiple of
     CELL_H·SCALE rows, so inference would silently subsample valid
-    logical input into garbage. Then each CELL_H band / CELL_W cell is
-    matched to the nearest font glyph by Hamming distance (vectorized
-    against the whole font stack). Deliberately NOT a majority vote:
+    logical input into garbage. Then the page is cut into its CELL_H ×
+    CELL_W cells with one reshape/transpose, and each cell's GLYPH_H ×
+    GLYPH_W corner is matched to the nearest font glyph by Hamming
+    distance, computed for every cell against the whole font at once as
+    ``|cell| + |glyph| − 2·cell·glyphᵀ`` in int32 (exact for 0/1
+    vectors; ties go to the first glyph in CHARSET order). A mask
+    narrower than one cell reads as one empty line per band.
+    Deliberately NOT a majority vote:
     vote-pooling is itself a spatial denoiser, and folding one into
     the reader would double-count the P6 denoise stage's job (and make
     its recovery claim untestable). ``max_err`` (default: just under
@@ -374,25 +387,20 @@ def read_lines(mask: np.ndarray, max_err: int | None = None,
         mask = mask[c::SCALE, c::SCALE]
     n_rows = mask.shape[0] // CELL_H
     n_cols = mask.shape[1] // CELL_W
-    out: list[str] = []
-    for r in range(n_rows):
-        cells = []
-        band = mask[r * CELL_H:r * CELL_H + GLYPH_H]
-        for c in range(n_cols):
-            cell = band[:, c * CELL_W:c * CELL_W + GLYPH_W]
-            if cell.shape != (GLYPH_H, GLYPH_W):
-                break
-            cells.append(cell.ravel())
-        if not cells:
-            out.append("")
-            continue
-        dists = (np.stack(cells)[:, None, :] ^ _FONT_STACK[None, :, :]) \
-            .sum(axis=2)
-        best = np.argmin(dists, axis=1)
-        best_d = dists[np.arange(len(cells)), best]
-        chars = np.where(best_d <= max_err, _FONT_CHARS[best], "?")
-        out.append("".join(chars).rstrip())
-    return out
+    if n_cols == 0:
+        return [""] * n_rows
+    cells = mask[:n_rows * CELL_H, :n_cols * CELL_W] \
+        .reshape(n_rows, CELL_H, n_cols, CELL_W)[:, :GLYPH_H, :, :GLYPH_W] \
+        .transpose(0, 2, 1, 3).reshape(n_rows * n_cols, GLYPH_H * GLYPH_W) \
+        .astype(np.int32)
+    # Hamming distance of 0/1 vectors: |a| + |b| - 2·a·b
+    dists = cells.sum(axis=1, keepdims=True) + _FONT_INK \
+        - 2 * (cells @ _FONT_STACK_T)
+    best = np.argmin(dists, axis=1)
+    best_d = dists[np.arange(len(cells)), best]
+    chars = np.where(best_d <= max_err, _FONT_CHARS[best], "?") \
+        .reshape(n_rows, n_cols)
+    return ["".join(row).rstrip() for row in chars.tolist()]
 
 
 # --------------------------------------------------------------------------
@@ -419,26 +427,40 @@ def pixel_stats(img: np.ndarray) -> dict[str, float]:
       ink mask that are PARTIALLY inked. The renderer inks whole
       SCALE×SCALE blocks, so a clean page measures exactly 0; toner
       dropout fragments blocks and drives it up.
+
+    Everything but ``contrast`` is exact integer arithmetic. One
+    ``bincount`` histogram gives the Otsu split, ``ink_frac`` and
+    ``midtone_frac``. The ring is kept as ``8·ring``, a uint16
+    separable 3x3 box sum minus the centre, so ``ring > 192`` is
+    ``8·ring > 1536`` and ``paper_noise`` is the
+    integer sum of ``|8·pixel − 8·ring|``, divided by 8 and then by the
+    count. That equals the float64 mean bit for bit, because every term
+    of it is a multiple of 1/8 (tests/test_kernel_differential.py).
     """
-    f = img.astype(np.float64)
-    ink_mask = binarize(img)            # Otsu's own split as ink estimate
-    pf = np.pad(f, 1, mode="edge")
-    ring = (pf[:-2, :-2] + pf[:-2, 1:-1] + pf[:-2, 2:]
-            + pf[1:-1, :-2] + pf[1:-1, 2:]
-            + pf[2:, :-2] + pf[2:, 1:-1] + pf[2:, 2:]) / 8.0
-    interior = (f > 192.0) & (ring > 192.0)
-    paper_hf = float(np.abs(f - ring)[interior].mean()) \
-        if interior.any() else 0.0
+    hist = np.bincount(img.ravel(), minlength=256)
+    t = _otsu_hist(hist)
+    ink_mask = img <= t                 # Otsu's own split as ink estimate
+    u = np.pad(img, 1, mode="edge").astype(np.uint16)
+    box_rows = u[:-2] + u[1:-1] + u[2:]
+    ring8 = box_rows[:, :-2] + box_rows[:, 1:-1] + box_rows[:, 2:] - img
+    interior = (img > 192) & (ring8 > 8 * 192)
+    n_interior = int(np.count_nonzero(interior))
+    if n_interior:
+        dev8 = 8 * img[interior].astype(np.int32) - ring8[interior]
+        paper_hf = int(np.abs(dev8).sum()) / 8 / n_interior
+    else:
+        paper_hf = 0.0
     h = (ink_mask.shape[0] // SCALE) * SCALE
     w = (ink_mask.shape[1] // SCALE) * SCALE
-    blocks = ink_mask[:h, :w].reshape(h // SCALE, SCALE, w // SCALE, SCALE) \
-        .sum(axis=(1, 3))
+    ink = ink_mask[:h, :w].view(np.uint8)
+    block_rows = sum(ink[i::SCALE] for i in range(SCALE))
+    blocks = sum(block_rows[:, i::SCALE] for i in range(SCALE))
     partial = (blocks > 0) & (blocks < SCALE * SCALE)
     return {
-        "contrast": float(f.std()),
-        "ink_frac": float(ink_mask.mean()),
+        "contrast": float(img.std()),
+        "ink_frac": int(hist[:t + 1].sum()) / img.size,
         "paper_noise": paper_hf,
-        "midtone_frac": float(((f > 64) & (f < 192)).mean()),
+        "midtone_frac": int(hist[65:192].sum()) / img.size,
         "partial_frac": float(partial.mean()),
     }
 
@@ -475,9 +497,15 @@ def route_strategy(img: np.ndarray) -> str:
 def restore_and_read(img: np.ndarray, strategy: str | None = None
                      ) -> tuple[list[str], str]:
     """Strategy-routed P5-P8 restoration → template readback.
-    Returns (lines, strategy_used)."""
+    Returns (lines, strategy_used). A one-level image (a uniform white,
+    gray or black page) has nothing to equalize or split, so it reads
+    as no ink: equalizing would map its level to 0 and Otsu would put
+    a black page at its own threshold, both of which read as all ink.
+    """
     if strategy is None:
         strategy = route_strategy(img)
+    if img.min() == img.max():
+        return read_lines(np.zeros(img.shape, dtype=bool)), strategy
     work = img
     if "bilateral" in strategy:
         work = bilateral(bilateral(work))   # 2 passes: measured boundary

@@ -176,6 +176,22 @@ class TestTornPayloads:
             media_stub.decode_page(payload)
 
 
+class TestUniformRaster:
+    """A one-level raster page (all white, gray or black) has no text:
+    it must read as a blank status row, never as '?' text with status
+    'ok' (its zero contrast routes it to equalize+binarize, which used
+    to turn the single level into all ink)."""
+
+    @pytest.mark.parametrize("shape", [(48, 18), (240, 300)])
+    @pytest.mark.parametrize("level", [0, 128, 255])
+    def test_uniform_page_reads_blank(self, shape, level):
+        from ocr_pipeline_ray.stages.ocr import ocr_page, ocr_page_cascade
+
+        payload = media_stub.encode_raster(np.full(shape, level, np.uint8))
+        assert ocr_page_cascade(payload) == ("", 0.0, "blank", "none")
+        assert ocr_page(payload) == ("", 0.0, "blank")
+
+
 class TestWorkerDeath:
     def test_worker_dying_mid_batch_is_retried_to_golden(self, small_corpus,
                                                          tmp_path):
