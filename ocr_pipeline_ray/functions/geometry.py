@@ -13,6 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
+# default XY-cut band height: lines whose y falls in the same
+# band_height-pixel band read as one row
+XY_CUT_BAND = 24
+
 
 def bbox_iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """IoU for every pair: a is (N,4), b is (M,4) as x1,y1,x2,y2 → (N,M)."""
@@ -31,7 +35,7 @@ def bbox_iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return iou
 
 
-def xy_cut_order(xs: np.ndarray, ys: np.ndarray, band_height: int = 24) -> np.ndarray:
+def xy_cut_order(xs: np.ndarray, ys: np.ndarray, band_height: int = XY_CUT_BAND) -> np.ndarray:
     """Return the permutation that reads line anchors in XY-cut order.
 
     Lines are grouped into horizontal bands of ``band_height`` pixels

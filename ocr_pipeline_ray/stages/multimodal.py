@@ -25,6 +25,7 @@ import struct
 import numpy as np
 import pyarrow as pa
 
+from ..functions.geometry import XY_CUT_BAND
 from . import media_stub
 
 # Payload caps kept from the reference (pipeline.py:458-491 size guard).
@@ -173,7 +174,10 @@ def _dewarp_lines(lines: list[tuple[str, int, int]]
     cluster when the gap to the next y exceeds ``_DEWARP_GAP``) and
     snap each line's y to its cluster mean — straightens per-line
     jitter that would otherwise push one visual row's cells into two
-    XY-cut bands (multi-column pages are the common casualty). No-ops
+    XY-cut bands (multi-column pages are the common casualty). A mean
+    that lands in the same band as the baseline above is pushed down
+    to the top of the next band, so distinct baselines never share a
+    band and the page reads row-major. No-ops
     when the layout carries no baseline evidence (<3 distinct y, or
     everything chains into one cluster — a continuous warp this local
     rule cannot honestly straighten)."""
@@ -188,8 +192,14 @@ def _dewarp_lines(lines: list[tuple[str, int, int]]
             clusters[-1].append(cur)
     if len(clusters) < 2:
         return lines, False
-    snap = {y: int(round(sum(c) / len(c)))
-            for c in clusters for y in c}
+    snap: dict[int, int] = {}
+    prev_band = -1
+    for c in clusters:
+        base = int(round(sum(c) / len(c)))
+        if base // XY_CUT_BAND <= prev_band:
+            base = (prev_band + 1) * XY_CUT_BAND
+        prev_band = base // XY_CUT_BAND
+        snap.update((y, base) for y in c)
     snapped = [(t, x, snap[y]) for t, x, y in lines]
     return snapped, snapped != lines
 
