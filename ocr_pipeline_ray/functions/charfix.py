@@ -25,7 +25,10 @@ A pass costs 10 regex scans: F3 is one alternation of the four
 keyword rules, and each of the eight F2 rules opens with its character
 class so ``re`` can skip straight to candidate characters. Both forms
 match exactly what the separate / lookbehind-first rules matched
-(tests/test_kernel_differential.py).
+(tests/test_kernel_differential.py). Text with no digit and no F3
+keyword skips the passes: every F2 rule needs an adjacent digit and
+F1 leaves digit-free words alone, so a pass over it is the identity
+and the text is already the fixpoint. Most text spans take this exit.
 """
 
 from __future__ import annotations
@@ -122,17 +125,16 @@ def fix_text(text: str) -> str:
     it converges in ≤3 passes.  The fixpoint makes ``fix_text`` byte-
     stable and idempotent regardless of batch/partition boundaries —
     required for span-sequence equality (tests/test_properties.py).
+    Text with no digit and no F3 keyword is returned as is: a pass over
+    it changes nothing (see the module docstring).
     """
+    if not _HAS_DIGIT.search(text) and not _F3_RULE.search(text):
+        return text
     while True:
         fixed = _fix_once(text)
         if fixed == text:
             return fixed
         text = fixed
-
-
-def fix_texts(texts: list[str]) -> list[str]:
-    """Batch form used inside map_batches kernels."""
-    return [fix_text(t) for t in texts]
 
 
 def normalize_number(raw: str) -> int | None:

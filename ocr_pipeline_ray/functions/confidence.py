@@ -6,8 +6,7 @@
 - calibrated_confidence: pytorch_mobile/ocr_pipeline.py:1142-1173 —
   0.4*raw + 0.35*field_acc + 0.25*completeness.
 
-All operate on numpy arrays / Arrow list columns so a whole batch of
-documents is reduced with one vectorized pass.
+Each reduces one confidence vector (a numpy array) to a score.
 """
 
 from __future__ import annotations
@@ -44,13 +43,6 @@ def logmean_confidence(confs: np.ndarray) -> float:
     if c.size == 0:
         return 0.0
     return float(np.exp(np.mean(np.log(c))))
-
-
-def geomean_confidence_batch(list_of_confs: list[np.ndarray]) -> np.ndarray:
-    """Batch reduction used inside map_batches over a list<float> column."""
-    return np.fromiter(
-        (geomean_confidence(c) for c in list_of_confs), dtype=np.float64, count=len(list_of_confs)
-    )
 
 
 def calibrated_confidence(raw: float, field_acc: float, completeness: float,

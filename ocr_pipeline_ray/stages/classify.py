@@ -11,7 +11,7 @@ char-corrections applied (charfix F3→F2→F1 canonical order) so output
 bytes are partition-invariant.
 
 A stateless ``map_batches`` function (NOT an actor pool): the only
-state is three compiled regexes, created once per *process* at module
+state is two compiled regexes, created once per *process* at module
 import — tasks stay elastic and cannot deadlock against an actor pool
 on a small node. (The reference's analogous rule banks are also
 module-level compiles, pipeline.py:2071-2090.)
@@ -29,13 +29,14 @@ from ..functions.charfix import fix_text
 
 _TAG = re.compile(r"<[^>]+>")
 _LINK = re.compile(r"<a\b[^>]*>(.*?)</a>", re.S | re.I)
-_WS = re.compile(r"\s+")
 
 
 def classify_one(raw: str) -> tuple[bool, str]:
-    """(keep?, canonical_text) for one raw text/HTML span."""
+    """(keep?, canonical_text) for one raw text/HTML span. Whitespace
+    runs collapse to one space and the ends are stripped: ``str.split``
+    splits on exactly the characters ``re``'s ``\\s`` matches."""
     link_chars = sum(len(m) for m in _LINK.findall(raw))
-    visible = _WS.sub(" ", _TAG.sub(" ", raw)).strip()
+    visible = " ".join(_TAG.sub(" ", raw).split())
     n = len(visible)
     if n < MIN_TEXT_CHARS:
         return False, ""

@@ -15,6 +15,9 @@ Format ``FPG1`` (fake page, version 1):
 The per-line records after the header are XOR-scrambled with an
 md5-chain keystream derived from ``seed`` so the payload is genuinely
 opaque binary (a decode step is required; you cannot grep the text).
+The keystream is one join of ``ceil(n/16)`` chained md5 digests, and
+the XOR runs once over the whole body as two big integers
+(``_scramble``), not byte by byte; encode and decode share it.
 
 ``BLNK`` payloads model blank pages (reference blank detector,
 pipeline.py:425-456); payloads without a known magic model corrupt
@@ -44,12 +47,20 @@ MAGIC_RASTER = b"FPX1"
 
 
 def _keystream(seed: int, n: int) -> bytes:
-    out = bytearray()
     state = seed.to_bytes(8, "little")
-    while len(out) < n:
+    blocks = []
+    for _ in range(-(-n // 16)):
         state = hashlib.md5(state).digest()
-        out.extend(state)
-    return bytes(out[:n])
+        blocks.append(state)
+    return b"".join(blocks)[:n]
+
+
+def _scramble(data: bytes, seed: int) -> bytes:
+    """XOR ``data`` with the ``seed`` keystream (its own inverse)."""
+    n = len(data)
+    x = int.from_bytes(data, "little") \
+        ^ int.from_bytes(_keystream(seed, n), "little")
+    return x.to_bytes(n, "little")
 
 
 def encode_page(lines: list[tuple[str, int, int]], seed: int) -> bytes:
@@ -59,9 +70,7 @@ def encode_page(lines: list[tuple[str, int, int]], seed: int) -> bytes:
         raw = text.encode("utf-8")
         body.extend(struct.pack("<iiI", x, y, len(raw)))
         body.extend(raw)
-    ks = _keystream(seed, len(body))
-    scrambled = bytes(a ^ b for a, b in zip(body, ks))
-    return MAGIC_PAGE + struct.pack("<Q", seed) + scrambled
+    return MAGIC_PAGE + struct.pack("<Q", seed) + _scramble(body, seed)
 
 
 def encode_blank(seed: int, n_noise: int = 64) -> bytes:
@@ -123,7 +132,7 @@ def decode_page(payload: bytes) -> list[tuple[str, int, int]]:
     if payload[:4] != MAGIC_PAGE:
         raise ValueError("not an FPG1 payload")
     (seed,) = struct.unpack("<Q", payload[4:12])
-    body = bytes(a ^ b for a, b in zip(payload[12:], _keystream(seed, len(payload) - 12)))
+    body = _scramble(payload[12:], seed)
     (n_lines,) = struct.unpack("<I", body[:4])
     if n_lines * 12 > len(body) - 4:
         # a torn/garbled payload can decode to an absurd line count;

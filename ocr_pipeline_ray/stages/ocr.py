@@ -28,10 +28,11 @@ pipeline.py:1850-1898). The engines:
 
 Confidence cascade with a GENUINE re-decode (R1, reference
 pipeline.py:1989-2002 600-DPI retry): pages whose 300-DPI ensemble
-confidence falls below tau_enhance are re-decoded at 600 DPI — higher
+confidence falls below tau_enhance are re-read at 600 DPI — higher
 engine bases, no line truncation, and two engines now agree on the
 corrected variant, so the retry can genuinely CHANGE the page text
-(not just its confidence).
+(not just its confidence). The retry reads the lines the 300-DPI pass
+already unscrambled; the payload is decoded once.
 
 Calibration (M10/A7, reference pipeline.py:196-369): an optional
 isotonic calibrator (fit offline on a seeded labelled sample —
@@ -92,9 +93,10 @@ DISAGREE_PENALTY = 0.04
 # prefix, so the cascade force-re-decodes any truncated page at 600 DPI
 # (no truncation there) instead of trusting the confidence gate — a
 # confusable-free clipped line scores 0.98−0.05=0.93, above every
-# trigger, and would otherwise be silently accepted. Far above the
-# synthetic corpus line lengths; the mechanism is exercised by unit
-# tests.
+# trigger, and would otherwise be silently accepted. A raster page with
+# a line this long is read with the 600 engine set straight away. Far
+# above the synthetic corpus line lengths; the mechanism is exercised
+# by unit tests.
 TRUNC_CHARS_300 = 120
 TRUNC_PENALTY = 0.05
 
@@ -166,6 +168,12 @@ def engine_readings(raw: str, dpi: int) -> list[tuple[str, str, float]]:
     return out
 
 
+# A clean line's reading per DPI: the winner's confidence when every
+# engine reads the raw line with no suspect, no clip and no dissent.
+_CLEAN_CONF = {dpi: max(CONF_FLOOR, *(base for _n, base, _w, _v in params))
+               for dpi, params in ENGINE_PARAMS.items()}
+
+
 def read_line(raw: str, dpi: int) -> tuple[str, float]:
     """Three engine readings of one line + J2/J3 vote-merge.
 
@@ -174,7 +182,17 @@ def read_line(raw: str, dpi: int) -> tuple[str, float]:
     winner's confidence is the best reader's (J3 winner selection),
     docked per dissenting engine. Deterministic ties →
     lexicographically smallest variant.
+
+    A line that fits the DPI's scan window and holds no confusable
+    word is decided before the vote: ``aggressive_digit_fix`` leaves
+    it as is and it has no suspect char, so all three engines read the
+    raw line at their base confidence, none dissents, and the vote
+    returns it at the highest base (``_CLEAN_CONF``). Most page lines
+    take this exit.
     """
+    if (dpi >= 600 or len(raw) <= TRUNC_CHARS_300) \
+            and not _CONFUSABLE_WORD.search(raw):
+        return raw, _CLEAN_CONF[dpi]
     readings = [(text, conf) for _name, text, conf in engine_readings(raw, dpi)]
 
     votes: dict[str, tuple[float, int]] = {}
@@ -192,6 +210,34 @@ def read_line(raw: str, dpi: int) -> tuple[str, float]:
     return best_text, max(CONF_FLOOR, conf - DISAGREE_PENALTY * dissent)
 
 
+def _read_page(raws: list[str], dpi: int) -> tuple[str, float, float]:
+    """Non-empty lines in reading order → (canonical_text, page_conf,
+    min_line_conf): one ensemble read per line at ``dpi``, then the
+    joined page text char-fixed."""
+    merged, confs = [], []
+    for raw in raws:
+        text, conf = read_line(raw, dpi)
+        merged.append(text)
+        confs.append(conf)
+    return (fix_text("\n".join(merged)),
+            geomean_confidence(np.array(confs)), min(confs))
+
+
+def _clipped(raws: list[str]) -> bool:
+    """Whether a line exceeds the 300-DPI scan window."""
+    return any(len(r) > TRUNC_CHARS_300 for r in raws)
+
+
+def _page_lines(payload: bytes) -> list[str]:
+    """FPG1 payload → its line texts in XY-cut reading order."""
+    lines = media_stub.decode_page(payload)
+    if not lines:
+        return []
+    xs = np.array([x for _, x, _ in lines])
+    ys = np.array([y for _, _, y in lines])
+    return [lines[i][0] for i in xy_cut_order(xs, ys)]
+
+
 def _read_raster(payload: bytes) -> tuple[str, float, str, str]:
     """FPX1 bitmap page → (canonical_text, page_conf, status, cascade).
 
@@ -200,7 +246,10 @@ def _read_raster(payload: bytes) -> tuple[str, float, str, str]:
     ensemble canonicalization every page read gets. Pages whose routed
     strategy ran a restoration kernel are tagged ``restored`` and dock
     ``RESTORE_PENALTY``; clean pages (plain Otsu binarize) are
-    ``accepted``. Single-shot: a bitmap has no 600-DPI re-decode."""
+    ``accepted``. Single-shot: a bitmap has no 600-DPI re-decode. The
+    pixel reader recovers every line whole, so a page with a line
+    longer than the 300-DPI window is read with the window-free 600
+    engine set; clipping that line would lose text under status ok."""
     from . import pixels
 
     img = media_stub.decode_raster(payload)
@@ -208,50 +257,10 @@ def _read_raster(payload: bytes) -> tuple[str, float, str, str]:
     lines = [ln for ln in lines if ln.strip()]
     if not lines:
         return "", 0.0, "blank", "none"
-    merged, confs = [], []
-    for raw in lines:
-        text, conf = read_line(raw, 300)
-        merged.append(text)
-        confs.append(conf)
-    conf = geomean_confidence(np.array(confs))
+    text, conf, _min_conf = _read_page(lines, 600 if _clipped(lines) else 300)
     if strategy != "binarize":
-        return (fix_text("\n".join(merged)),
-                max(CONF_FLOOR, conf - RESTORE_PENALTY), "ok", "restored")
-    return fix_text("\n".join(merged)), conf, "ok", "accepted"
-
-
-def _decode(payload: bytes, dpi: int) -> tuple[str, float, float, str, bool]:
-    """One ensemble pass at ``dpi`` →
-    (canonical_text, page_conf, min_line_conf, status, truncated).
-    ``truncated``: at least one line exceeded the DPI's scan window and
-    was clipped (only possible below 600 DPI)."""
-    kind = media_stub.classify_payload(payload)
-    if kind == "blank":
-        return "", 0.0, 0.0, "blank", False
-    if kind == "corrupt":
-        return "", 0.0, 0.0, "corrupt", False
-    if kind == "raster":
-        text, conf, status, _casc = _read_raster(payload)
-        return text, conf, conf, status, False
-    if kind == "digital":
-        # digital-text fast path: extractable text, skip OCR entirely,
-        # conf=1.0 (reference pdfminer path, pipeline.py:1938-1946)
-        return media_stub.decode_digital(payload), 1.0, 1.0, "ok", False
-    lines = media_stub.decode_page(payload)
-    if not lines:
-        return "", 0.0, 0.0, "blank", False
-    xs = np.array([x for _, x, _ in lines])
-    ys = np.array([y for _, _, y in lines])
-    order = xy_cut_order(xs, ys)
-    truncated = dpi < 600 and any(
-        len(t) > TRUNC_CHARS_300 for t, _, _ in lines)
-    merged, confs = [], []
-    for i in order:
-        text, conf = read_line(lines[i][0], dpi)
-        merged.append(text)
-        confs.append(conf)
-    return (fix_text("\n".join(merged)),
-            geomean_confidence(np.array(confs)), min(confs), "ok", truncated)
+        return text, max(CONF_FLOOR, conf - RESTORE_PENALTY), "ok", "restored"
+    return text, conf, "ok", "accepted"
 
 
 # Decode failures a torn-but-valid-magic payload can raise: reshape /
@@ -265,12 +274,18 @@ _DECODE_ERRORS = (ValueError, struct.error, UnicodeDecodeError)
 
 def ocr_page(payload: bytes, dpi: int = 300) -> tuple[str, float, str]:
     """Decode one page at ``dpi`` → (canonical_text, confidence, status).
-    One ensemble pass, no cascade (the cascade wraps this)."""
+    One ensemble pass, no cascade. Only FPG1 pages have a DPI; every
+    other payload reads as the cascade reads it."""
     try:
-        text, conf, _min_conf, status, _trunc = _decode(payload, dpi)
+        if media_stub.classify_payload(payload) != "page":
+            return _cascade_unguarded(payload, TAU_ENHANCE)[:3]
+        raws = _page_lines(payload)
+        if not raws:
+            return "", 0.0, "blank"
+        text, conf, _min_conf = _read_page(raws, dpi)
+        return text, conf, "ok"
     except _DECODE_ERRORS:
         return "", 0.0, "corrupt"
-    return text, conf, status
 
 
 def ocr_page_cascade(payload: bytes, tau_enhance: float = TAU_ENHANCE
@@ -300,16 +315,22 @@ def _cascade_unguarded(payload: bytes, tau_enhance: float
                        ) -> tuple[str, float, str, str]:
     kind = media_stub.classify_payload(payload)
     if kind == "digital":
+        # digital-text fast path: extractable text, skip OCR entirely,
+        # conf=1.0 (reference pdfminer path, pipeline.py:1938-1946)
         return media_stub.decode_digital(payload), 1.0, "ok", "digital"
     if kind == "raster":
         return _read_raster(payload)
-    text, conf, min_conf, status, trunc = _decode(payload, 300)
-    if status != "ok":
-        return text, conf, status, "none"
+    if kind != "page":
+        return "", 0.0, kind, "none"
+    raws = _page_lines(payload)
+    if not raws:
+        return "", 0.0, "blank", "none"
+    text, conf, min_conf = _read_page(raws, 300)
+    trunc = _clipped(raws)
     if conf >= tau_enhance and min_conf >= TAU_LINE_ENHANCE and not trunc:
-        return text, conf, status, "accepted"
-    t600, c600, _m600, s600, _t600 = _decode(payload, 600)
-    if s600 == "ok" and (c600 > conf or trunc):
+        return text, conf, "ok", "accepted"
+    t600, c600, _m600 = _read_page(raws, 600)
+    if c600 > conf or trunc:
         return t600, c600, "ok", "enhanced"
     return text, conf, "ok", "retry_kept"
 
@@ -353,11 +374,12 @@ class PageReader:
                           np.asarray(calib[1], dtype=np.float64))
         self.tau_enhance, self.tau_llm = _resolve_taus(self.calib)
 
-    def payload(self, ref: str) -> bytes | None:
-        """Payload bytes for ``ref`` from the broadcast table (None when
-        there is no table or the ref is missing)."""
+    def payloads(self, refs: list[str]) -> list[bytes | None]:
+        """Payload bytes for each of ``refs`` from the broadcast table,
+        in one ``take`` (None where there is no table or the ref is
+        missing)."""
         if self.media is None:
-            return None
+            return [None] * len(refs)
         # ref→row index built ONCE per reader (lazily, off the zero-copy
         # broadcast table): pc.index_in re-hashes the whole value_set on
         # EVERY batch, which made per-batch cost grow with corpus size
@@ -367,8 +389,9 @@ class PageReader:
         if self._ref_index is None:
             self._ref_index = {r: i for i, r in
                                enumerate(self.media["media_ref"].to_pylist())}
-        i = self._ref_index.get(ref)
-        return None if i is None else self.media["payload"][i].as_py()
+        rows = pa.array([self._ref_index.get(r) for r in refs],
+                        type=pa.int64())
+        return self.media["payload"].take(rows).to_pylist()
 
     def read(self, payload: bytes) -> tuple[str, float, float, str, str]:
         """One page → (text, conf, conf_calibrated, status, cascade)."""
@@ -432,10 +455,9 @@ class OcrStage:
         cascades = ["accepted"] * batch.num_rows
         cals = list(confs)
 
-        for i, st in enumerate(status):
-            if st != "pending":
-                continue
-            payload = reader.payload(refs[i])
+        pending = [i for i, st in enumerate(status) if st == "pending"]
+        for i, payload in zip(pending,
+                              reader.payloads([refs[i] for i in pending])):
             if payload is None:
                 texts[i], confs[i], cals[i] = "", 0.0, 0.0
                 status[i], cascades[i] = "missing_media", "none"

@@ -291,31 +291,37 @@ def bilateral(img: np.ndarray, radius: int = 2, sigma_s: float = 1.6,
 # --------------------------------------------------------------------------
 # P7: histogram equalization + 3x3 sharpen
 
+def _equalize_lut(hist: np.ndarray) -> np.ndarray | None:
+    """The 256-entry equalization map of a page with histogram ``hist``
+    (None for an empty page)."""
+    cdf = np.cumsum(hist).astype(np.float64)
+    nz = cdf[cdf > 0]
+    if nz.size == 0:
+        return None
+    cdf_min = nz[0]
+    denom = max(1.0, cdf[-1] - cdf_min)
+    return np.clip((cdf - cdf_min) / denom * 255.0, 0, 255).round() \
+        .astype(np.uint8)
+
+
 def hist_equalize(img: np.ndarray) -> np.ndarray:
     """Global histogram equalization via the cumulative distribution
     (the contrast-restore step; reference uses CLAHE — same transform,
     computed globally since the synthetic pages are illumination-
     uniform)."""
-    hist = np.bincount(img.ravel(), minlength=256)
-    cdf = np.cumsum(hist).astype(np.float64)
-    nz = cdf[cdf > 0]
-    if nz.size == 0:
-        return img.copy()
-    cdf_min = nz[0]
-    denom = max(1.0, cdf[-1] - cdf_min)
-    lut = np.clip((cdf - cdf_min) / denom * 255.0, 0, 255).round() \
-        .astype(np.uint8)
-    return lut[img]
+    lut = _equalize_lut(np.bincount(img.ravel(), minlength=256))
+    return img.copy() if lut is None else lut[img]
 
 
 def sharpen3x3(img: np.ndarray) -> np.ndarray:
     """3x3 unsharp kernel [[0,-1,0],[-1,5,-1],[0,-1,0]] via padded
     slice sums (no scipy) — the reference's filter2D sharpening
-    (adaptive_ocr_pipeline.py:433-437)."""
-    f = img.astype(np.float64)
-    p = np.pad(f, 1, mode="edge")
-    out = 5.0 * f - p[:-2, 1:-1] - p[2:, 1:-1] - p[1:-1, :-2] - p[1:-1, 2:]
-    return np.clip(out, 0, 255).round().astype(np.uint8)
+    (adaptive_ocr_pipeline.py:433-437). Exact in int16: every value
+    lies in [-1020, 1275]."""
+    p = np.pad(img, 1, mode="edge").astype(np.int16)
+    out = 5 * p[1:-1, 1:-1] - p[:-2, 1:-1] - p[2:, 1:-1] \
+        - p[1:-1, :-2] - p[1:-1, 2:]
+    return np.clip(out, 0, 255).astype(np.uint8)
 
 
 # --------------------------------------------------------------------------
@@ -430,24 +436,33 @@ def pixel_stats(img: np.ndarray) -> dict[str, float]:
 
     Everything but ``contrast`` is exact integer arithmetic. One
     ``bincount`` histogram gives the Otsu split, ``ink_frac`` and
-    ``midtone_frac``. The ring is kept as ``8·ring``, a uint16
+    ``midtone_frac``. The ring is kept as ``8·ring``, an int16
     separable 3x3 box sum minus the centre, so ``ring > 192`` is
     ``8·ring > 1536`` and ``paper_noise`` is the
-    integer sum of ``|8·pixel − 8·ring|``, divided by 8 and then by the
+    integer sum of ``|8·pixel − 8·ring|`` over the interior (taken on
+    the whole page, zeroed outside it), divided by 8 and then by the
     count. That equals the float64 mean bit for bit, because every term
     of it is a multiple of 1/8 (tests/test_kernel_differential.py).
     """
+    return _page_stats(img)[0]
+
+
+def _page_stats(img: np.ndarray) -> tuple[dict[str, float], np.ndarray, int]:
+    """``pixel_stats`` plus the page histogram and its Otsu split, for
+    ``restore_and_read`` to reuse."""
     hist = np.bincount(img.ravel(), minlength=256)
     t = _otsu_hist(hist)
     ink_mask = img <= t                 # Otsu's own split as ink estimate
-    u = np.pad(img, 1, mode="edge").astype(np.uint16)
+    u = np.pad(img, 1, mode="edge").astype(np.int16)
     box_rows = u[:-2] + u[1:-1] + u[2:]
     ring8 = box_rows[:, :-2] + box_rows[:, 1:-1] + box_rows[:, 2:] - img
     interior = (img > 192) & (ring8 > 8 * 192)
     n_interior = int(np.count_nonzero(interior))
     if n_interior:
-        dev8 = 8 * img[interior].astype(np.int32) - ring8[interior]
-        paper_hf = int(np.abs(dev8).sum()) / 8 / n_interior
+        dev8 = 8 * u[1:-1, 1:-1] - ring8
+        np.abs(dev8, out=dev8)
+        dev8 *= interior
+        paper_hf = int(dev8.sum()) / 8 / n_interior
     else:
         paper_hf = 0.0
     h = (ink_mask.shape[0] // SCALE) * SCALE
@@ -462,7 +477,7 @@ def pixel_stats(img: np.ndarray) -> dict[str, float]:
         "paper_noise": paper_hf,
         "midtone_frac": int(hist[65:192].sum()) / img.size,
         "partial_frac": float(partial.mean()),
-    }
+    }, hist, t
 
 
 # Strategy thresholds, with the measured clean-page vs degraded-page
@@ -482,7 +497,10 @@ _PARTIAL_CLOSE = 0.05       # clean = 0 exactly, dropout ≈ 0.25+
 def route_strategy(img: np.ndarray) -> str:
     """R3 in pixel domain: statistics → restore strategy (a per-row
     data decision, mirroring quality_route's strategy column)."""
-    s = pixel_stats(img)
+    return _route(pixel_stats(img))
+
+
+def _route(s: dict[str, float]) -> str:
     if s["contrast"] < _CONTRAST_EQUALIZE:
         return "equalize+binarize"
     if s["paper_noise"] > _PAPER_NOISE:
@@ -501,21 +519,59 @@ def restore_and_read(img: np.ndarray, strategy: str | None = None
     gray or black page) has nothing to equalize or split, so it reads
     as no ink: equalizing would map its level to 0 and Otsu would put
     a black page at its own threshold, both of which read as all ink.
+
+    The page is restored at the reader's resolution: ``read_lines``
+    samples the centre pixel of each SCALE×SCALE block, so only those
+    pixels are thresholded. Otsu's split still comes from the
+    histogram of the whole working page, so it cannot move:
+
+    - ``binarize`` and ``binarize+close`` reuse the split that
+      ``pixel_stats`` already took of the page histogram;
+    - equalizing is a 256-entry map, so its histogram is the page
+      histogram pushed through that map, and the equalized page is
+      never built;
+    - ``sharpen`` and ``bilateral`` build the whole working page.
+
+    Closing needs every pixel's neighbours, so it runs on the whole
+    mask before the sampling. A raster whose shape is not a whole
+    number of text bands and glyph blocks raises ``ValueError`` before
+    any work, as the physical-scale reader does.
     """
+    h, w = img.shape
+    if img.size == 0 or h % (CELL_H * SCALE) or w % SCALE:
+        raise ValueError(
+            f"raster page must be a non-empty multiple of {CELL_H * SCALE} "
+            f"rows / {SCALE} cols, got {img.shape}")
+    stats, hist, t = _page_stats(img)
     if strategy is None:
-        strategy = route_strategy(img)
-    if img.min() == img.max():
-        return read_lines(np.zeros(img.shape, dtype=bool)), strategy
-    work = img
+        strategy = _route(stats)
+    c = SCALE // 2
+    if np.count_nonzero(hist) == 1:     # one level: no ink
+        return read_lines(np.zeros((h // SCALE, w // SCALE), bool),
+                          physical=False), strategy
+    work, lut, work_hist = img, None, hist   # the working page: lut[work]
     if "bilateral" in strategy:
         work = bilateral(bilateral(work))   # 2 passes: measured boundary
         # where sigma-90 noise recovers on every page x seed (1 pass
         # leaves ~1 glyph/100 over the match margin)
+        work_hist = None
     if "equalize" in strategy:
-        work = hist_equalize(work)
+        if work_hist is None:
+            work_hist = np.bincount(work.ravel(), minlength=256)
+        lut = _equalize_lut(work_hist)
+        work_hist = np.bincount(lut, weights=work_hist, minlength=256)
     if "sharpen" in strategy:
-        work = sharpen3x3(work)
-    mask = binarize(work)               # Otsu always (P5)
+        work = sharpen3x3(work if lut is None else lut[work])
+        lut = work_hist = None
+    if work_hist is None:
+        t = otsu_threshold(work)        # Otsu always (P5)
+    elif work_hist is not hist:
+        t = _otsu_hist(work_hist)
+    ink = None if lut is None else lut <= t
     if "close" in strategy:
-        mask = morph_close(mask)
-    return read_lines(mask), strategy
+        mask = morph_close(work <= t if ink is None else ink[work])
+        mask = mask[c::SCALE, c::SCALE]
+    else:
+        sample = work[c::SCALE, c::SCALE]
+        mask = sample <= t if ink is None else ink[sample]
+    return read_lines(mask, physical=False), strategy

@@ -177,11 +177,14 @@ def _raster_expected(media_row: dict) -> tuple[str, float, str, str]:
     the engine's pixel kernels: the engine must genuinely RECOVER the
     clean text from the degraded bitmap (P5-P8) or the texts diverge.
     Degraded pages are expected ``restored`` with the fixed residual
-    dock; clean pages ``accepted`` (the strategy router must agree)."""
+    dock; clean pages ``accepted`` (the strategy router must agree).
+    The bitmap holds every line whole, so a page with a line longer than
+    the 300-DPI window is read with the window-free 600 engine set."""
     lines = [t["text"] for t in media_row["truth_lines"]]
+    dpi = 600 if any(len(raw) > _TRUNC_CHARS_300 for raw in lines) else 300
     merged, confs = [], []
     for raw in lines:
-        text, conf = _read_line(raw, 300)
+        text, conf = _read_line(raw, dpi)
         merged.append(text)
         confs.append(conf)
     conf = _geomean(confs)

@@ -1,24 +1,39 @@
-"""Frozen reference copies of three page-read kernels, for differential
+"""Frozen reference copies of the page-read kernels, for differential
 tests only.
 
 ``pixel_stats`` and ``read_lines`` (stages/pixels.py) and ``fix_text``
 (functions/charfix.py) were rewritten for speed: integer ring and one
 shared histogram, a reshape cut with a matmul Hamming distance, and a
-folded F3 alternation with class-first F2 rules. The rewrites promise
-to return exactly what the float64 / per-column / 13-rule versions
-returned. Those versions are kept here verbatim so
+folded F3 alternation with class-first F2 rules. Later the page-read
+path gained exact short-circuits: a clean-line exit in ``read_line``
+(stages/ocr.py), a digit-free identity exit in ``fix_text``, a
+big-integer XOR in ``decode_page`` (stages/media_stub.py), a
+``str.split`` whitespace collapse in ``classify_one``
+(stages/classify.py), an int16 ``sharpen3x3`` and a
+``restore_and_read`` that thresholds only the pixels the reader
+samples. Every rewrite promises to return exactly what the version
+before it returned. Those versions are kept here verbatim so
 ``tests/test_kernel_differential.py`` can assert that promise on every
-input it generates. Only data (font tables and geometry constants) is
-imported from the engine; every line of logic is frozen here.
+input it generates. Only data (font tables, engine parameters,
+thresholds and geometry constants) is imported from the engine; every
+line of logic is frozen here.
 """
 
 from __future__ import annotations
 
+import hashlib
 import re
+import struct
 
 import numpy as np
 
+from ocr_pipeline_ray.config import LINK_DENSITY_DROP, MIN_TEXT_CHARS
+from ocr_pipeline_ray.stages.media_stub import MAGIC_PAGE
+from ocr_pipeline_ray.stages.ocr import (
+    CONF_FLOOR, DISAGREE_PENALTY, ENGINE_PARAMS, N_ENGINES, TRUNC_CHARS_300,
+    TRUNC_PENALTY)
 from ocr_pipeline_ray.stages.pixels import (
+    _CONTRAST_EQUALIZE, _MIDTONE_SHARPEN, _PAPER_NOISE, _PARTIAL_CLOSE,
     CELL_H, CELL_W, GLYPH_H, GLYPH_W, SCALE, _FONT_CHARS, _FONT_STACK,
     _MIN_GLYPH_DIST)
 
@@ -159,3 +174,214 @@ def fix_text(text: str) -> str:
         if fixed == text:
             return fixed
         text = fixed
+
+
+# --------------------------------------------------------------------------
+# functions/charfix.py: the aggressive reader behind ``read_line``
+
+_AGGRESSIVE_WORD = re.compile(r"\b[0-9lIoOzZsSgGbB|]{2,}\b")
+
+
+def aggressive_digit_fix(text: str) -> str:
+    return _AGGRESSIVE_WORD.sub(
+        lambda m: m.group(0).translate(_CONFUSION), text)
+
+
+# --------------------------------------------------------------------------
+# stages/media_stub.py
+
+def _keystream(seed: int, n: int) -> bytes:
+    out = bytearray()
+    state = seed.to_bytes(8, "little")
+    while len(out) < n:
+        state = hashlib.md5(state).digest()
+        out.extend(state)
+    return bytes(out[:n])
+
+
+def decode_page(payload: bytes) -> list[tuple[str, int, int]]:
+    if payload[:4] != MAGIC_PAGE:
+        raise ValueError("not an FPG1 payload")
+    (seed,) = struct.unpack("<Q", payload[4:12])
+    body = bytes(a ^ b for a, b in zip(payload[12:], _keystream(seed, len(payload) - 12)))
+    (n_lines,) = struct.unpack("<I", body[:4])
+    if n_lines * 12 > len(body) - 4:
+        raise ValueError("truncated FPG1 payload")
+    off = 4
+    lines: list[tuple[str, int, int]] = []
+    for _ in range(n_lines):
+        x, y, ln = struct.unpack("<iiI", body[off:off + 12])
+        off += 12
+        if off + ln > len(body):
+            raise ValueError("truncated FPG1 payload")
+        lines.append((body[off:off + ln].decode("utf-8"), x, y))
+        off += ln
+    return lines
+
+
+# --------------------------------------------------------------------------
+# stages/ocr.py
+
+_OCR_CONFUSABLE_WORD = re.compile(r"\b[0-9lIoOzZsSgGbB|]+\b")
+_SUSPECTS = set("lIoOzZsSgGbB|")
+
+
+def suspect_char_count(raw: str) -> int:
+    n = 0
+    for m in _OCR_CONFUSABLE_WORD.finditer(raw):
+        w = m.group(0)
+        if _HAS_DIGIT.search(w) or len(w) >= 2:
+            n += sum(1 for ch in w if ch in _SUSPECTS)
+    return n
+
+
+def engine_readings(raw: str, dpi: int) -> list[tuple[str, str, float]]:
+    if dpi < 600 and len(raw) > TRUNC_CHARS_300:
+        seen, pen = raw[:TRUNC_CHARS_300], TRUNC_PENALTY
+    else:
+        seen, pen = raw, 0.0
+    fixw = aggressive_digit_fix(seen)
+    s_raw = suspect_char_count(seen)
+    s_fix = s_raw if fixw == seen else suspect_char_count(fixw)
+
+    out: list[tuple[str, str, float]] = []
+    for name, base, weight, variant in ENGINE_PARAMS[dpi]:
+        text = seen if variant == "raw" else fixw
+        s = s_raw if variant == "raw" else s_fix
+        out.append((name, text, max(CONF_FLOOR, base - weight * s - pen)))
+    return out
+
+
+def read_line(raw: str, dpi: int) -> tuple[str, float]:
+    readings = [(text, conf) for _name, text, conf in engine_readings(raw, dpi)]
+
+    votes: dict[str, tuple[float, int]] = {}
+    for text, conf in readings:
+        c, n = votes.get(text, (0.0, 0))
+        votes[text] = (c + conf, n + 1)
+    best_text, best_w = "", -1.0
+    for text in sorted(votes):
+        c, n = votes[text]
+        w = c * n / (N_ENGINES * N_ENGINES)
+        if w > best_w:
+            best_text, best_w = text, w
+    conf = max(c for t, c in readings if t == best_text)
+    dissent = N_ENGINES - votes[best_text][1]
+    return best_text, max(CONF_FLOOR, conf - DISAGREE_PENALTY * dissent)
+
+
+# --------------------------------------------------------------------------
+# stages/classify.py
+
+_TAG = re.compile(r"<[^>]+>")
+_LINK = re.compile(r"<a\b[^>]*>(.*?)</a>", re.S | re.I)
+_WS = re.compile(r"\s+")
+
+
+def classify_one(raw: str) -> tuple[bool, str]:
+    link_chars = sum(len(m) for m in _LINK.findall(raw))
+    visible = _WS.sub(" ", _TAG.sub(" ", raw)).strip()
+    n = len(visible)
+    if n < MIN_TEXT_CHARS:
+        return False, ""
+    if link_chars / n > LINK_DENSITY_DROP:
+        return False, ""
+    return True, fix_text(visible)
+
+
+# --------------------------------------------------------------------------
+# stages/pixels.py: the restore path
+
+def bilateral(img: np.ndarray, radius: int = 2, sigma_s: float = 1.6,
+              sigma_r: float = 80.0) -> np.ndarray:
+    f = img.astype(np.int16)
+    h, w = img.shape
+    p = np.pad(img, radius, mode="edge").astype(np.int16)
+    acc = np.zeros((h, w), dtype=np.float64)
+    wsum = np.zeros((h, w), dtype=np.float64)
+    inv2ss = 1.0 / (2.0 * sigma_s * sigma_s)
+    inv2sr = 1.0 / (2.0 * sigma_r * sigma_r)
+    range_lut = np.exp(-(np.arange(256, dtype=np.float64) ** 2) * inv2sr)
+    for dy in range(-radius, radius + 1):
+        for dx in range(-radius, radius + 1):
+            shifted = p[radius + dy:radius + dy + h,
+                        radius + dx:radius + dx + w]
+            wgt = np.exp(-(dy * dy + dx * dx) * inv2ss) \
+                * range_lut[np.abs(shifted - f)]
+            acc += wgt * shifted
+            wsum += wgt
+    return np.clip(acc / wsum, 0, 255).round().astype(np.uint8)
+
+
+def hist_equalize(img: np.ndarray) -> np.ndarray:
+    hist = np.bincount(img.ravel(), minlength=256)
+    cdf = np.cumsum(hist).astype(np.float64)
+    nz = cdf[cdf > 0]
+    if nz.size == 0:
+        return img.copy()
+    cdf_min = nz[0]
+    denom = max(1.0, cdf[-1] - cdf_min)
+    lut = np.clip((cdf - cdf_min) / denom * 255.0, 0, 255).round() \
+        .astype(np.uint8)
+    return lut[img]
+
+
+def sharpen3x3(img: np.ndarray) -> np.ndarray:
+    f = img.astype(np.float64)
+    p = np.pad(f, 1, mode="edge")
+    out = 5.0 * f - p[:-2, 1:-1] - p[2:, 1:-1] - p[1:-1, :-2] - p[1:-1, 2:]
+    return np.clip(out, 0, 255).round().astype(np.uint8)
+
+
+def _dilate(mask: np.ndarray) -> np.ndarray:
+    p = np.pad(mask, 1, mode="constant", constant_values=False)
+    out = np.zeros_like(mask)
+    for dy in (0, 1, 2):
+        for dx in (0, 1, 2):
+            out |= p[dy:dy + mask.shape[0], dx:dx + mask.shape[1]]
+    return out
+
+
+def _erode(mask: np.ndarray) -> np.ndarray:
+    p = np.pad(mask, 1, mode="constant", constant_values=True)
+    out = np.ones_like(mask)
+    for dy in (0, 1, 2):
+        for dx in (0, 1, 2):
+            out &= p[dy:dy + mask.shape[0], dx:dx + mask.shape[1]]
+    return out
+
+
+def morph_close(mask: np.ndarray) -> np.ndarray:
+    return _erode(_dilate(mask))
+
+
+def route_strategy(img: np.ndarray) -> str:
+    s = pixel_stats(img)
+    if s["contrast"] < _CONTRAST_EQUALIZE:
+        return "equalize+binarize"
+    if s["paper_noise"] > _PAPER_NOISE:
+        return "bilateral+binarize"
+    if s["midtone_frac"] > _MIDTONE_SHARPEN:
+        return "sharpen+binarize"
+    if s["partial_frac"] > _PARTIAL_CLOSE:
+        return "binarize+close"
+    return "binarize"
+
+
+def restore_and_read(img: np.ndarray, strategy: str | None = None
+                     ) -> tuple[list[str], str]:
+    if strategy is None:
+        strategy = route_strategy(img)
+    if img.min() == img.max():
+        return read_lines(np.zeros(img.shape, dtype=bool)), strategy
+    work = img
+    if "bilateral" in strategy:
+        work = bilateral(bilateral(work))
+    if "equalize" in strategy:
+        work = hist_equalize(work)
+    if "sharpen" in strategy:
+        work = sharpen3x3(work)
+    mask = binarize(work)
+    if "close" in strategy:
+        mask = morph_close(mask)
+    return read_lines(mask), strategy

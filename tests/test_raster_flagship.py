@@ -116,3 +116,25 @@ def test_flagship_extract_emits_restored_rows(small_corpus):
     got = dict(zip(restored["media_ref"], restored["text"]))
     assert set(got) == set(truth_by_ref)
     assert got == truth_by_ref
+
+
+@pytest.mark.parametrize("degraded", [False, True], ids=["clean", "blur"])
+def test_raster_line_longer_than_300_window_reads_whole(degraded):
+    """A raster line longer than the 300-DPI scan window is recovered
+    whole by the pixel reader; the page read must keep it whole (an FPG1
+    page gets the window-free 600-DPI read for the same case) and agree
+    with the oracle on (text, conf, status, cascade)."""
+    from ocr_pipeline_ray.stages.ocr import TRUNC_CHARS_300, ocr_page_cascade
+    from tests.oracle.golden import _raster_expected
+
+    lines = ["Account 12345 " + "x" * 130, "Total 42 kWh"]
+    assert len(lines[0]) > TRUNC_CHARS_300
+    img = pixels.render_lines(lines)
+    if degraded:
+        img = pixels.degrade_blur(img)
+    got = ocr_page_cascade(media_stub.encode_raster(img))
+    assert got[0].split("\n") == lines
+    assert got[2:] == ("ok", "restored" if degraded else "accepted")
+    row = {"truth_lines": [{"text": t} for t in lines],
+           "degradations": [{"type": "pixel_blur"}] if degraded else []}
+    assert got == _raster_expected(row)
