@@ -65,16 +65,16 @@ def entry() -> Any:
 
 
 def _extract(corpus: str):
-    """The benchmarked extraction path (``extract_spans_hybrid``, with
-    the isotonic calibrator fit on the corpus) → ordered span Dataset."""
+    """The flagship extraction path (``extract_spans``, with the
+    isotonic calibrator fit on the corpus) → ordered span Dataset."""
     import ray.data as rd
 
     from ocr_pipeline_ray.pipelines.extract import (build_media_lookup,
-                                                    extract_spans_hybrid,
+                                                    extract_spans,
                                                     fit_page_calibrator)
 
     docs = rd.read_parquet(f"{corpus}/documents_spans")
-    return extract_spans_hybrid(
+    return extract_spans(
         docs, media_lookup_ref=build_media_lookup(f"{corpus}/media"),
         calib=fit_page_calibrator(f"{corpus}/media"))
 

@@ -9,12 +9,12 @@ Plain run:  prints ONE JSON line
   (num_cpus=8 then num_cpus=32) on identical input and reports both
   throughputs + scaling efficiency (the north rule's two-cluster-size
   criterion, evidenced at two parallelism levels as documented in
-  BASELINE.md) — for THREE execution modes:
-    never : doc-local map-only path (zero shuffle)
-    skew  : hybrid with a real skew tail (skew_threshold=96 ⇒ ~5% of
-            docs go through the exploded + groupby-reassembly shuffle)
-    join  : media payloads resolved via the hash-partitioned
-            Dataset.join instead of the broadcast table
+  BASELINE.md) — for TWO execution modes of ``extract_spans``:
+    broadcast : zero-copy broadcast media table; the bench corpus caps
+                documents at 300 spans, under the skew threshold, so
+                the plan is doc-local and map-only (zero shuffle)
+    join      : media payloads resolved via the hash-partitioned
+                Dataset.join instead of the broadcast table
 
 --scaling-controlled: the contention-controlled variant of the same
   criterion (r3 verdict #3): per mode, N INTERLEAVED 8/32 pairs in
@@ -31,7 +31,7 @@ Plain run:  prints ONE JSON line
 
 Env: GRAFT_SF_DIR (default /root/testdata/sf0.1),
      RAY_GRAFT_CPUS (default 32),
-     GRAFT_BENCH_MODE (never|skew|join, default never),
+     GRAFT_BENCH_MODE (broadcast|join, default broadcast),
      GRAFT_BENCH_DOCS / GRAFT_BENCH_ONLY / GRAFT_BENCH_PAIRS /
      GRAFT_BENCH_MODES (scaling internals).
 
@@ -55,15 +55,13 @@ NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 # an 8 → 32 CPU comparison is meaningful) and extract-only mode.
 BENCH_DOCS = int(os.environ.get("GRAFT_BENCH_DOCS", "0"))
 EXTRACT_ONLY = os.environ.get("GRAFT_BENCH_ONLY", "") == "extract"
-BENCH_MODE = os.environ.get("GRAFT_BENCH_MODE", "never")
+BENCH_MODE = os.environ.get("GRAFT_BENCH_MODE", "broadcast")
 
 # the driver-shipped testdata parquet carries pandas schema metadata,
 # which makes pa.Schema unhashable → Ray logs a cosmetic warning per
 # task; silence just that logger
 logging.getLogger(
     "ray.data._internal.arrow_ops.transform_pyarrow").setLevel(logging.ERROR)
-
-SKEW_THRESHOLD = 96  # skew mode: docs with more spans take the shuffle path
 
 
 def _corpus_for_bench(sf_dir: str, n_docs_override: int = 0) -> tuple[str, int]:
@@ -95,29 +93,17 @@ def _corpus_for_bench(sf_dir: str, n_docs_override: int = 0) -> tuple[str, int]:
 
 def _build_extract(docs, media_ref, media_ds, calib, mode: str):
     """The flagship pipeline in the requested execution mode."""
-    from ocr_pipeline_ray.pipelines.extract import (extract_spans,
-                                                    extract_spans_hybrid)
+    from ocr_pipeline_ray.pipelines.extract import extract_spans
 
-    conc = max(2, NUM_CPUS - 2)
     if mode == "join":
-        # 16 partitions; the OCR task cap leaves headroom for the join
-        # aggregators (16 x 0.1 CPU) AND the other map/shuffle stages
-        # (a cap of NUM_CPUS-2 stalled the executor when the OCR stage
-        # was an actor pool, measured at 8 CPUs)
-        return extract_spans(docs, media_ds=media_ds, join_partitions=16,
-                             ocr_concurrency=max(2, NUM_CPUS - 4),
-                             calib=calib)
-    if mode == "skew":
-        return extract_spans_hybrid(docs, media_lookup_ref=media_ref,
-                                    ocr_concurrency=conc, calib=calib,
-                                    skew_threshold=SKEW_THRESHOLD,
-                                    skew_tail="auto")
-    # "never": doc-local map-only; the bench corpus is span-capped at
-    # generation (skew_upper=300 < default threshold 512) so the tail
-    # branch is provably empty and skipped entirely
-    return extract_spans_hybrid(docs, media_lookup_ref=media_ref,
-                                ocr_concurrency=conc, calib=calib,
-                                skew_tail="never")
+        # the OCR task cap leaves headroom for the join aggregators
+        # (NUM_CPUS partitions at 0.1 CPU each) AND the other
+        # map/shuffle stages (a cap of NUM_CPUS-2 stalled the executor
+        # when the OCR stage was an actor pool, measured at 8 CPUs)
+        return extract_spans(docs, media_ds=media_ds, calib=calib,
+                             ocr_concurrency=max(2, NUM_CPUS - 4))
+    return extract_spans(docs, media_lookup_ref=media_ref, calib=calib,
+                         ocr_concurrency=max(2, NUM_CPUS - 2))
 
 
 def run_bench() -> dict:
@@ -159,7 +145,7 @@ def run_bench() -> dict:
         import glob as _glob
         warm_file = sorted(_glob.glob(f"{corpus}/documents_spans/*.parquet"))[0]
         _build_extract(rd.read_parquet(warm_file), ref, media_ds, calib,
-                       "never").count()
+                       "broadcast").count()
         cpu0, steal0 = _host_busy_sec()
         t0 = time.perf_counter()
         spans = _build_extract(docs, ref, media_ds, calib, BENCH_MODE)
@@ -258,26 +244,22 @@ def run_scaling() -> dict:
     """Fresh-process runs at 8 and 32 CPUs on identical input; scaling
     efficiency = (t_8 / t_32) / (32 / 8). Extraction only (the other
     suite queries are sf-bound and finish in ~1 s each — they would
-    measure startup, not scaling). Three modes: map-only, real skew
-    tail (the groupby-reassembly shuffle IS inside the measurement),
-    and the media hash-join path."""
+    measure startup, not scaling). Two modes: the doc-local map-only
+    broadcast plan and the media hash-join path."""
     import pyarrow.parquet as pq
 
     base = max(100, pq.read_metadata(f"{SF_DIR}/documents.parquet").num_rows)
     # per-mode corpus multipliers — the sizes behind the numbers
     # published in BASELINE.md (r3: the join mode measured ≥0.8 at
-    # 40× = 200k docs; skew measured at 120× = 600k — results and
-    # per-stage analysis in BASELINE.md "Measured (round 3)"). The
-    # full matrix at these sizes takes ~45 min on a quiet host;
-    # GRAFT_BENCH_DOCS overrides for spot runs.
-    mode_docs = {"never": 20 * base, "skew": 120 * base, "join": 40 * base}
+    # 40× = 200k docs — results and per-stage analysis in BASELINE.md
+    # "Measured (round 3)"). GRAFT_BENCH_DOCS overrides for spot runs.
+    mode_docs = {"broadcast": 20 * base, "join": 40 * base}
     if BENCH_DOCS:
         mode_docs = {m: BENCH_DOCS for m in mode_docs}
 
     _warm_corpora(mode_docs.values())
 
-    modes = [_scaling_one_mode(m, mode_docs[m])
-             for m in ("never", "skew", "join")]
+    modes = [_scaling_one_mode(m, n) for m, n in mode_docs.items()]
     return {
         "metric": "scaling efficiency, num_cpus 8 -> 32, identical input",
         "modes": modes,
@@ -334,9 +316,9 @@ def run_scaling_controlled() -> dict:
     import statistics
 
     base = max(100, pq.read_metadata(f"{SF_DIR}/documents.parquet").num_rows)
-    mode_docs = {"never": 20 * base, "skew": 120 * base, "join": 40 * base}
+    mode_docs = {"broadcast": 20 * base, "join": 40 * base}
     modes = [m for m in os.environ.get(
-        "GRAFT_BENCH_MODES", "never,skew").split(",") if m]
+        "GRAFT_BENCH_MODES", "broadcast").split(",") if m]
     pairs = int(os.environ.get("GRAFT_BENCH_PAIRS", "3"))
     lo = int(os.environ.get("GRAFT_BENCH_CPUS_LO", "8"))
     hi = int(os.environ.get("GRAFT_BENCH_CPUS_HI", "32"))

@@ -5,13 +5,18 @@
     groupby(doc_id)+offset-sort reassembly → ordered span sequences
     (+ a per-document field-extraction reduce on top).
 
-Media-payload resolution has two strategies:
+``extract_spans`` is the one entry; media-payload resolution has two
+strategies:
 
-- ``broadcast`` (default when the media table fits in memory): the
-  ``(media_ref, payload)`` Arrow table is ``ray.put`` ONCE on the
-  driver and each OCR worker process maps it zero-copy once, in its
-  warm ``PageReader`` — the classic small-side broadcast join; zero
-  shuffle, payloads shipped to each node once, not per batch.
+- ``broadcast`` (media table fits in memory): the ``(media_ref,
+  payload)`` Arrow table is ``ray.put`` ONCE on the driver and each
+  OCR worker process maps it zero-copy once, in its warm
+  ``PageReader``. ``stages.doclocal.DocLocalExtract`` runs explode →
+  classify → ``OcrStage`` → keep filter → rank inside one task (no
+  shuffle: each document is whole in its batch). Only docs over
+  ``SKEW_THRESHOLD`` spans take the exploded + shuffle plan above, a
+  branch built only when a plan step (a narrow read of the span
+  offsets, one Ray task per file) finds such a doc.
 - ``join`` (the 100 TB path, media table too big to broadcast): the
   media table is OCR'd in place by a map stage, then a
   hash-partitioned ``Dataset.join`` on ``media_ref`` attaches the
@@ -19,24 +24,23 @@ Media-payload resolution has two strategies:
   union back). Payload bytes never enter the shuffle — the exchange
   moves only narrow text rows.
 
-Both return the same schema and byte-identical results (tested).
-
-``extract_spans_hybrid`` runs the same operators: for documents below
-the skew threshold, ``stages.doclocal.DocLocalExtract`` calls explode →
-classify → ``OcrStage`` → keep filter → rank inside one task (no
-shuffle, since each document is whole in its batch); only the skew
-tail takes the exploded + shuffle plan above.
+Every plan returns the same schema and byte-identical results (tested).
 """
 
 from __future__ import annotations
 
+import os
 from typing import Any
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
+import ray
 
 from ..config import (MEDIA_JOIN_BUCKETS, OCR_BATCH_SIZE, OCR_NUM_CPUS,
                       SKEW_THRESHOLD)
-from ..stages.agg import bucketed_map_groups
+from ..stages.agg import bucket_ids, bucketed_map_groups
 from ..stages.classify import classify_spans
 from ..stages.explode import explode_spans
 from ..stages.ocr import OcrStage
@@ -62,10 +66,7 @@ def fit_page_calibrator(media_path: str, sample_n: int = 512):
     truth. Returns ``(knots_x, knots_y)`` or None when the sample is
     too small (calibration then stays off).
     """
-    import numpy as np
-    import pyarrow.compute as pc
     import pyarrow.dataset as pads
-    import pyarrow.parquet as pq
     import ray.data as rd
 
     from ..functions.calibration import MIN_SAMPLES, fit_isotonic
@@ -122,27 +123,37 @@ def build_media_lookup(media_path: str) -> Any:
     (measured: 32 CPUs slower than 8 before this change). Lookups use
     ``pyarrow.compute.index_in`` per batch.
     """
-    import pyarrow.parquet as pq
-    import ray
-
     t = pq.read_table(media_path, columns=["media_ref", "payload"])
     return ray.put(t.combine_chunks())
 
 
-def extract_spans(docs_ds, *, media_lookup_ref=None, media_ds=None,
-                  ocr_concurrency: int | None = None,
-                  join_partitions: int = MEDIA_JOIN_BUCKETS,
-                  calib=None):
-    """documents Dataset → ordered span-sequence Dataset.
+def _file_max_spans(path: str, pending: np.ndarray | None = None) -> int:
+    """Plan kernel: the largest span count among one documents file's
+    docs (with ``pending``, only docs whose partition
+    ``bucket_ids(doc_id, len(pending))`` is True). Reads the offset leaf
+    of ``spans`` (plus ``doc_id`` to filter) by its path in the file's
+    Parquet schema: writers name the list child ``element`` or ``item``,
+    and only ``pq.ParquetFile.read`` takes nested paths."""
+    f = pq.ParquetFile(path)
+    leaf = next(c.path for c in f.schema
+                if c.path.startswith("spans.") and c.path.endswith(".offset"))
+    t = f.read(columns=[leaf] + ["doc_id"] * (pending is not None))
+    n = pc.list_value_length(t["spans"]).fill_null(0).to_numpy()
+    if pending is not None:
+        n = n[pending[bucket_ids(t["doc_id"], len(pending))]]
+    return int(n.max(initial=0))
 
-    Out schema: (doc_id, order:int32, kind, text, media_ref, conf,
-    conf_calibrated, status, cascade). ``calib`` is an optional
-    ``(knots_x, knots_y)`` isotonic calibrator (fit_page_calibrator);
-    when given, the cascade thresholds are derived from target
-    accuracies and ``conf_calibrated`` carries the calibrated score.
-    ``ocr_concurrency`` caps the OCR stage's concurrent tasks; None
-    leaves it uncapped, so it fuses with the map before it.
-    """
+
+def _max_spans(files: list[str], pending: np.ndarray | None = None) -> int:
+    """``_file_max_spans`` over ``files``, one Ray task per file."""
+    plan = ray.remote(_file_max_spans)
+    return max(ray.get([plan.remote(f, pending) for f in files]), default=0)
+
+
+def _exploded(docs_ds, *, media_lookup_ref=None, media_ds=None, calib=None,
+              ocr_concurrency=None):
+    """explode → classify → OCR → ``reassemble`` shuffle: the join plan
+    and the broadcast plan's skew tail."""
     exploded = docs_ds.map_batches(explode_spans, batch_format="pyarrow")
 
     if media_ds is not None:
@@ -168,13 +179,14 @@ def extract_spans(docs_ds, *, media_lookup_ref=None, media_ds=None,
                 MediaDecodeStage(calib=calib), batch_format="pyarrow",
                 batch_size=OCR_BATCH_SIZE, concurrency=ocr_concurrency,
                 num_cpus=OCR_NUM_CPUS)
+        # One memory-bound aggregator per partition at 0.1 CPU, one
+        # partition per cluster CPU: aggregators that outgrow the free
+        # CPU starve the OCR / map tasks into a deadlock.
+        cpus = int(ray.cluster_resources().get("CPU", 1))
         joined = media_rows.join(
             media_text, join_type="left_outer",
-            num_partitions=join_partitions, on=("media_ref",),
-            # Aggregators are memory-bound accumulators; tiny fractional
-            # CPU so a wide join (many partitions) can never starve the
-            # OCR / map tasks into a deadlock on a small node.
-            aggregator_ray_remote_args={"num_cpus": 0.1},
+            num_partitions=min(MEDIA_JOIN_BUCKETS, cpus),
+            on=("media_ref",), aggregator_ray_remote_args={"num_cpus": 0.1},
         )
         ocrd = joined.map_batches(apply_media_text, batch_format="pyarrow")
         ds = ocrd.union(text_rows)
@@ -192,51 +204,70 @@ def extract_spans(docs_ds, *, media_lookup_ref=None, media_ds=None,
     return reassemble(ds)
 
 
-def extract_spans_hybrid(docs_ds, *, media_lookup_ref=None,
-                         skew_threshold: int = SKEW_THRESHOLD,
-                         ocr_concurrency: int | None = None,
-                         skew_tail: str = "auto",
-                         calib=None):
-    """Shuffle-only-the-skew-tail extraction.
-
-    Documents with ≤ ``skew_threshold`` spans (the vast majority) run
-    through the doc-local map-only path (stages.doclocal) — zero
-    shuffle, linear scaling. The skew tail (huge PDFs) goes through the
-    exploded + groupby path where intra-document parallelism matters.
-    Union of the two is byte-identical to ``extract_spans`` (tested).
-    ``ocr_concurrency`` caps each branch's OCR tasks (None: uncapped).
-
-    ``skew_tail="never"``: skip the tail branch entirely — even an
-    *empty* tail branch costs the full shuffle machinery's fixed wall
-    time. Nothing here enforces a span cap: the caller must know that
-    no document exceeds ``skew_threshold``, as ``run_partitioned``'s
-    plan step does (it reads every pending doc's span count first).
-    """
-    import pyarrow.compute as pc
-
+def _broadcast(docs_ds, *, threshold: int, tail: bool, media_lookup_ref=None,
+               calib=None, ocr_concurrency=None):
+    """Docs with ≤ ``threshold`` spans run map-only through
+    ``DocLocalExtract``; with ``tail`` the rest take ``_exploded``,
+    without it no shuffle is built and every doc runs doc-local."""
     from ..stages.doclocal import DocLocalExtract
 
     def small_only(batch: pa.Table) -> pa.Table:
         n = pc.list_value_length(batch["spans"])
-        return batch.filter(pc.less_equal(n, skew_threshold))
+        return batch.filter(pc.less_equal(n, threshold))
 
     def big_only(batch: pa.Table) -> pa.Table:
         n = pc.list_value_length(batch["spans"])
-        return batch.filter(pc.greater(n, skew_threshold))
+        return batch.filter(pc.greater(n, threshold))
 
-    src = docs_ds if skew_tail == "never" \
-        else docs_ds.map_batches(small_only, batch_format="pyarrow")
+    src = docs_ds.map_batches(small_only, batch_format="pyarrow") if tail \
+        else docs_ds
     small = src.map_batches(
         DocLocalExtract(media_lookup_ref=media_lookup_ref, calib=calib),
         batch_format="pyarrow", concurrency=ocr_concurrency,
         num_cpus=OCR_NUM_CPUS)
-    if skew_tail == "never":
+    if not tail:
         return small
-    big = extract_spans(
-        docs_ds.map_batches(big_only, batch_format="pyarrow"),
-        media_lookup_ref=media_lookup_ref, ocr_concurrency=ocr_concurrency,
-        calib=calib)
+    big = _exploded(docs_ds.map_batches(big_only, batch_format="pyarrow"),
+                    media_lookup_ref=media_lookup_ref, calib=calib,
+                    ocr_concurrency=ocr_concurrency)
     return small.union(big)
+
+
+def extract_spans(docs_ds, *, media_lookup_ref=None, media_ds=None,
+                  calib=None, ocr_concurrency: int | None = None,
+                  max_spans: int | None = None):
+    """documents Dataset → ``reassemble.OUT_SCHEMA`` span rows.
+
+    ``calib`` is an optional ``(knots_x, knots_y)`` isotonic calibrator
+    (fit_page_calibrator): it sets the cascade thresholds and
+    ``conf_calibrated``. ``ocr_concurrency`` caps each OCR stage's
+    tasks; None leaves it uncapped, so it fuses with the map before it.
+
+    ``media_ds`` runs the join plan. ``media_lookup_ref`` runs
+    doc-local, plus the shuffle tail for docs over ``SKEW_THRESHOLD``
+    spans when ``max_spans`` (a bound the caller measured, else read
+    from the Dataset's local input files) exceeds it or is unknown.
+    Every plan returns the same rows: the bound only changes speed.
+    """
+    if media_ds is not None:
+        return _exploded(docs_ds, media_ds=media_ds, calib=calib,
+                         ocr_concurrency=ocr_concurrency)
+    files = docs_ds.input_files() if max_spans is None else []
+    if files and all(map(os.path.isfile, files)):
+        max_spans = _max_spans(sorted(files))
+    return _broadcast(
+        docs_ds, threshold=SKEW_THRESHOLD,
+        tail=max_spans is None or max_spans > SKEW_THRESHOLD,
+        media_lookup_ref=media_lookup_ref, calib=calib,
+        ocr_concurrency=ocr_concurrency)
+
+
+def extract_spans_hybrid(docs_ds, *, skew_threshold=SKEW_THRESHOLD,
+                         skew_tail="auto", **kw):
+    """perfbench's old entry; delete once it calls ``extract_spans``.
+    ``skew_tail="never"`` builds no tail, ``"auto"`` always one."""
+    return _broadcast(docs_ds, threshold=skew_threshold,
+                      tail=skew_tail != "never", **kw)
 
 
 def extract_fields_per_doc(spans_ds):
@@ -253,7 +284,6 @@ def extract_fields_per_doc(spans_ds):
     documents."""
     import hashlib
 
-    import numpy as np
     import pandas as pd
 
     from ..functions.regex_banks import extract_fields, validate_fields

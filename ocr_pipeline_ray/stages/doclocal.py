@@ -20,10 +20,10 @@ Map-only → linear scaling, zero shuffle. It runs as Ray Data tasks on
 pooled worker processes through the same warm ``PageReader`` as
 ``OcrStage``, so it fuses with the read before it and boots no actors.
 
-The skew tail (documents with more spans than ``skew_threshold``) is
-the one case where intra-doc parallelism matters; ``extract_spans_hybrid``
-routes those docs through the exploded+shuffle path and unions the
-results — "shuffle only the skew tail".
+The skew tail (documents with more spans than ``SKEW_THRESHOLD``) is
+the one case where intra-doc parallelism matters; ``extract_spans``
+routes those docs (if any) through the exploded+shuffle path and
+unions the results — "shuffle only the skew tail".
 """
 
 from __future__ import annotations

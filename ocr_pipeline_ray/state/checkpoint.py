@@ -11,7 +11,7 @@ inventory: a killed run loses everything), so this is new design:
   per-process randomized);
 - one invocation is ONE Ray Data pass over every pending partition (a
   partition without a ``_SUCCESS`` marker): the corpus is read once and
-  filtered to pending docs, extracted by ``extract_spans_hybrid``, and
+  filtered to pending docs, extracted by ``extract_spans``, and
   written through ``_PartitionSink``. Each write task stages its rows
   into one temp dir per partition and returns a small per-partition
   lineage partial; once every task has written, the driver merges the
@@ -29,12 +29,12 @@ inventory: a killed run loses everything), so this is new design:
   Output readers MUST filter to partitions containing ``_SUCCESS``
   (glob ``part=*/_SUCCESS`` then read that partition's ``*.parquet``).
 
-The skew tail (docs above ``SKEW_THRESHOLD`` spans, which take the
-exploded + shuffle branch) is decided before the pipeline is built, by
-a narrow plan step — one Ray task per corpus file reading only
-``doc_id`` and the span offsets — so a corpus without such docs never
-builds the (costly, empty) tail branch. Driver state is O(files +
-partitions): the plan's per-file maxima and the lineage partials.
+The filtered read has no input files to plan from, so the job runs
+``extract_spans``' plan step over pending docs only (one Ray task per
+corpus file) and passes the bound as ``max_spans``: a corpus without a
+doc over the skew threshold never builds the (empty) tail branch.
+Driver state is O(files + partitions): the plan's per-file maxima and
+the lineage partials.
 
 At 100 TB the partition count is sized so one partition's spans fit
 comfortably in a staging dir (e.g. 4096 partitions of ~25 GB);
@@ -54,28 +54,16 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
-import ray
 import ray.data as rd
 from ray.data import Datasink
 from ray.data.block import BlockAccessor
 
-from ..config import SKEW_THRESHOLD
-from ..pipelines.extract import build_media_lookup, extract_spans_hybrid
+from ..pipelines.extract import _max_spans, build_media_lookup
+# perfbench wraps this module attribute to capture the job's Dataset
+from ..pipelines.extract import extract_spans as extract_spans_hybrid
 from ..stages.agg import bucket_ids
 
 CONF_BINS = 10
-
-
-def _max_pending_spans(path: str, num_parts: int, pending: np.ndarray) -> int:
-    """Plan step for one corpus file: the largest span count among its
-    docs in pending partitions. Reads only ``doc_id`` and the offset
-    leaf of ``spans`` (``pq.ParquetFile.read`` accepts the nested path;
-    ``pyarrow.dataset`` and ``rd.read_parquet`` do not)."""
-    t = pq.ParquetFile(path).read(columns=["doc_id",
-                                           "spans.list.element.offset"])
-    n = pc.list_value_length(t["spans"]).fill_null(0).to_numpy()
-    keep = pending[bucket_ids(t["doc_id"], num_parts)]
-    return int(n[keep].max(initial=0))
 
 
 def _staging_dir(out_dir: str, pid: int) -> str:
@@ -198,9 +186,6 @@ def run_partitioned(corpus_dir: str, out_dir: str, num_parts: int = 8) -> dict:
     is_pending[pending] = True
     files = sorted(glob.glob(os.path.join(corpus_dir, "documents_spans",
                                           "*.parquet")))
-    plan = ray.remote(_max_pending_spans)
-    max_spans = max(ray.get([plan.remote(f, num_parts, is_pending)
-                             for f in files]), default=0)
 
     def keep_pending(batch: pa.Table) -> pa.Table:
         return batch.filter(pa.array(
@@ -208,13 +193,10 @@ def run_partitioned(corpus_dir: str, out_dir: str, num_parts: int = 8) -> dict:
 
     docs = rd.read_parquet(files).map_batches(keep_pending,
                                               batch_format="pyarrow")
-    # hybrid path: byte-identical to extract_spans (tested); the tail
-    # branch is built only when a pending doc needs it
     spans = extract_spans_hybrid(
         docs, media_lookup_ref=build_media_lookup(
             os.path.join(corpus_dir, "media")),
-        skew_threshold=SKEW_THRESHOLD,
-        skew_tail="auto" if max_spans > SKEW_THRESHOLD else "never")
+        max_spans=_max_spans(files, is_pending))
     spans.write_datasink(_PartitionSink(out_dir, num_parts, pending, t0))
     return {"completed": pending, "skipped": skipped}
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import glob
 import os
+import zlib
 
 import numpy as np
 import pandas as pd
@@ -13,6 +14,7 @@ import pytest
 import ray
 import ray.data as rd
 
+from ocr_pipeline_ray.pipelines import extract
 from ocr_pipeline_ray.pipelines.extract import build_media_lookup, extract_spans
 from ocr_pipeline_ray.state import checkpoint
 
@@ -35,8 +37,8 @@ def uninterrupted(small_corpus, out_dirs):
 
 @pytest.fixture
 def extract_calls(monkeypatch):
-    """Records the keyword args of every ``extract_spans_hybrid`` call the
-    job entry makes."""
+    """Records the keyword args of every extraction call the job entry
+    makes (through ``checkpoint.extract_spans_hybrid``)."""
     calls = []
     real = checkpoint.extract_spans_hybrid
 
@@ -145,6 +147,12 @@ def test_lineage_records(small_corpus, out_dirs):
     assert total_docs == docs
 
 
+def _largest_doc(corpus: str) -> int:
+    spans = pq.read_table(f"{corpus}/documents_spans",
+                          columns=["spans"])["spans"]
+    return max(len(s or ()) for s in spans.to_pylist())
+
+
 def test_empty_partitions_commit(tmp_path, extract_calls):
     from ocr_pipeline_ray.sources.synth import write_corpus
 
@@ -152,8 +160,10 @@ def test_empty_partitions_commit(tmp_path, extract_calls):
     write_corpus(corpus, n_docs=2, seed=42, num_files=1)
     r1 = checkpoint.run_partitioned(corpus, out, num_parts=8)
     assert r1 == {"completed": list(range(8)), "skipped": []}
-    # no doc of this corpus exceeds the skew threshold: no tail branch
-    assert [kw["skew_tail"] for kw in extract_calls] == ["never"]
+    # the plan's bound: no doc of this corpus exceeds the skew
+    # threshold, so no tail branch is built
+    assert [kw["max_spans"] for kw in extract_calls] == [_largest_doc(corpus)]
+    assert _largest_doc(corpus) <= extract.SKEW_THRESHOLD
     _committed(out, 8)
     recs = checkpoint.read_lineage(out)
     assert len(recs) == 8
@@ -234,20 +244,19 @@ def test_failed_write_task_commits_nothing(small_corpus, uninterrupted,
 
 def test_skew_tail_in_job_entry(small_corpus, tmp_path, monkeypatch,
                                 extract_calls):
-    counts = pq.read_table(f"{small_corpus}/documents_spans",
-                           columns=["spans"])["spans"]
     threshold = 50
-    assert max(len(s) for s in counts.to_pylist()) > threshold
-    monkeypatch.setattr(checkpoint, "SKEW_THRESHOLD", threshold)
+    assert _largest_doc(small_corpus) > threshold
+    monkeypatch.setattr(extract, "SKEW_THRESHOLD", threshold)
     out = str(tmp_path / "out")
     checkpoint.run_partitioned(small_corpus, out, num_parts=3)
-    assert [(kw["skew_tail"], kw["skew_threshold"]) for kw in extract_calls] \
-        == [("auto", threshold)]
+    assert [kw["max_spans"] for kw in extract_calls] \
+        == [_largest_doc(small_corpus)]
 
     got = _committed(out, 3)
     docs = rd.read_parquet(f"{small_corpus}/documents_spans")
+    # the doc-local plan (a bound of 0 builds no tail) as the reference
     refs = extract_spans(docs, media_lookup_ref=build_media_lookup(
-        f"{small_corpus}/media")).to_arrow_refs()
+        f"{small_corpus}/media"), max_spans=0).to_arrow_refs()
     want = pa.concat_tables([t for t in ray.get(refs) if t.num_rows]) \
         .select(got.schema.names) \
         .sort_by([("doc_id", "ascending"), ("order", "ascending")])
@@ -256,3 +265,50 @@ def test_skew_tail_in_job_entry(small_corpus, tmp_path, monkeypatch,
     # all partitions committed: nothing to extract
     checkpoint.run_partitioned(small_corpus, out, num_parts=3)
     assert len(extract_calls) == 1
+
+
+def test_pending_bound_counts_only_pending_docs(small_corpus):
+    files = sorted(glob.glob(f"{small_corpus}/documents_spans/*.parquet"))
+    t = pq.read_table(files, columns=["doc_id", "spans"])
+    n = np.array([len(s or ()) for s in t["spans"].to_pylist()])
+    pids = np.array([zlib.crc32(d.encode()) % 3
+                     for d in t["doc_id"].to_pylist()])
+    for pid in range(3):
+        pending = np.arange(3) == pid
+        assert extract._max_spans(files, pending) == n[pids == pid].max()
+    assert extract._max_spans(files) == n.max()
+
+
+def test_legacy_list_naming(small_corpus, uninterrupted, tmp_path,
+                            monkeypatch):
+    """A documents file written with legacy nested naming (list child
+    ``item``, not ``element``) reads the same, so the job entry and
+    ``extract_spans``, whose plan steps read the offset leaf by its
+    Parquet path, give the same output as on the compliant corpus."""
+    legacy = tmp_path / "legacy"
+    (legacy / "documents_spans").mkdir(parents=True)
+    os.symlink(os.path.join(small_corpus, "media"), legacy / "media")
+    for f in sorted(glob.glob(f"{small_corpus}/documents_spans/*.parquet")):
+        t = pq.read_table(f)
+        item = pa.list_(t.schema.field("spans").type.value_type)
+        t = t.set_column(t.schema.get_field_index("spans"), "spans",
+                         t["spans"].cast(item))
+        dst = legacy / "documents_spans" / os.path.basename(f)
+        pq.write_table(t, dst, use_compliant_nested_type=False)
+        assert "spans.list.item.offset" in [
+            c.path for c in pq.ParquetFile(dst).schema]
+
+    out = str(tmp_path / "out")
+    checkpoint.run_partitioned(str(legacy), out, num_parts=4)
+    assert _committed(out, 4).equals(_committed(uninterrupted, 4))
+
+    # a tail threshold under the largest doc: the plan read decides it
+    monkeypatch.setattr(extract, "SKEW_THRESHOLD", 50)
+    ref = build_media_lookup(f"{small_corpus}/media")
+
+    def spans(corpus):
+        ds = extract_spans(rd.read_parquet(f"{corpus}/documents_spans"),
+                           media_lookup_ref=ref)
+        return ds.to_pandas().sort_values(["doc_id", "order"]) \
+            .reset_index(drop=True)
+    pd.testing.assert_frame_equal(spans(legacy), spans(small_corpus))

@@ -1,8 +1,9 @@
 """North-rule gate: engine span sequences == oracle golden spans,
 exactly, on (kind, text, media_ref, order) — plus conf/status/cascade/
-calibration parity. Both payload-resolution paths with and without
-the isotonic calibrator active, the doc-local path with it, and the
-doc-local path re-run in one session over different lookups."""
+calibration parity. The doc-local plan with and without the isotonic
+calibrator active, the broadcast plan with its exploded tail forced
+(calibrated), the join plan, and the doc-local plan re-run in one
+session over different lookups."""
 
 from __future__ import annotations
 
@@ -10,9 +11,9 @@ import pandas as pd
 import pytest
 import ray.data as rd
 
+from ocr_pipeline_ray.pipelines import extract
 from ocr_pipeline_ray.pipelines.extract import (build_media_lookup,
                                                 extract_spans,
-                                                extract_spans_hybrid,
                                                 fit_page_calibrator)
 from tests.oracle.golden import golden_calibrator, golden_spans
 
@@ -70,11 +71,14 @@ def test_broadcast_path_matches_golden(small_corpus, golden_df):
 def test_join_path_matches_golden(small_corpus, golden_df):
     docs = rd.read_parquet(f"{small_corpus}/documents_spans")
     media = rd.read_parquet(f"{small_corpus}/media")
-    out = extract_spans(docs, media_ds=media, join_partitions=8).to_pandas()
+    out = extract_spans(docs, media_ds=media).to_pandas()
     _assert_matches_golden(out, golden_df)
 
 
-def test_broadcast_path_with_calibration(small_corpus, calib, golden_calib_df):
+def test_broadcast_path_with_calibration(small_corpus, calib, golden_calib_df,
+                                        monkeypatch):
+    # every doc with a span takes the exploded + shuffle tail
+    monkeypatch.setattr(extract, "SKEW_THRESHOLD", 0)
     docs = rd.read_parquet(f"{small_corpus}/documents_spans")
     ref = build_media_lookup(f"{small_corpus}/media")
     out = extract_spans(docs, media_lookup_ref=ref, calib=calib).to_pandas()
@@ -85,8 +89,7 @@ def test_doclocal_path_with_calibration(small_corpus, calib,
                                        golden_calib_df):
     docs = rd.read_parquet(f"{small_corpus}/documents_spans")
     ref = build_media_lookup(f"{small_corpus}/media")
-    out = extract_spans_hybrid(docs, media_lookup_ref=ref, calib=calib,
-                               skew_tail="never").to_pandas()
+    out = extract_spans(docs, media_lookup_ref=ref, calib=calib).to_pandas()
     _assert_matches_golden(out, golden_calib_df)
 
 
@@ -106,8 +109,8 @@ def test_warm_reader_rekeys_across_datasets(small_corpus, tmp_path,
     def run(corpus, c=None):
         docs = rd.read_parquet(f"{corpus}/documents_spans")
         ref = build_media_lookup(f"{corpus}/media")
-        return extract_spans_hybrid(docs, media_lookup_ref=ref, calib=c,
-                                    skew_tail="never").to_pandas()
+        return extract_spans(docs, media_lookup_ref=ref,
+                             calib=c).to_pandas()
 
     _assert_matches_golden(run(small_corpus), golden_df)
     _assert_matches_golden(run(other), other_gold)

@@ -1,14 +1,19 @@
-"""Hybrid (doc-local + skew-tail shuffle) path must equal the exploded
-path byte-for-byte, including when the skew tail is non-empty."""
+"""The planner of ``extract_spans``: doc-local only when no document is
+over the skew threshold, doc-local + the exploded shuffle tail
+otherwise or when the span bound is unknown; every plan equals the
+golden spans. Plus the doc-local stage against the exploded chain on
+hand-built edge cases."""
 
 from __future__ import annotations
 
 import pandas as pd
 import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 import ray
 import ray.data as rd
 
+from ocr_pipeline_ray.pipelines import extract
 from ocr_pipeline_ray.pipelines.extract import (build_media_lookup,
                                                 extract_spans,
                                                 extract_spans_hybrid)
@@ -20,42 +25,101 @@ from ocr_pipeline_ray.stages.explode import explode_spans
 from ocr_pipeline_ray.stages.ocr import OcrStage
 from ocr_pipeline_ray.stages.reassemble import (OUT_SCHEMA, _rank_bucket,
                                                 filter_keep)
+from tests.oracle.golden import golden_spans
+from tests.test_extract_golden import (N_DOCS, SEED, SKEW,
+                                       _assert_matches_golden)
 
 
-def _norm(df: pd.DataFrame) -> pd.DataFrame:
-    df = df.sort_values(["doc_id", "order"]).reset_index(drop=True)
-    return df[["doc_id", "order", "kind", "text", "media_ref", "conf",
-               "conf_calibrated", "status", "cascade"]]
+@pytest.fixture(scope="module")
+def golden_df():
+    return pd.DataFrame(golden_spans(SEED, N_DOCS, SKEW))
 
 
-def test_hybrid_equals_exploded(small_corpus):
-    docs = rd.read_parquet(f"{small_corpus}/documents_spans")
-    ref = build_media_lookup(f"{small_corpus}/media")
-    a = _norm(extract_spans(docs, media_lookup_ref=ref).to_pandas())
-    b = _norm(extract_spans_hybrid(docs, media_lookup_ref=ref).to_pandas())
-    pd.testing.assert_frame_equal(a, b)
+@pytest.fixture(scope="module")
+def largest_doc(small_corpus):
+    spans = pq.read_table(f"{small_corpus}/documents_spans",
+                          columns=["spans"])["spans"]
+    return max(len(s or ()) for s in spans.to_pylist())
 
 
-def test_hybrid_with_forced_skew_tail(small_corpus):
-    # low threshold → many docs take the exploded+shuffle branch
-    docs = rd.read_parquet(f"{small_corpus}/documents_spans")
-    ref = build_media_lookup(f"{small_corpus}/media")
-    a = _norm(extract_spans(docs, media_lookup_ref=ref).to_pandas())
-    b = _norm(extract_spans_hybrid(docs, media_lookup_ref=ref,
-                                   skew_threshold=10).to_pandas())
-    pd.testing.assert_frame_equal(a, b)
+def _run(docs, ref, **kw):
+    """(output frame, executed operator stats) of one extraction."""
+    ds = extract_spans(docs, media_lookup_ref=ref, **kw).materialize()
+    return ds.to_pandas(), ds.stats()
 
 
-def test_operator_names_keep_the_stage_classes(small_corpus):
+def test_no_doc_over_threshold_builds_no_tail(small_corpus, golden_df,
+                                              largest_doc):
+    assert largest_doc <= extract.SKEW_THRESHOLD
+    out, stats = _run(rd.read_parquet(f"{small_corpus}/documents_spans"),
+                      build_media_lookup(f"{small_corpus}/media"))
+    assert "DocLocalExtract" in stats and "_rank_bucket" not in stats
+    _assert_matches_golden(out, golden_df)
+
+
+def test_threshold_below_largest_doc_builds_tail(small_corpus, golden_df,
+                                                 largest_doc, monkeypatch):
+    monkeypatch.setattr(extract, "SKEW_THRESHOLD", largest_doc - 1)
+    out, stats = _run(rd.read_parquet(f"{small_corpus}/documents_spans"),
+                      build_media_lookup(f"{small_corpus}/media"))
+    assert "DocLocalExtract" in stats and "_rank_bucket" in stats
+    _assert_matches_golden(out, golden_df)
+
+
+def test_dataset_without_input_files_builds_tail(small_corpus, golden_df):
+    docs = rd.from_arrow(pq.read_table(f"{small_corpus}/documents_spans"))
+    assert docs.input_files() == []
+    out, stats = _run(docs, build_media_lookup(f"{small_corpus}/media"))
+    assert "_rank_bucket" in stats
+    _assert_matches_golden(out, golden_df)
+
+
+def test_caller_bound_skips_the_plan_read(small_corpus, golden_df,
+                                          monkeypatch):
+    def no_read(*a, **kw):
+        raise AssertionError("plan read despite a caller bound")
+    monkeypatch.setattr(extract, "_max_spans", no_read)
+    out, stats = _run(rd.read_parquet(f"{small_corpus}/documents_spans"),
+                      build_media_lookup(f"{small_corpus}/media"),
+                      max_spans=0)
+    assert "_rank_bucket" not in stats
+    _assert_matches_golden(out, golden_df)
+
+
+def test_operator_names_keep_the_stage_classes(small_corpus, monkeypatch):
     """Ray Data names a callable-object operator after its class; the
     benchmark's op.doclocal.* and op.ocr_pool.* layers are keyed on
     these names and would silently read 0 without them."""
+    monkeypatch.setattr(extract, "SKEW_THRESHOLD", 0)
+    _, stats = _run(rd.read_parquet(f"{small_corpus}/documents_spans"),
+                    build_media_lookup(f"{small_corpus}/media"))
+    for name in ("DocLocalExtract", "explode_spans", "classify_spans",
+                 "OcrStage", "filter_keep", "_rank_bucket"):
+        assert name in stats, name
+
+
+def test_benchmark_alias_keeps_its_plans(small_corpus, golden_df,
+                                         monkeypatch):
+    """The benchmark harness calls ``extract_spans_hybrid`` with
+    ``skew_tail="never"`` (no tail) and ``skew_threshold=96,
+    skew_tail="auto"`` (a tail at 96, built unconditionally)."""
+    plans = []
+    real = extract._broadcast
+
+    def spy(docs, **kw):
+        plans.append((kw["threshold"], kw["tail"]))
+        return real(docs, **kw)
+    monkeypatch.setattr(extract, "_broadcast", spy)
     docs = rd.read_parquet(f"{small_corpus}/documents_spans")
     ref = build_media_lookup(f"{small_corpus}/media")
-    hybrid = extract_spans_hybrid(docs, media_lookup_ref=ref).materialize()
-    assert "DocLocalExtract" in hybrid.stats()
-    exploded = extract_spans(docs, media_lookup_ref=ref).materialize()
-    assert "OcrStage" in exploded.stats()
+    for kw, has_tail in (({"skew_tail": "never"}, False),
+                         ({"skew_threshold": 96, "skew_tail": "auto"}, True)):
+        ds = extract_spans_hybrid(docs, media_lookup_ref=ref,
+                                  ocr_concurrency=2, **kw).materialize()
+        assert "DocLocalExtract" in ds.stats()
+        assert ("_rank_bucket" in ds.stats()) == has_tail
+        _assert_matches_golden(ds.to_pandas(), golden_df)
+    assert plans == [(extract.SKEW_THRESHOLD, False), (96, True)]
 
 
 # --- doc-local stage == the exploded chain, on hand-built edge cases ---
@@ -101,6 +165,11 @@ _EDGE_CASES = {
                             [("d1", 0, "text", _BODY),
                              ("d1", 1, "media", "m-digital"),
                              ("d1", 2, "media", "m-page")]),
+    "null_spans_beside_a_tail_doc": ([("d1", None),
+                                      ("d2", [_text(1, _BODY),
+                                              _media(0, "m-digital")])],
+                                     [("d2", 0, "media", "m-digital"),
+                                      ("d2", 1, "text", _BODY)]),
     "empty_output": ([("d1", None), ("d2", []),
                       ("d3", [_text(0, "Home"), _media(1, "m-blank"),
                               _media(2, "m-gone")])],
@@ -130,3 +199,21 @@ def test_doclocal_equals_exploded_chain(case, edge_lookup_ref):
     assert [(r["doc_id"], r["order"], r["kind"],
              r["text"] if r["kind"] == "text" else r["media_ref"])
             for r in out.to_pylist()] == want
+
+
+@pytest.mark.parametrize("case", list(_EDGE_CASES))
+def test_tail_plan_on_edge_cases(case, edge_lookup_ref, monkeypatch):
+    """The same cases through ``extract_spans`` with the tail forced:
+    documents of one span or none run doc-local, the rest in the tail;
+    a null-``spans`` document is in neither and yields no rows."""
+    monkeypatch.setattr(extract, "SKEW_THRESHOLD", 1)
+    docs, want = _EDGE_CASES[case]
+    batch = pa.Table.from_pylist([{"doc_id": d, "spans": s} for d, s in docs],
+                                 schema=DOCS_SCHEMA)
+    ds = extract_spans(rd.from_arrow(batch),
+                       media_lookup_ref=edge_lookup_ref).materialize()
+    assert "_rank_bucket" in ds.stats()
+    rows = sorted(ds.take_all(), key=lambda r: (r["doc_id"], r["order"]))
+    assert [(r["doc_id"], r["order"], r["kind"],
+             r["text"] if r["kind"] == "text" else r["media_ref"])
+            for r in rows] == want
