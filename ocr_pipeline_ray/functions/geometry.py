@@ -7,6 +7,9 @@
   generalizes the reference's box-ordering/crop/recognize loop
   (pytorch_mobile/ocr_pipeline.py:780-803). Ties broken by
   (y_band, x, index) so ordering is byte-stable (SURVEY §7 hard part b).
+- truth_reading_order: a media row's construction-truth line records
+  read in that same order (the label the calibrator and the
+  robustness banks score against).
 """
 
 from __future__ import annotations
@@ -47,3 +50,11 @@ def xy_cut_order(xs: np.ndarray, ys: np.ndarray, band_height: int = XY_CUT_BAND)
     band = ys // band_height
     idx = np.arange(xs.size)
     return np.lexsort((idx, ys, xs, band))
+
+
+def truth_reading_order(truth: list[dict]) -> list[str]:
+    """Truth line records ``{text, x, y}`` → their texts in XY-cut
+    reading order."""
+    order = xy_cut_order(np.array([r["x"] for r in truth]),
+                         np.array([r["y"] for r in truth]))
+    return [truth[i]["text"] for i in order]

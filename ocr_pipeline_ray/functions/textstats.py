@@ -135,29 +135,14 @@ def minhash_signature(shingles: list[str], num_perms: int = 128) -> list[int]:
     return sig.tolist()
 
 
-def lsh_band_keys(sig: list[int], bands: int = 32) -> list[str]:
-    """Split a signature into ``bands`` rows-per-band buckets → hashable
-    keys. Band hash = vectorized 64-bit mix of the band's rows (a md5
-    per band was ~10× slower and adds nothing: keys only need to
-    collide iff the band rows are identical)."""
-    import numpy as np
-
-    r = len(sig) // bands
-    s = np.asarray(sig, dtype=np.uint64).reshape(bands, r)
-    mix = np.uint64(0xCBF29CE484222325)  # FNV-ish fold over the band rows
-    acc = np.full(bands, mix, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        for col in range(r):
-            acc = (acc ^ s[:, col]) * np.uint64(0x100000001B3)
-    return [f"{bi}:{int(acc[bi]):016x}" for bi in range(bands)]
-
-
 def lsh_band_ints(sig: list[int], bands: int = 32) -> list[int]:
-    """Same band fold as ``lsh_band_keys`` but emitted as int64 shuffle
-    keys (band index mixed in): Ray's sort-based groupby on int64 is
-    far cheaper than on utf8 keys. Cross-band fold collisions are
-    harmless — they only add candidate pairs that exact verification
-    rejects."""
+    """Split a signature into ``bands`` rows-per-band buckets → one
+    int64 shuffle key per band: a vectorized 64-bit FNV-style fold of
+    the band's rows with the band index mixed in (a md5 per band was
+    ~10× slower and adds nothing: keys only need to collide when the
+    band rows are identical). Ray's sort-based groupby on int64 is far
+    cheaper than on utf8 keys. Cross-band fold collisions are harmless
+    — they only add candidate pairs that exact verification rejects."""
     import numpy as np
 
     r = len(sig) // bands

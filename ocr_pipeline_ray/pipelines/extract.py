@@ -79,7 +79,7 @@ def fit_page_calibrator(media_path: str, sample_n: int = 512):
 
     def decode_sample(batch: pa.Table) -> pa.Table:
         from ..functions.charfix import fix_text
-        from ..functions.geometry import xy_cut_order
+        from ..functions.geometry import truth_reading_order
         from ..stages.ocr import ocr_page_cascade
 
         out_ref, out_conf, out_ok = [], [], []
@@ -89,10 +89,7 @@ def fit_page_calibrator(media_path: str, sample_n: int = 512):
             text, conf, status, _cascade = ocr_page_cascade(payload)
             if status != "ok" or not truth:
                 continue
-            xs = np.array([r["x"] for r in truth])
-            ys = np.array([r["y"] for r in truth])
-            order = xy_cut_order(xs, ys)
-            truth_text = fix_text("\n".join(truth[i]["text"] for i in order))
+            truth_text = fix_text("\n".join(truth_reading_order(truth)))
             out_ref.append(ref)
             out_conf.append(conf)
             out_ok.append(1.0 if text == truth_text else 0.0)

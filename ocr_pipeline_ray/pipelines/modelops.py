@@ -167,10 +167,8 @@ def degradation_bank(sf_dir: str, severity: str = "medium",
         })
 
     def score(batch: pa.Table) -> pa.Table:
-        import numpy as np
-
         from ..functions.charfix import fix_text
-        from ..functions.geometry import xy_cut_order
+        from ..functions.geometry import truth_reading_order
         from ..stages.ocr import ocr_page_cascade
 
         out_op, out_ref, accs, confs = [], [], [], []
@@ -181,10 +179,7 @@ def degradation_bank(sf_dir: str, severity: str = "medium",
             text, conf, _st, _casc = ocr_page_cascade(payload)
             if not truth:
                 continue
-            xs = np.array([r["x"] for r in truth])
-            ys = np.array([r["y"] for r in truth])
-            order = xy_cut_order(xs, ys)
-            truth_text = fix_text("\n".join(truth[i]["text"] for i in order))
+            truth_text = fix_text("\n".join(truth_reading_order(truth)))
             out_op.append(op)
             out_ref.append(ref)
             accs.append(char_accuracy(truth_text, text))
@@ -351,7 +346,7 @@ def pixel_restore_bank(sf_dir: str, sample_n: int = 96) -> pd.DataFrame:
     """
     import zlib
 
-    from ..functions.geometry import xy_cut_order
+    from ..functions.geometry import truth_reading_order
     from ..stages import pixels as px
 
     corpus = _corpus(sf_dir)
@@ -368,10 +363,7 @@ def pixel_restore_bank(sf_dir: str, sample_n: int = 96) -> pd.DataFrame:
                               batch["truth_lines"].to_pylist()):
             if not truth:
                 continue
-            xs = np.array([r["x"] for r in truth])
-            ys = np.array([r["y"] for r in truth])
-            order = xy_cut_order(xs, ys)
-            lines = [truth[i]["text"] for i in order]
+            lines = truth_reading_order(truth)
             expect = [ln.rstrip() for ln in lines]
             img = px.render_lines(lines)
             for op in ops:
@@ -456,7 +448,7 @@ def pixel_tiled_restore(sf_dir: str, sample_n: int = 12) -> pd.DataFrame:
     """
     import zlib
 
-    from ..functions.geometry import xy_cut_order
+    from ..functions.geometry import truth_reading_order
     from ..stages import pixels as px
     from ..stages import tiling as tl
 
@@ -474,10 +466,7 @@ def pixel_tiled_restore(sf_dir: str, sample_n: int = 12) -> pd.DataFrame:
                               batch["truth_lines"].to_pylist()):
             if not truth:
                 continue
-            xs = np.array([r["x"] for r in truth])
-            ys = np.array([r["y"] for r in truth])
-            order = xy_cut_order(xs, ys)
-            lines = [truth[i]["text"] for i in order]
+            lines = truth_reading_order(truth)
             expect = [ln.rstrip() for ln in lines]
             img = px.render_lines(lines)
             noisy = px.degrade_noise(img, zlib.crc32(ref.encode()))

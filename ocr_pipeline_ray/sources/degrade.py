@@ -6,10 +6,12 @@ applied to rendered pages whose ground truth is known) on the FPG1
 page format: 10 TEXT-domain ops model pixel damage as the character
 errors it produces downstream, and 5 GEOMETRY-domain ops damage the
 line coordinates (the deskew/dewarp/size-cap preprocessors' inputs).
-Every op is a pure function of (lines, severity, seed) — decode →
-degrade → re-encode happens inside a ``map_batches`` stage
-(``DegradePage``), so the bank runs distributed over a media corpus
-exactly like the reference applies its bank to rendered bitmaps.
+Every op is a pure function of (lines, severity, seed);
+``degrade_page`` wraps decode → degrade → re-encode for one payload.
+``pipelines.modelops.degradation_bank`` calls it inside its
+``map_batches`` explode, one row per (page, op), so the bank runs
+distributed over a media corpus exactly like the reference applies
+its bank to rendered bitmaps.
 
 Severity scaling matches the generator's corruption levels
 (sources/synth.py:_corrupt_text): low 0.08, medium 0.2, high 0.4.
@@ -20,7 +22,6 @@ from __future__ import annotations
 import struct
 
 import numpy as np
-import pyarrow as pa
 
 from ..stages import media_stub
 
@@ -169,21 +170,3 @@ def degrade_page(payload: bytes, op: str, severity: str) -> bytes:
     degraded = DEGRADATION_OPS[op](lines, rng, SEVERITY_P[severity])
     return media_stub.encode_page(degraded, seed)
 
-
-class DegradePage:
-    """map_batches stage: apply one degradation op (severity-scaled) to
-    every page payload in the batch — the distributed analog of the
-    reference's ``apply(image) -> image`` bank entries."""
-
-    def __init__(self, op: str, severity: str = "medium") -> None:
-        if op not in DEGRADATION_OPS:
-            raise ValueError(f"unknown degradation op: {op}")
-        self.op = op
-        self.severity = severity
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = [degrade_page(p, self.op, self.severity)
-                    for p in batch["payload"].to_pylist()]
-        i = batch.column_names.index("payload")
-        return batch.set_column(i, "payload",
-                                pa.array(payloads, type=pa.binary()))

@@ -22,6 +22,8 @@ Span-count profile per FIXTURES.md: 80% of docs 3-20 spans, 15%
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -251,15 +253,20 @@ def gen_doc(seed: int, doc_index: int, skew_upper: int = 300) -> tuple[dict, lis
     return {"doc_id": doc_id, "spans": spans}, media_rows
 
 
-def gen_corpus(n_docs: int, seed: int = 42, skew_upper: int = 300) -> tuple[pa.Table, pa.Table]:
-    """Driver-side generation (tests / small scale)."""
+def _write_part(out_dir: str, part: int, lo: int, hi: int, seed: int,
+                skew_upper: int) -> None:
+    """Docs ``[lo, hi)`` → ``documents_spans/part-NNNN.parquet`` and
+    ``media/part-NNNN.parquet`` under ``out_dir`` (dirs created)."""
     docs, media = [], []
-    for i in range(n_docs):
+    for i in range(lo, hi):
         d, m = gen_doc(seed, i, skew_upper)
         docs.append(d)
         media.extend(m)
-    return (pa.Table.from_pylist(docs, schema=DOCS_SCHEMA),
-            pa.Table.from_pylist(media, schema=MEDIA_SCHEMA))
+    for sub, rows, schema in (("documents_spans", docs, DOCS_SCHEMA),
+                              ("media", media, MEDIA_SCHEMA)):
+        os.makedirs(os.path.join(out_dir, sub), exist_ok=True)
+        pq.write_table(pa.Table.from_pylist(rows, schema=schema),
+                       os.path.join(out_dir, sub, f"part-{part:04d}.parquet"))
 
 
 def write_corpus_parallel(out_dir: str, n_docs: int, seed: int = 42,
@@ -268,35 +275,21 @@ def write_corpus_parallel(out_dir: str, n_docs: int, seed: int = 42,
 
     ``gen_doc`` is a pure function of (seed, doc_index), so file shards
     generate independently and the result is byte-identical to the
-    sequential ``write_corpus`` with the same sharding. Requires an
-    initialized Ray session (callers that own one, e.g. bench.py).
+    sequential ``write_corpus`` with the same sharding (both write
+    through ``_write_part``). Requires an initialized Ray session
+    (callers that own one, e.g. bench.py).
     """
-    import os
-
     import ray.data as rd
 
-    docs_dir = os.path.join(out_dir, "documents_spans")
-    media_dir = os.path.join(out_dir, "media")
-    os.makedirs(docs_dir, exist_ok=True)
-    os.makedirs(media_dir, exist_ok=True)
     per = (n_docs + num_files - 1) // num_files
 
     def gen_file(batch):
         for f in batch["id"].to_pylist():
-            lo, hi = f * per, min(n_docs, (f + 1) * per)
-            if lo >= hi:
-                continue
-            docs, media = [], []
-            for i in range(lo, hi):
-                d, m = gen_doc(seed, i, skew_upper)
-                docs.append(d)
-                media.extend(m)
-            pq.write_table(pa.Table.from_pylist(docs, schema=DOCS_SCHEMA),
-                           os.path.join(docs_dir, f"part-{f:04d}.parquet"))
-            pq.write_table(pa.Table.from_pylist(media, schema=MEDIA_SCHEMA),
-                           os.path.join(media_dir, f"part-{f:04d}.parquet"))
-        import pyarrow as _pa
-        return _pa.table({"done": _pa.array([len(batch["id"])], type=_pa.int64())})
+            if f * per < n_docs:
+                _write_part(out_dir, f, f * per, min(n_docs, (f + 1) * per),
+                            seed, skew_upper)
+        return pa.table({"done": pa.array([len(batch["id"])],
+                                          type=pa.int64())})
 
     rd.range(num_files).map_batches(gen_file, batch_size=1,
                                     batch_format="pyarrow").count()
@@ -309,22 +302,9 @@ def write_corpus(out_dir: str, n_docs: int, seed: int = 42, skew_upper: int = 30
     Multiple part files so downstream reads parallelize and the
     checkpoint/resume tests have real input shards.
     """
-    import os
-    docs_dir = os.path.join(out_dir, "documents_spans")
-    media_dir = os.path.join(out_dir, "media")
-    os.makedirs(docs_dir, exist_ok=True)
-    os.makedirs(media_dir, exist_ok=True)
     per = (n_docs + num_files - 1) // num_files
     for f in range(num_files):
-        lo, hi = f * per, min(n_docs, (f + 1) * per)
-        if lo >= hi:
+        if f * per >= n_docs:
             break
-        docs, media = [], []
-        for i in range(lo, hi):
-            d, m = gen_doc(seed, i, skew_upper)
-            docs.append(d)
-            media.extend(m)
-        pq.write_table(pa.Table.from_pylist(docs, schema=DOCS_SCHEMA),
-                       os.path.join(docs_dir, f"part-{f:04d}.parquet"))
-        pq.write_table(pa.Table.from_pylist(media, schema=MEDIA_SCHEMA),
-                       os.path.join(media_dir, f"part-{f:04d}.parquet"))
+        _write_part(out_dir, f, f * per, min(n_docs, (f + 1) * per), seed,
+                    skew_upper)

@@ -1,19 +1,17 @@
 """Multimodal column stages: opaque binary payloads + typed metadata.
 
 Image/audio/video content is carried as plain ``binary`` columns with
-a ``media_kind`` string and struct metadata — decode / resize /
-feature-extract / frame-sample are actor-pool ``map_batches`` stages.
-The container ships no codec libraries, so the *codec* call is stubbed
-(real formats raise ``NotImplementedError`` behind an import-try; the
-deterministic FPG1 fake format decodes for real) while everything
-Ray-side — schema, batch sizing, actor signature, output layout — is
-real and tested.
+a ``media_kind`` string and struct metadata. Feature extraction
+(``MediaFeatures``), P1-P5 preprocessing (``PreprocessMedia``) and
+frame sampling (``FrameSample``) are ``map_batches`` stages over those
+columns. Decode-and-verify is not a stage of its own: the OCR read
+path (``stages.ocr.ocr_page_cascade``) decodes each payload once and
+turns an over-size, blank or torn one into a status row.
 
 Reference parity: the preprocessing family P1-P11 (SURVEY §2.2,
 pipeline.py:458-644) is the same stage shape — per-row binary→tensor
 kernels behind an actor pool; the degradation bank
-(synthetic_degradation.py:60-76) is mirrored by the generator's
-corruption ops.
+(synthetic_degradation.py:60-76) is mirrored by ``sources.degrade``.
 """
 
 from __future__ import annotations
@@ -27,64 +25,6 @@ import pyarrow as pa
 
 from ..functions.geometry import XY_CUT_BAND
 from . import media_stub
-
-# Payload caps kept from the reference (pipeline.py:458-491 size guard).
-MAX_PAYLOAD_BYTES = 64 * 1024 * 1024
-
-
-def _decode_real_image(payload: bytes):  # pragma: no cover - env-gated
-    try:
-        from PIL import Image  # noqa: F401
-    except ImportError as exc:
-        raise NotImplementedError(
-            "image codecs unavailable in this container; only the FPG1 "
-            "fake page format decodes here") from exc
-    raise NotImplementedError("real decode path not wired in this build")
-
-
-class DecodeMedia:
-    """binary payload → decoded struct (kind, n_lines, ok flag).
-
-    Actor pool: ``map_batches(DecodeMedia, concurrency=N,
-    batch_size=small)`` — payloads are heavy, so batches stay small and
-    the decoded output drops the raw bytes immediately (never carry
-    payloads further than needed).
-    """
-
-    def __init__(self) -> None:
-        self.decoded = 0  # per-actor counter → lineage-style metric
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        kinds, n_lines, ok = [], [], []
-        for payload in batch["payload"].to_pylist():
-            if payload is None or len(payload) > MAX_PAYLOAD_BYTES:
-                kinds.append("oversize")
-                n_lines.append(0)
-                ok.append(False)
-                continue
-            kind = media_stub.classify_payload(payload)
-            kinds.append(kind)
-            if kind == "page":
-                n_lines.append(len(media_stub.decode_page(payload)))
-                ok.append(True)
-            elif kind == "raster":
-                # one CELL_H·SCALE-pixel band per rendered line
-                from .pixels import CELL_H, SCALE
-                h, _w = struct.unpack("<II", payload[4:12])
-                n_lines.append(h // (CELL_H * SCALE))
-                ok.append(True)
-            elif kind == "digital":
-                n_lines.append(media_stub.decode_digital(payload).count("\n") + 1)
-                ok.append(True)
-            else:
-                n_lines.append(0)
-                ok.append(kind == "blank")
-            self.decoded += 1
-        out = batch.drop_columns(["payload"])
-        return out.append_column("decoded_kind", pa.array(kinds, type=pa.string())) \
-            .append_column("n_lines", pa.array(n_lines, type=pa.int32())) \
-            .append_column("decode_ok", pa.array(ok, type=pa.bool_()))
-
 
 class MediaFeatures:
     """binary payload → fixed-size numeric feature vector.
@@ -222,8 +162,7 @@ def _noise_score(lines: list[tuple[str, int, int]]) -> float:
     """P3/P5 noise statistic: density of suspect glyphs inside
     confusable-class words (the ambiguity the OCR ensemble actually
     struggles with — ordinary prose contains l/o/s everywhere and must
-    not count). The binarize/denoise *decision* input — feeds
-    quality_route."""
+    not count). Reported per page as ``pp_noise_score``."""
     chars = sum(len(t) for t, _, _ in lines)
     if chars == 0:
         return 1.0
@@ -276,43 +215,6 @@ class PreprocessMedia:
             .append_column("pp_rescaled", pa.array(res, type=pa.bool_())) \
             .append_column("pp_noise_score",
                            pa.array(noise, type=pa.float64()))
-
-
-_TIER_STRATEGY = {
-    "high": "direct",
-    "medium": "bilateral+qat",
-    "low": "denoise+qat",
-    "very_low": "full_preprocess+tesseract",
-}
-
-
-def quality_route(batch: pa.Table) -> pa.Table:
-    """Quality-tier strategy routing (reference R3/F15,
-    adaptive_ocr_pipeline.py:76-148, 349-407): cheap payload statistics
-    → weighted quality score → 4-tier → per-row strategy column. The
-    downstream pipeline branches on the strategy column (per-row
-    routing as data, the cascade pattern), not on control flow."""
-    scores, tiers, strategies = [], [], []
-    for payload in batch["payload"].to_pylist():
-        kind = media_stub.classify_payload(payload or b"")
-        if kind in ("blank", "corrupt") or not payload:
-            score = 0.0
-        else:
-            arr = np.frombuffer(payload[:4096], dtype=np.uint8)
-            contrast = float(arr.std()) / 128.0
-            fill = float((arr > 32).mean())
-            size_ok = min(1.0, len(payload) / 512.0)
-            score = 0.4 * min(1.0, contrast) + 0.3 * fill + 0.3 * size_ok
-        tier = ("high" if score >= 0.75 else
-                "medium" if score >= 0.5 else
-                "low" if score >= 0.25 else "very_low")
-        scores.append(score)
-        tiers.append(tier)
-        strategies.append(_TIER_STRATEGY[tier])
-    return batch.append_column(
-        "quality_score", pa.array(scores, type=pa.float64())) \
-        .append_column("quality_tier", pa.array(tiers, type=pa.string())) \
-        .append_column("strategy", pa.array(strategies, type=pa.string()))
 
 
 class FrameSample:

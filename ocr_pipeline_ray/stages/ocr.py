@@ -141,12 +141,6 @@ def suspect_char_count(raw: str) -> int:
     return n
 
 
-def line_confidence(raw: str) -> float:
-    """The ``stable`` engine's line model (also the winning-variant conf
-    on clean lines): base 0.98 − 0.03/suspect, floored at 0.55."""
-    return max(CONF_FLOOR, 0.98 - 0.03 * suspect_char_count(raw))
-
-
 def engine_readings(raw: str, dpi: int) -> list[tuple[str, str, float]]:
     """The three engines' independent readings of one line:
     [(engine_name, variant_text, conf)]. This is the exact input the
@@ -271,6 +265,10 @@ def _read_raster(payload: bytes) -> tuple[str, float, str, str]:
 # files are a certainty, not an edge case.
 _DECODE_ERRORS = (ValueError, struct.error, UnicodeDecodeError)
 
+# Payload byte cap kept from the reference (pipeline.py:458-491 size
+# guard): a larger payload is an 'oversize' status row, never decoded.
+MAX_PAYLOAD_BYTES = 64 * 1024 * 1024
+
 
 def ocr_page(payload: bytes, dpi: int = 300) -> tuple[str, float, str]:
     """Decode one page at ``dpi`` → (canonical_text, confidence, status).
@@ -303,8 +301,12 @@ def ocr_page_cascade(payload: bytes, tau_enhance: float = TAU_ENHANCE
     path instead (``_read_raster``). A payload whose magic is valid
     but whose body is torn/garbled decodes to a 'corrupt' status row
     (``_DECODE_ERRORS`` — failure-as-data, never an actor-killing
-    exception). Returns (text, conf, status, cascade) with cascade ∈
-    {accepted, enhanced, retry_kept, restored, digital, none}."""
+    exception); one over ``MAX_PAYLOAD_BYTES`` is an 'oversize' row,
+    checked before any decode. Returns (text, conf, status, cascade)
+    with cascade ∈ {accepted, enhanced, retry_kept, restored, digital,
+    none}."""
+    if len(payload) > MAX_PAYLOAD_BYTES:
+        return "", 0.0, "oversize", "none"
     try:
         return _cascade_unguarded(payload, tau_enhance)
     except _DECODE_ERRORS:

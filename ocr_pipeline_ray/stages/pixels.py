@@ -17,7 +17,8 @@ reference's pixel preprocessors as real kernels on them:
 - P8 morphology: binary closing (dilate-then-erode, 3x3 structuring
   element; reference adaptive_ocr_pipeline.py:438-441 morphologyEx),
 - P3 pixel statistics (contrast / noise energy / stroke
-  fragmentation) feeding the R3 quality-route strategy column.
+  fragmentation) feeding the R3 strategy route (``_route``), which
+  picks the restore kernel for each raster page the OCR stage reads.
 
 Each kernel is paired with the degradation it actually repairs (the
 pixel half of the P11 bank): washed-out contrast ↔ Otsu, sensor noise
@@ -414,7 +415,7 @@ def read_lines(mask: np.ndarray, max_err: int | None = None,
 
 def pixel_stats(img: np.ndarray) -> dict[str, float]:
     """Cheap per-page statistics driving the restore strategy (the
-    pixel-domain analog of quality_route's payload statistics). Each
+    inputs of ``_route``, the R3 quality-tier route). Each
     statistic targets ONE degradation's signature so the clusters are
     separable by construction:
 
@@ -495,8 +496,8 @@ _PARTIAL_CLOSE = 0.05       # clean = 0 exactly, dropout ≈ 0.25+
 
 
 def route_strategy(img: np.ndarray) -> str:
-    """R3 in pixel domain: statistics → restore strategy (a per-row
-    data decision, mirroring quality_route's strategy column)."""
+    """R3 in pixel domain: statistics → restore strategy, the route
+    ``restore_and_read`` takes when no strategy is forced."""
     return _route(pixel_stats(img))
 
 

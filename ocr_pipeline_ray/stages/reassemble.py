@@ -31,8 +31,8 @@ OUT_SCHEMA = pa.schema([
 
 
 def filter_keep(batch: pa.Table) -> pa.Table:
-    """Drop blank/corrupt/boilerplate rows before the shuffle (cheap
-    predicate pushdown: the shuffle moves only surviving rows)."""
+    """Drop blank/corrupt/oversize/boilerplate rows before the shuffle
+    (cheap predicate pushdown: the shuffle moves only surviving rows)."""
     return batch.filter(pc.is_in(batch["status"], value_set=pa.array(KEEP_STATUSES)))
 
 

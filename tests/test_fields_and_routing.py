@@ -1,17 +1,15 @@
-"""Field extraction per doc (A4/F12) + quality-tier routing (R3/F15)."""
+"""Field extraction per doc (A4/F12)."""
 
 from __future__ import annotations
 
 import hashlib
 
-import pandas as pd
 import pytest
 import ray.data as rd
 
 from ocr_pipeline_ray.pipelines.extract import (build_media_lookup,
                                                 extract_fields_per_doc,
                                                 extract_spans)
-from ocr_pipeline_ray.stages import multimodal
 
 
 @pytest.fixture(scope="module")
@@ -77,22 +75,3 @@ def test_doc_digest_matches_sha256_of_text(small_corpus, fields_df):
     expected = hashlib.sha256("\n".join(g["text"]).encode()).hexdigest()
     assert one["doc_digest"] == expected
 
-
-def test_quality_route_tiers(small_corpus):
-    media = rd.read_parquet(f"{small_corpus}/media")
-    out = media.map_batches(multimodal.quality_route,
-                            batch_format="pyarrow").to_pandas()
-    assert set(out["quality_tier"]) <= {"high", "medium", "low", "very_low"}
-    # blank/corrupt payloads must route to the heaviest strategy
-    bad = out[out["media_kind"].isin(["blank", "corrupt"])]
-    assert (bad["quality_tier"] == "very_low").all()
-    assert (bad["strategy"] == "full_preprocess+tesseract").all()
-    # real pages score higher than blanks
-    pages = out[out["media_kind"] == "page_png"]
-    assert pages["quality_score"].mean() > bad["quality_score"].mean()
-    # deterministic: same input → same routing
-    out2 = media.map_batches(multimodal.quality_route,
-                             batch_format="pyarrow").to_pandas()
-    pd.testing.assert_frame_equal(
-        out.sort_values("media_ref").reset_index(drop=True),
-        out2.sort_values("media_ref").reset_index(drop=True))

@@ -92,7 +92,7 @@ class TestTextstats:
         sig_a = ts.minhash_signature(a)
         sig_b = ts.minhash_signature(a)  # identical
         assert sig_a == sig_b
-        assert set(ts.lsh_band_keys(sig_a)) & set(ts.lsh_band_keys(sig_b))
+        assert set(ts.lsh_band_ints(sig_a)) & set(ts.lsh_band_ints(sig_b))
 
     def test_simhash_close_for_near_texts(self):
         t1 = "spark data table scan merge join filter group sort".split()

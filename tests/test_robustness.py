@@ -17,7 +17,7 @@ from ocr_pipeline_ray.functions.accuracy import (char_accuracy,
                                                  word_hit_rate)
 from ocr_pipeline_ray.sources.synth import _corrupt_text
 from ocr_pipeline_ray.stages import media_stub
-from ocr_pipeline_ray.stages.ocr import line_confidence, ocr_page
+from ocr_pipeline_ray.stages.ocr import engine_readings, ocr_page
 
 
 def _degraded_page(lines: list[str], sev_idx: int, seed: int) -> bytes:
@@ -61,9 +61,10 @@ class TestSeverityMatrix:
     def test_degraded_confidence_formula_matches_kernel(self):
         raw = _corrupt_text("Meter 120345", np.random.RandomState(0), 3)
         fixed_count = sum(1 for ch in raw if ch in set("lIoOzZsSgGbB|"))
-        assert line_confidence(raw) <= 0.98
+        stable = engine_readings(raw, 300)[0]   # within the 300-DPI window
+        assert stable[0] == "stable" and stable[2] <= 0.98
         if fixed_count:
-            assert line_confidence(raw) < 0.98
+            assert stable[2] < 0.98
 
 
 class TestFieldsParity:
@@ -174,6 +175,42 @@ class TestTornPayloads:
         import pytest as _pt
         with _pt.raises(ValueError):
             media_stub.decode_page(payload)
+
+
+class TestOversizePayload:
+    """The reference's payload byte cap (``MAX_PAYLOAD_BYTES``): a payload
+    over it is an 'oversize' status row, checked before any decode, and
+    ``filter_keep`` drops it like a corrupt page. The bound is patched
+    low so a small page is over it."""
+
+    def test_oversize_page_is_a_dropped_status_row(self, monkeypatch):
+        import pyarrow as pa
+        import ray
+
+        from ocr_pipeline_ray.sources.synth import DOCS_SCHEMA
+        from ocr_pipeline_ray.stages import ocr
+        from ocr_pipeline_ray.stages.doclocal import DocLocalExtract
+
+        big = media_stub.encode_page(
+            [("Total Consumption 2990 kWh for the billing period", 0, 0)], 7)
+        small = media_stub.encode_digital("Meter reading 1234")
+        assert len(big) > len(small)
+        monkeypatch.setattr(ocr, "MAX_PAYLOAD_BYTES", len(small))
+
+        assert ocr.ocr_page_cascade(big) == ("", 0.0, "oversize", "none")
+        assert ocr.ocr_page_cascade(small)[2:] == ("ok", "digital")
+
+        lookup = ray.put(pa.table({
+            "media_ref": pa.array(["m-big", "m-small"]),
+            "payload": pa.array([big, small], type=pa.binary())}))
+        spans = [{"kind": "media", "text": "", "media_ref": ref,
+                  "offset": off} for off, ref in enumerate(["m-big",
+                                                            "m-small"])]
+        batch = pa.Table.from_pylist([{"doc_id": "d1", "spans": spans}],
+                                     schema=DOCS_SCHEMA)
+        out = DocLocalExtract(media_lookup_ref=lookup)(batch).to_pylist()
+        assert [(r["order"], r["media_ref"], r["status"]) for r in out] \
+            == [(0, "m-small", "ok")]
 
 
 class TestUniformRaster:

@@ -13,18 +13,6 @@ from ocr_pipeline_ray.stages.ensemble import ensemble_merge, vote_merge_tokens
 
 
 class TestMultimodal:
-    def test_decode_media_stage(self, small_corpus):
-        media = rd.read_parquet(f"{small_corpus}/media")
-        out = media.map_batches(multimodal.DecodeMedia, batch_size=64,
-                                concurrency=2, batch_format="pyarrow").to_pandas()
-        assert "payload" not in out.columns  # payload dropped immediately
-        assert set(out["decoded_kind"]) <= {"page", "raster", "digital",
-                                            "blank", "corrupt", "oversize"}
-        pages = out[out["decoded_kind"].isin(["page", "raster", "digital"])]
-        assert (pages["n_lines"] > 0).all()
-        assert pages["decode_ok"].all()
-        assert not out[out["decoded_kind"] == "corrupt"]["decode_ok"].any()
-
     def test_media_features_stage(self, small_corpus):
         media = rd.read_parquet(f"{small_corpus}/media")
         out = media.map_batches(multimodal.MediaFeatures, batch_size=64,
@@ -39,10 +27,6 @@ class TestMultimodal:
                                 fn_constructor_kwargs={"every_k": 2}).to_pandas()
         assert len(out) > 0
         assert (out["frame_index"] % 2 == 0).all()
-
-    def test_real_codec_is_gated(self):
-        with pytest.raises(NotImplementedError):
-            multimodal._decode_real_image(b"\x89PNG\r\n")
 
 
 class TestEnsemble:
