@@ -75,7 +75,7 @@ def _extract(corpus: str):
 
     docs = rd.read_parquet(f"{corpus}/documents_spans")
     return extract_spans(
-        docs, media_lookup_ref=build_media_lookup(f"{corpus}/media"),
+        docs, media=build_media_lookup(f"{corpus}/media"),
         calib=fit_page_calibrator(f"{corpus}/media"))
 
 

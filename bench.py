@@ -91,19 +91,18 @@ def _corpus_for_bench(sf_dir: str, n_docs_override: int = 0) -> tuple[str, int]:
     return out, n_docs
 
 
-def _build_extract(docs, media_ref, media_ds, calib, mode: str):
-    """The flagship pipeline in the requested execution mode."""
+def _build_extract(docs, media, calib, mode: str):
+    """The flagship pipeline; ``mode`` sets the OCR task cap for the
+    plan ``media`` selects."""
     from ocr_pipeline_ray.pipelines.extract import extract_spans
 
-    if mode == "join":
-        # the OCR task cap leaves headroom for the join aggregators
-        # (NUM_CPUS partitions at 0.1 CPU each) AND the other
-        # map/shuffle stages (a cap of NUM_CPUS-2 stalled the executor
-        # when the OCR stage was an actor pool, measured at 8 CPUs)
-        return extract_spans(docs, media_ds=media_ds, calib=calib,
-                             ocr_concurrency=max(2, NUM_CPUS - 4))
-    return extract_spans(docs, media_lookup_ref=media_ref, calib=calib,
-                         ocr_concurrency=max(2, NUM_CPUS - 2))
+    # the join's OCR task cap leaves headroom for the join aggregators
+    # (NUM_CPUS partitions at 0.1 CPU each) AND the other map/shuffle
+    # stages (a cap of NUM_CPUS-2 stalled the executor when the OCR
+    # stage was an actor pool, measured at 8 CPUs)
+    headroom = 4 if mode == "join" else 2
+    return extract_spans(docs, media=media, calib=calib,
+                         ocr_concurrency=max(2, NUM_CPUS - headroom))
 
 
 def run_bench() -> dict:
@@ -122,7 +121,8 @@ def run_bench() -> dict:
 
         from ocr_pipeline_ray.pipelines import (dedup, relational, similarity,
                                                 text, windows)
-        from ocr_pipeline_ray.pipelines.extract import (build_media_lookup,
+        from ocr_pipeline_ray.pipelines.extract import (MEDIA_COLUMNS,
+                                                        build_media_lookup,
                                                         fit_page_calibrator)
 
         corpus, n_docs = _corpus_for_bench(SF_DIR)
@@ -137,18 +137,20 @@ def run_bench() -> dict:
         docs = rd.read_parquet(f"{corpus}/documents_spans")
         ref = build_media_lookup(f"{corpus}/media")
         calib = fit_page_calibrator(f"{corpus}/media")
-        media_ds = rd.read_parquet(f"{corpus}/media") \
-            if BENCH_MODE == "join" else None
+        # join mode forces the join plan, whatever the footer check
+        # picked for this corpus
+        media = rd.read_parquet(f"{corpus}/media", columns=MEDIA_COLUMNS) \
+            if BENCH_MODE == "join" else ref
         # untimed warm-up on one input shard: spawns the worker
         # processes and imports the package in them, so the timed run
         # measures pipeline work, not cold interpreter start
         import glob as _glob
         warm_file = sorted(_glob.glob(f"{corpus}/documents_spans/*.parquet"))[0]
-        _build_extract(rd.read_parquet(warm_file), ref, media_ds, calib,
+        _build_extract(rd.read_parquet(warm_file), ref, calib,
                        "broadcast").count()
         cpu0, steal0 = _host_busy_sec()
         t0 = time.perf_counter()
-        spans = _build_extract(docs, ref, media_ds, calib, BENCH_MODE)
+        spans = _build_extract(docs, media, calib, BENCH_MODE)
         n_spans = spans.count()
         dt = time.perf_counter() - t0
         cpu1, steal1 = _host_busy_sec()

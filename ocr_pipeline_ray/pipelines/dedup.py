@@ -126,35 +126,51 @@ _EMPTY_PAIRS = pa.table({"doc_a": pa.array([], type=pa.int64()),
                          "jaccard": pa.array([], type=pa.float64())})
 
 
+def _assemble_ids(id_block_refs) -> pa.Array:
+    """The unique int64 ``doc_id``s of the candidate blocks behind
+    ``id_block_refs`` (``Dataset.to_arrow_refs``)."""
+    blocks = ray.get(list(id_block_refs))
+    # blocks mirror the producing op's format — pandas lineages hand
+    # back DataFrame blocks despite the method name
+    tables = [
+        (b if isinstance(b, pa.Table)
+         else pa.Table.from_pandas(b, preserve_index=False))
+        .select(["doc_id"]).cast(pa.schema([("doc_id", pa.int64())]))
+        for b in blocks
+        # empty partitions upstream arrive as schema-less blocks
+        if len(b) and "doc_id" in
+        (b.column_names if isinstance(b, pa.Table) else b.columns)]
+    if not tables:
+        tables = [pa.table({"doc_id": pa.array([], pa.int64())})]
+    return pc.unique(pa.concat_tables(tables)["doc_id"].combine_chunks())
+
+
+# One-entry per-process cache: (block ref ids, candidate id set). Keyed
+# by the refs' hex ids, so the cache pins no object; a new candidate
+# set replaces the entry.
+_cand: tuple[tuple[str, ...], pa.Array] | None = None
+
+
 class _CandidateFilter:
-    """Actor-pool scan filter: keeps only candidate docs' rows. The
+    """Scan filter run as tasks: keeps only candidate docs' rows. The
     candidate id set is handed over as OBJECT-STORE BLOCK REFS
     (``Dataset.to_arrow_refs`` — the rows themselves never visit the
     driver; the driver holds pointers only) and assembled ONCE per
-    actor in ``__init__``, not per batch. Memory: each actor in the
-    pool (up to 8) holds its own O(|candidates|) id set for its
-    lifetime, so the pool's footprint is pool size × candidate ids."""
+    worker process, then reused by every later task there (the
+    ``stages.ocr.warm_reader`` pattern). A retried task re-reads the
+    refs, which the driver owns. Memory: each worker process holds one
+    O(|candidates|) id set until another set replaces it."""
 
     def __init__(self, id_block_refs):
-        blocks = ray.get(list(id_block_refs))
-        # blocks mirror the producing op's format — pandas lineages hand
-        # back DataFrame blocks despite the method name
-        tables = [
-            (b if isinstance(b, pa.Table)
-             else pa.Table.from_pandas(b, preserve_index=False))
-            .select(["doc_id"]).cast(pa.schema([("doc_id", pa.int64())]))
-            for b in blocks
-            # empty partitions upstream arrive as schema-less blocks
-            if len(b) and "doc_id" in
-            (b.column_names if isinstance(b, pa.Table) else b.columns)]
-        if not tables:
-            tables = [pa.table({"doc_id": pa.array([], pa.int64())})]
-        self.cand_ids = pc.unique(pa.concat_tables(tables)["doc_id"]
-                                  .combine_chunks())
+        self.id_block_refs = list(id_block_refs)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        hit = batch.filter(pc.is_in(batch["doc_id"],
-                                    value_set=self.cand_ids))
+        global _cand
+        key = tuple(r.hex() for r in self.id_block_refs)
+        if _cand is None or _cand[0] != key:
+            _cand = None  # drop the old set before building the new one
+            _cand = (key, _assemble_ids(self.id_block_refs))
+        hit = batch.filter(pc.is_in(batch["doc_id"], value_set=_cand[1]))
         ids = hit["doc_id"].to_pylist()
         sh = [_SHINGLE_SEP.join(sorted({s.replace(_SHINGLE_SEP, "")
                                         for s in ts.token_shingles(t)}))
@@ -182,7 +198,7 @@ def _near_dup_pairs_minhash_ds(sf_dir: str) -> "rd.Dataset":
        The deduped candidate Dataset is materialized to the object
        store.
     4. a second corpus scan keeps candidate docs only
-       (``_CandidateFilter`` actor pool, id set from block refs) and
+       (``_CandidateFilter`` tasks, id set from block refs) and
        emits each candidate's sorted shingle set as one delimited utf8
        cell.
     5. two hash-partitioned ``Dataset.join``s pull shingle sets onto
@@ -253,9 +269,7 @@ def _near_dup_pairs_minhash_ds(sf_dir: str) -> "rd.Dataset":
         batch_format="pyarrow").materialize().to_arrow_refs()
 
     shing = _augmented_docs(sf_dir) \
-        .map_batches(_CandidateFilter, batch_format="pyarrow",
-                     concurrency=(1, 8),
-                     fn_constructor_args=(node_refs,)) \
+        .map_batches(_CandidateFilter(node_refs), batch_format="pyarrow") \
         .materialize()
 
     sh_a = shing.map_batches(lambda t: pa.table(

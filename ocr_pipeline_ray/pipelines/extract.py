@@ -6,17 +6,20 @@
     (+ a per-document field-extraction reduce on top).
 
 ``extract_spans`` is the one entry; media-payload resolution has two
-strategies:
+plans, and ``build_media_lookup`` picks one from the media files'
+Parquet footers (no data read): the ``media_ref`` + ``payload``
+column-chunk bytes against ``MEDIA_BROADCAST_SHARE`` of the smallest
+alive node's object store.
 
-- ``broadcast`` (media table fits in memory): the ``(media_ref,
-  payload)`` Arrow table is ``ray.put`` ONCE on the driver and each
-  OCR worker process maps it zero-copy once, in its warm
-  ``PageReader``. ``stages.doclocal.DocLocalExtract`` runs explode →
-  classify → ``OcrStage`` → keep filter → rank inside one task (no
-  shuffle: each document is whole in its batch). Only docs over
-  ``SKEW_THRESHOLD`` spans take the exploded + shuffle plan above, a
-  branch built only when a plan step (a narrow read of the span
-  offsets, one Ray task per file) finds such a doc.
+- ``broadcast`` (media table fits): the ``(media_ref, payload)`` Arrow
+  table is ``ray.put`` ONCE on the driver and each OCR worker process
+  maps it zero-copy once, in its warm ``PageReader``.
+  ``stages.doclocal.DocLocalExtract`` runs explode → classify →
+  ``OcrStage`` → keep filter → rank inside one task (no shuffle: each
+  document is whole in its batch). Only docs over ``SKEW_THRESHOLD``
+  spans take the exploded + shuffle plan above, a branch built only
+  when a plan step (a narrow read of the span offsets, one Ray task
+  per file) finds such a doc.
 - ``join`` (the 100 TB path, media table too big to broadcast): the
   media table is OCR'd in place by a map stage, then a
   hash-partitioned ``Dataset.join`` on ``media_ref`` attaches the
@@ -35,8 +38,10 @@ from typing import Any
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 import ray
+import ray.data as rd
 
 from ..config import (MEDIA_JOIN_BUCKETS, OCR_BATCH_SIZE, OCR_NUM_CPUS,
                       SKEW_THRESHOLD)
@@ -66,9 +71,6 @@ def fit_page_calibrator(media_path: str, sample_n: int = 512):
     truth. Returns ``(knots_x, knots_y)`` or None when the sample is
     too small (calibration then stays off).
     """
-    import pyarrow.dataset as pads
-    import ray.data as rd
-
     from ..functions.calibration import MIN_SAMPLES, fit_isotonic
 
     refs = pq.read_table(media_path, columns=["media_ref", "media_kind"])
@@ -110,17 +112,51 @@ def fit_page_calibrator(media_path: str, sample_n: int = 512):
     return kx.tolist(), ky.tolist()
 
 
+# Share of the smallest alive node's object store a broadcast media
+# table may take; over it, ``build_media_lookup`` returns the join
+# plan's input instead. ``Table.combine_chunks`` splits a binary column
+# past 2 GiB into several chunks rather than raising, and the lookup
+# ``take``s across chunks, so no lower cap applies.
+MEDIA_BROADCAST_SHARE = 0.25
+MEDIA_COLUMNS = ["media_ref", "payload"]
+
+
+def _media_bytes(media_path: str) -> int:
+    """Uncompressed bytes of the ``media_ref`` and ``payload`` column
+    chunks over the files ``pq.read_table(media_path)`` would read,
+    summed from their Parquet footers."""
+    total = 0
+    for frag in pads.dataset(media_path, format="parquet").get_fragments():
+        md = frag.metadata
+        for rg in range(md.num_row_groups):
+            row_group = md.row_group(rg)
+            total += sum(row_group.column(c).total_uncompressed_size
+                         for c in range(row_group.num_columns)
+                         if row_group.column(c).path_in_schema
+                         in MEDIA_COLUMNS)
+    return total
+
+
 def build_media_lookup(media_path: str) -> Any:
-    """Driver-side: ``ray.put`` the (media_ref, payload) Arrow table ONCE.
+    """The ``media`` argument of ``extract_spans``, planned from the
+    media files' footers: when their ``media_ref`` + ``payload`` bytes
+    fit ``MEDIA_BROADCAST_SHARE`` of the smallest alive node's object
+    store, the (media_ref, payload) Arrow table ``ray.put`` ONCE
+    (broadcast plan); otherwise a lazy ``read_parquet`` of those
+    columns (join plan).
 
     An Arrow table (unlike a Python dict) is ZERO-COPY out of the object
     store: every OCR worker's ``ray.get`` maps the same shared-memory
     buffers instead of unpickling a private multi-hundred-MB dict copy —
     pool-size × dict-deserialization was the dominant anti-scaling cost
     (measured: 32 CPUs slower than 8 before this change). Lookups use
-    ``pyarrow.compute.index_in`` per batch.
+    a per-reader ref → row index.
     """
-    t = pq.read_table(media_path, columns=["media_ref", "payload"])
+    store = min(int(n["Resources"]["object_store_memory"])
+                for n in ray.nodes() if n["Alive"])
+    if _media_bytes(media_path) > int(MEDIA_BROADCAST_SHARE * store):
+        return rd.read_parquet(media_path, columns=MEDIA_COLUMNS)
+    t = pq.read_table(media_path, columns=MEDIA_COLUMNS)
     return ray.put(t.combine_chunks())
 
 
@@ -171,7 +207,7 @@ def _exploded(docs_ds, *, media_lookup_ref=None, media_ds=None, calib=None,
             .map_batches(classify_spans, batch_format="pyarrow") \
             .map_batches(OcrStage(calib=calib), batch_format="pyarrow")
         from ..stages.ocr import MediaDecodeStage, apply_media_text
-        media_text = media_ds.select_columns(["media_ref", "payload"]) \
+        media_text = media_ds.select_columns(MEDIA_COLUMNS) \
             .map_batches(
                 MediaDecodeStage(calib=calib), batch_format="pyarrow",
                 batch_size=OCR_BATCH_SIZE, concurrency=ocr_concurrency,
@@ -230,24 +266,24 @@ def _broadcast(docs_ds, *, threshold: int, tail: bool, media_lookup_ref=None,
     return small.union(big)
 
 
-def extract_spans(docs_ds, *, media_lookup_ref=None, media_ds=None,
-                  calib=None, ocr_concurrency: int | None = None,
+def extract_spans(docs_ds, *, media=None, calib=None,
+                  ocr_concurrency: int | None = None,
                   max_spans: int | None = None):
     """documents Dataset → ``reassemble.OUT_SCHEMA`` span rows.
 
+    ``media`` is what ``build_media_lookup`` returned: a media Dataset
+    runs the join plan; a broadcast table ref runs doc-local, plus the
+    shuffle tail for docs over ``SKEW_THRESHOLD`` spans when
+    ``max_spans`` (a bound the caller measured, else read from the
+    Dataset's local input files) exceeds it or is unknown.
     ``calib`` is an optional ``(knots_x, knots_y)`` isotonic calibrator
     (fit_page_calibrator): it sets the cascade thresholds and
     ``conf_calibrated``. ``ocr_concurrency`` caps each OCR stage's
     tasks; None leaves it uncapped, so it fuses with the map before it.
-
-    ``media_ds`` runs the join plan. ``media_lookup_ref`` runs
-    doc-local, plus the shuffle tail for docs over ``SKEW_THRESHOLD``
-    spans when ``max_spans`` (a bound the caller measured, else read
-    from the Dataset's local input files) exceeds it or is unknown.
-    Every plan returns the same rows: the bound only changes speed.
+    Every plan returns the same rows: the plan only changes speed.
     """
-    if media_ds is not None:
-        return _exploded(docs_ds, media_ds=media_ds, calib=calib,
+    if isinstance(media, rd.Dataset):
+        return _exploded(docs_ds, media_ds=media, calib=calib,
                          ocr_concurrency=ocr_concurrency)
     files = docs_ds.input_files() if max_spans is None else []
     if files and all(map(os.path.isfile, files)):
@@ -255,7 +291,7 @@ def extract_spans(docs_ds, *, media_lookup_ref=None, media_ds=None,
     return _broadcast(
         docs_ds, threshold=SKEW_THRESHOLD,
         tail=max_spans is None or max_spans > SKEW_THRESHOLD,
-        media_lookup_ref=media_lookup_ref, calib=calib,
+        media_lookup_ref=media, calib=calib,
         ocr_concurrency=ocr_concurrency)
 
 
@@ -267,14 +303,41 @@ def extract_spans_hybrid(docs_ds, *, skew_threshold=SKEW_THRESHOLD,
                       tail=skew_tail != "never", **kw)
 
 
+# One row per document out of ``extract_fields_per_doc``, declared so
+# that a field no document of a bucket has keeps its type. Numeric
+# fields are float64: the banks return int or float, absent is null.
+FIELDS_SCHEMA = pa.schema([
+    ("doc_id", pa.string()),
+    ("electricity_kwh", pa.float64()),
+    ("carbon_kgco2e", pa.float64()),
+    ("account_number", pa.string()),
+    ("bill_date", pa.string()),
+    ("meter_reading", pa.float64()),
+    ("water_m3", pa.float64()),
+    ("billing_start", pa.string()),
+    ("billing_end", pa.string()),
+    ("current_reading", pa.float64()),
+    ("previous_reading", pa.float64()),
+    ("peak_demand_kw", pa.float64()),
+    ("conf_electricity", pa.float64()),
+    ("conf_carbon", pa.float64()),
+    ("status", pa.string()),
+    ("n_warnings", pa.int64()),
+    ("n_spans", pa.int64()),
+    ("doc_conf", pa.float64()),
+    ("doc_digest", pa.string()),
+])
+
+
 def extract_fields_per_doc(spans_ds):
-    """Ordered spans → one row per document with extracted utility fields
-    (reference extract_fields path, pipeline.py:2340-2380, now incl. the
-    F10 KIE fallback + F11 correction loop and the full F7 aux set),
-    per-field confidences (A4 pattern, pipeline.py:2505-2529: confidence
-    of the spans whose text contains the match, capped 0.99; defaults
-    0.9/0.85), validation status (pipeline.py:2769-2808), a sha256
-    content digest (F12, pipeline.py:2580-2585) and mean span conf.
+    """Ordered spans → one ``FIELDS_SCHEMA`` row per document with
+    extracted utility fields (reference extract_fields path,
+    pipeline.py:2340-2380, now incl. the F10 KIE fallback + F11
+    correction loop and the full F7 aux set), per-field confidences (A4
+    pattern, pipeline.py:2505-2529: confidence of the spans whose text
+    contains the match, capped 0.99; defaults 0.9/0.85), validation
+    status (pipeline.py:2769-2808), a sha256 content digest (F12,
+    pipeline.py:2580-2585) and mean span conf.
 
     Reduced with ``bucketed_map_groups`` on ``doc_id`` (64 buckets),
     like reassembly: each bucket task runs ``per_doc`` over all of its
@@ -301,17 +364,7 @@ def extract_fields_per_doc(spans_ds):
         status, warnings = validate_fields(fields)
         return {
             "doc_id": g["doc_id"].iloc[0],
-            "electricity_kwh": fields["electricity_kwh"],
-            "carbon_kgco2e": fields["carbon_kgco2e"],
-            "account_number": fields["account_number"],
-            "bill_date": fields["bill_date"],
-            "meter_reading": fields["meter_reading"],
-            "water_m3": fields["water_m3"],
-            "billing_start": fields["billing_start"],
-            "billing_end": fields["billing_end"],
-            "current_reading": fields["current_reading"],
-            "previous_reading": fields["previous_reading"],
-            "peak_demand_kw": fields["peak_demand_kw"],
+            **fields,
             "conf_electricity": _field_conf(g, fields["electricity_kwh"], 0.9),
             "conf_carbon": _field_conf(g, fields["carbon_kgco2e"], 0.85),
             "status": status,
@@ -321,9 +374,9 @@ def extract_fields_per_doc(spans_ds):
             "doc_digest": hashlib.sha256(full_text.encode()).hexdigest(),
         }
 
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        rows = [per_doc(sub) for _, sub in g.groupby("doc_id", sort=True)]
-        return pd.DataFrame(rows)
+    def per_bucket(g: pd.DataFrame) -> pa.Table:
+        return pa.Table.from_pylist(
+            [per_doc(sub) for _, sub in g.groupby("doc_id", sort=True)],
+            schema=FIELDS_SCHEMA)
 
     return bucketed_map_groups(spans_ds, "doc_id", per_bucket, 64)
-

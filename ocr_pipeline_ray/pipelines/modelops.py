@@ -47,7 +47,8 @@ def media_feature_stats(sf_dir: str) -> pd.DataFrame:
     """MediaFeatures actor stage → per media_kind count + mean payload
     size (feature[0]); exercises the binary→feature plumbing end-to-end."""
     corpus = _corpus(sf_dir)
-    media = rd.read_parquet(f"{corpus}/media")
+    media = rd.read_parquet(f"{corpus}/media",
+                            columns=["media_kind", "payload"])
     feats = media.map_batches(multimodal.MediaFeatures, batch_size=128,
                               concurrency=2, batch_format="pyarrow")
 
@@ -248,7 +249,8 @@ def tensorize_profile(sf_dir: str, sample_n: int = 256) -> pd.DataFrame:
 def frame_samples(sf_dir: str) -> pd.DataFrame:
     """FrameSample explode (1 media row → k frame rows), sorted output."""
     corpus = _corpus(sf_dir)
-    media = rd.read_parquet(f"{corpus}/media")
+    media = rd.read_parquet(f"{corpus}/media",
+                            columns=["media_ref", "payload"])
     out = media.map_batches(multimodal.FrameSample, batch_size=128,
                             concurrency=2, batch_format="pyarrow",
                             fn_constructor_kwargs={"every_k": 2}).to_pandas()
@@ -266,7 +268,8 @@ def ensemble_vote_merge(sf_dir: str) -> pd.DataFrame:
     from ..stages.ocr import engine_readings
 
     corpus = _corpus(sf_dir)
-    media = rd.read_parquet(f"{corpus}/media")
+    media = rd.read_parquet(f"{corpus}/media",
+                            columns=["media_ref", "payload"])
 
     def explode_engines(t: pa.Table) -> pa.Table:
         rows = {"doc_id": [], "engine": [], "text": [], "conf": [],

@@ -34,7 +34,10 @@ The filtered read has no input files to plan from, so the job runs
 corpus file) and passes the bound as ``max_spans``: a corpus without a
 doc over the skew threshold never builds the (empty) tail branch.
 Driver state is O(files + partitions): the plan's per-file maxima and
-the lineage partials.
+the lineage partials. The media plan is ``build_media_lookup``'s
+footer check: a broadcast table when the corpus media fit the object
+store budget, else the join plan, which decodes the whole media table
+on every pass (a resume's committed pages included).
 
 At 100 TB the partition count is sized so one partition's spans fit
 comfortably in a staging dir (e.g. 4096 partitions of ~25 GB);
@@ -194,8 +197,7 @@ def run_partitioned(corpus_dir: str, out_dir: str, num_parts: int = 8) -> dict:
     docs = rd.read_parquet(files).map_batches(keep_pending,
                                               batch_format="pyarrow")
     spans = extract_spans_hybrid(
-        docs, media_lookup_ref=build_media_lookup(
-            os.path.join(corpus_dir, "media")),
+        docs, media=build_media_lookup(os.path.join(corpus_dir, "media")),
         max_spans=_max_spans(files, is_pending))
     spans.write_datasink(_PartitionSink(out_dir, num_parts, pending, t0))
     return {"completed": pending, "skipped": skipped}

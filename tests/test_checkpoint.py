@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import glob
 import os
+import shutil
 import zlib
+from fractions import Fraction
 
 import numpy as np
 import pandas as pd
@@ -255,7 +257,7 @@ def test_skew_tail_in_job_entry(small_corpus, tmp_path, monkeypatch,
     got = _committed(out, 3)
     docs = rd.read_parquet(f"{small_corpus}/documents_spans")
     # the doc-local plan (a bound of 0 builds no tail) as the reference
-    refs = extract_spans(docs, media_lookup_ref=build_media_lookup(
+    refs = extract_spans(docs, media=build_media_lookup(
         f"{small_corpus}/media"), max_spans=0).to_arrow_refs()
     want = pa.concat_tables([t for t in ray.get(refs) if t.num_rows]) \
         .select(got.schema.names) \
@@ -308,7 +310,74 @@ def test_legacy_list_naming(small_corpus, uninterrupted, tmp_path,
 
     def spans(corpus):
         ds = extract_spans(rd.read_parquet(f"{corpus}/documents_spans"),
-                           media_lookup_ref=ref)
+                           media=ref)
         return ds.to_pandas().sort_values(["doc_id", "order"]) \
             .reset_index(drop=True)
     pd.testing.assert_frame_equal(spans(legacy), spans(small_corpus))
+
+
+def _footer_bytes(media_dir: str) -> int:
+    """``media_ref`` + ``payload`` column-chunk bytes, file by file."""
+    total = 0
+    for f in sorted(glob.glob(os.path.join(media_dir, "*.parquet"))):
+        md = pq.ParquetFile(f).metadata
+        for i in range(md.num_row_groups):
+            rg = md.row_group(i)
+            total += sum(rg.column(j).total_uncompressed_size
+                         for j in range(rg.num_columns)
+                         if rg.column(j).path_in_schema
+                         in ("media_ref", "payload"))
+    return total
+
+
+def test_footer_check_picks_the_media_plan(small_corpus, monkeypatch):
+    media = f"{small_corpus}/media"
+    nbytes = _footer_bytes(media)
+    assert nbytes > 0
+    assert extract._media_bytes(media) == nbytes
+    # the test session's object store fits this corpus's media
+    assert isinstance(build_media_lookup(media), ray.ObjectRef)
+
+    # exact shares put the budget at the footer bytes, then one under
+    store = min(int(n["Resources"]["object_store_memory"])
+                for n in ray.nodes() if n["Alive"])
+    monkeypatch.setattr(extract, "MEDIA_BROADCAST_SHARE",
+                        Fraction(nbytes, store))
+    assert isinstance(build_media_lookup(media), ray.ObjectRef)
+    monkeypatch.setattr(extract, "MEDIA_BROADCAST_SHARE",
+                        Fraction(nbytes - 1, store))
+    join = build_media_lookup(media)
+    assert isinstance(join, rd.Dataset)
+    assert join.schema().names == ["media_ref", "payload"]
+
+
+def test_join_plan_in_job_entry(small_corpus, uninterrupted, tmp_path,
+                                monkeypatch):
+    """A zero broadcast budget sends the job entry down the join plan,
+    fresh and on a resume, with the broadcast run's partitions."""
+    monkeypatch.setattr(extract, "MEDIA_BROADCAST_SHARE", 0)
+    captured = []
+    real = checkpoint.extract_spans_hybrid
+
+    def capture(*a, **kw):
+        captured.append(kw["media"])
+        ds = real(*a, **kw)
+        captured.append(ds)
+        return ds
+    monkeypatch.setattr(checkpoint, "extract_spans_hybrid", capture)
+
+    def ran_join() -> bool:
+        media, ds = captured[-2:]
+        stats = getattr(ds, "_write_ds", ds).stats()
+        return isinstance(media, rd.Dataset) and "MediaDecodeStage" in stats
+
+    out = str(tmp_path / "out")
+    checkpoint.run_partitioned(small_corpus, out, num_parts=4)
+    assert ran_join()
+    assert _committed(out, 4).equals(_committed(uninterrupted, 4))
+
+    shutil.rmtree(os.path.join(out, "part=2"))
+    r = checkpoint.run_partitioned(small_corpus, out, num_parts=4)
+    assert r == {"completed": [2], "skipped": [0, 1, 3]}
+    assert ran_join()
+    assert _committed(out, 4).equals(_committed(uninterrupted, 4))

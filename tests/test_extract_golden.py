@@ -64,14 +64,14 @@ def _assert_matches_golden(out_df: pd.DataFrame, golden_df: pd.DataFrame):
 def test_broadcast_path_matches_golden(small_corpus, golden_df):
     docs = rd.read_parquet(f"{small_corpus}/documents_spans")
     ref = build_media_lookup(f"{small_corpus}/media")
-    out = extract_spans(docs, media_lookup_ref=ref).to_pandas()
+    out = extract_spans(docs, media=ref).to_pandas()
     _assert_matches_golden(out, golden_df)
 
 
 def test_join_path_matches_golden(small_corpus, golden_df):
     docs = rd.read_parquet(f"{small_corpus}/documents_spans")
     media = rd.read_parquet(f"{small_corpus}/media")
-    out = extract_spans(docs, media_ds=media).to_pandas()
+    out = extract_spans(docs, media=media).to_pandas()
     _assert_matches_golden(out, golden_df)
 
 
@@ -81,7 +81,7 @@ def test_broadcast_path_with_calibration(small_corpus, calib, golden_calib_df,
     monkeypatch.setattr(extract, "SKEW_THRESHOLD", 0)
     docs = rd.read_parquet(f"{small_corpus}/documents_spans")
     ref = build_media_lookup(f"{small_corpus}/media")
-    out = extract_spans(docs, media_lookup_ref=ref, calib=calib).to_pandas()
+    out = extract_spans(docs, media=ref, calib=calib).to_pandas()
     _assert_matches_golden(out, golden_calib_df)
 
 
@@ -89,7 +89,7 @@ def test_doclocal_path_with_calibration(small_corpus, calib,
                                        golden_calib_df):
     docs = rd.read_parquet(f"{small_corpus}/documents_spans")
     ref = build_media_lookup(f"{small_corpus}/media")
-    out = extract_spans(docs, media_lookup_ref=ref, calib=calib).to_pandas()
+    out = extract_spans(docs, media=ref, calib=calib).to_pandas()
     _assert_matches_golden(out, golden_calib_df)
 
 
@@ -109,7 +109,7 @@ def test_warm_reader_rekeys_across_datasets(small_corpus, tmp_path,
     def run(corpus, c=None):
         docs = rd.read_parquet(f"{corpus}/documents_spans")
         ref = build_media_lookup(f"{corpus}/media")
-        return extract_spans(docs, media_lookup_ref=ref,
+        return extract_spans(docs, media=ref,
                              calib=c).to_pandas()
 
     _assert_matches_golden(run(small_corpus), golden_df)

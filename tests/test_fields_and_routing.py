@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import hashlib
 
+import pyarrow as pa
 import pytest
+import ray
 import ray.data as rd
 
-from ocr_pipeline_ray.pipelines.extract import (build_media_lookup,
+from ocr_pipeline_ray.pipelines.extract import (FIELDS_SCHEMA,
+                                                build_media_lookup,
                                                 extract_fields_per_doc,
                                                 extract_spans)
 
@@ -16,7 +19,7 @@ from ocr_pipeline_ray.pipelines.extract import (build_media_lookup,
 def fields_df(small_corpus):
     docs = rd.read_parquet(f"{small_corpus}/documents_spans")
     ref = build_media_lookup(f"{small_corpus}/media")
-    spans = extract_spans(docs, media_lookup_ref=ref)
+    spans = extract_spans(docs, media=ref)
     return extract_fields_per_doc(spans).to_pandas() \
         .sort_values("doc_id").reset_index(drop=True)
 
@@ -46,6 +49,29 @@ def test_aux_fields_present_in_corpus(fields_df):
         assert fields_df[col].notna().sum() > 0, f"{col} never extracted"
 
 
+def test_absent_field_keeps_declared_type():
+    """A field no document has keeps its declared type in every bucket's
+    block: float64 with nulls, not an all-None column whose type
+    depends on which rows shared the bucket."""
+    ids = [f"doc-{i:02d}" for i in range(12) for _ in range(2)]
+    spans = pa.table({
+        "doc_id": ids,
+        "order": [0, 1] * 12,
+        "text": ["Account No: 12345678",
+                 "Electricity consumption 1205 kWh"] * 12,
+        "conf": [0.97] * 24,
+    })
+    out = extract_fields_per_doc(rd.from_arrow(spans)).materialize()
+    blocks = [t for t in ray.get(out.to_arrow_refs()) if t.num_rows]
+    for t in blocks:
+        assert t.schema.field("water_m3").type == pa.float64()
+        assert t.schema == FIELDS_SCHEMA
+    t = pa.concat_tables(blocks)
+    assert t.num_rows == 12
+    assert t["water_m3"].null_count == 12
+    assert t["electricity_kwh"].to_pylist() == [1205.0] * 12
+
+
 def test_kie_and_correction_loop_recover_degraded_fields():
     """F10/F11: fields the regex bank alone misses are recovered by the
     contextual scorer and the correction loop."""
@@ -69,7 +95,7 @@ def test_kie_and_correction_loop_recover_degraded_fields():
 def test_doc_digest_matches_sha256_of_text(small_corpus, fields_df):
     docs = rd.read_parquet(f"{small_corpus}/documents_spans")
     ref = build_media_lookup(f"{small_corpus}/media")
-    spans = extract_spans(docs, media_lookup_ref=ref).to_pandas()
+    spans = extract_spans(docs, media=ref).to_pandas()
     one = fields_df.iloc[0]
     g = spans[spans["doc_id"] == one["doc_id"]].sort_values("order")
     expected = hashlib.sha256("\n".join(g["text"]).encode()).hexdigest()

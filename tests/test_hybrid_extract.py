@@ -44,7 +44,7 @@ def largest_doc(small_corpus):
 
 def _run(docs, ref, **kw):
     """(output frame, executed operator stats) of one extraction."""
-    ds = extract_spans(docs, media_lookup_ref=ref, **kw).materialize()
+    ds = extract_spans(docs, media=ref, **kw).materialize()
     return ds.to_pandas(), ds.stats()
 
 
@@ -211,7 +211,7 @@ def test_tail_plan_on_edge_cases(case, edge_lookup_ref, monkeypatch):
     batch = pa.Table.from_pylist([{"doc_id": d, "spans": s} for d, s in docs],
                                  schema=DOCS_SCHEMA)
     ds = extract_spans(rd.from_arrow(batch),
-                       media_lookup_ref=edge_lookup_ref).materialize()
+                       media=edge_lookup_ref).materialize()
     assert "_rank_bucket" in ds.stats()
     rows = sorted(ds.take_all(), key=lambda r: (r["doc_id"], r["order"]))
     assert [(r["doc_id"], r["order"], r["kind"],

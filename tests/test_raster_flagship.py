@@ -97,7 +97,7 @@ def test_flagship_extract_emits_restored_rows(small_corpus):
 
     docs = rd.read_parquet(f"{small_corpus}/documents_spans")
     ref = build_media_lookup(f"{small_corpus}/media")
-    out = extract_spans(docs, media_lookup_ref=ref).to_pandas()
+    out = extract_spans(docs, media=ref).to_pandas()
     restored = out[out["cascade"] == "restored"]
     assert len(restored) > 0
     assert (restored["kind"] == "media").all()

@@ -83,7 +83,7 @@ class TestFieldsParity:
         docs = rd.read_parquet(f"{small_corpus}/documents_spans")
         ref = build_media_lookup(f"{small_corpus}/media")
         got = extract_fields_per_doc(
-            extract_spans(docs, media_lookup_ref=ref)).to_pandas() \
+            extract_spans(docs, media=ref)).to_pandas() \
             .sort_values("doc_id").reset_index(drop=True)
 
         gold = pd.DataFrame(golden_spans(42, 60, 120))
