@@ -51,7 +51,7 @@ import time
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 # --scaling overrides: corpus size multiplier (a fixed ~8 s of session /
-# actor-pool / sort-barrier startup needs enough work to amortize before
+# worker / sort-barrier startup needs enough work to amortize before
 # an 8 → 32 CPU comparison is meaningful) and extract-only mode.
 BENCH_DOCS = int(os.environ.get("GRAFT_BENCH_DOCS", "0"))
 EXTRACT_ONLY = os.environ.get("GRAFT_BENCH_ONLY", "") == "extract"
@@ -91,20 +91,6 @@ def _corpus_for_bench(sf_dir: str, n_docs_override: int = 0) -> tuple[str, int]:
     return out, n_docs
 
 
-def _build_extract(docs, media, calib, mode: str):
-    """The flagship pipeline; ``mode`` sets the OCR task cap for the
-    plan ``media`` selects."""
-    from ocr_pipeline_ray.pipelines.extract import extract_spans
-
-    # the join's OCR task cap leaves headroom for the join aggregators
-    # (NUM_CPUS partitions at 0.1 CPU each) AND the other map/shuffle
-    # stages (a cap of NUM_CPUS-2 stalled the executor when the OCR
-    # stage was an actor pool, measured at 8 CPUs)
-    headroom = 4 if mode == "join" else 2
-    return extract_spans(docs, media=media, calib=calib,
-                         ocr_concurrency=max(2, NUM_CPUS - headroom))
-
-
 def run_bench() -> dict:
     import ray
 
@@ -123,6 +109,7 @@ def run_bench() -> dict:
                                                 text, windows)
         from ocr_pipeline_ray.pipelines.extract import (MEDIA_COLUMNS,
                                                         build_media_lookup,
+                                                        extract_spans,
                                                         fit_page_calibrator)
 
         corpus, n_docs = _corpus_for_bench(SF_DIR)
@@ -146,11 +133,11 @@ def run_bench() -> dict:
         # measures pipeline work, not cold interpreter start
         import glob as _glob
         warm_file = sorted(_glob.glob(f"{corpus}/documents_spans/*.parquet"))[0]
-        _build_extract(rd.read_parquet(warm_file), ref, calib,
-                       "broadcast").count()
+        extract_spans(rd.read_parquet(warm_file), media=ref,
+                      calib=calib).count()
         cpu0, steal0 = _host_busy_sec()
         t0 = time.perf_counter()
-        spans = _build_extract(docs, media, calib, BENCH_MODE)
+        spans = extract_spans(docs, media=media, calib=calib)
         n_spans = spans.count()
         dt = time.perf_counter() - t0
         cpu1, steal1 = _host_busy_sec()

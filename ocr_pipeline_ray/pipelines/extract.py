@@ -43,8 +43,7 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
-from ..config import (MEDIA_JOIN_BUCKETS, OCR_BATCH_SIZE, OCR_NUM_CPUS,
-                      SKEW_THRESHOLD)
+from ..config import MEDIA_JOIN_BUCKETS, OCR_BATCH_SIZE, SKEW_THRESHOLD
 from ..stages.agg import bucket_ids, bucketed_map_groups
 from ..stages.classify import classify_spans
 from ..stages.explode import explode_spans
@@ -183,8 +182,7 @@ def _max_spans(files: list[str], pending: np.ndarray | None = None) -> int:
     return max(ray.get([plan.remote(f, pending) for f in files]), default=0)
 
 
-def _exploded(docs_ds, *, media_lookup_ref=None, media_ds=None, calib=None,
-              ocr_concurrency=None):
+def _exploded(docs_ds, *, media_lookup_ref=None, media_ds=None, calib=None):
     """explode → classify → OCR → ``reassemble`` shuffle: the join plan
     and the broadcast plan's skew tail."""
     exploded = docs_ds.map_batches(explode_spans, batch_format="pyarrow")
@@ -210,8 +208,7 @@ def _exploded(docs_ds, *, media_lookup_ref=None, media_ds=None, calib=None,
         media_text = media_ds.select_columns(MEDIA_COLUMNS) \
             .map_batches(
                 MediaDecodeStage(calib=calib), batch_format="pyarrow",
-                batch_size=OCR_BATCH_SIZE, concurrency=ocr_concurrency,
-                num_cpus=OCR_NUM_CPUS)
+                batch_size=OCR_BATCH_SIZE)
         # One memory-bound aggregator per partition at 0.1 CPU, one
         # partition per cluster CPU: aggregators that outgrow the free
         # CPU starve the OCR / map tasks into a deadlock.
@@ -231,14 +228,13 @@ def _exploded(docs_ds, *, media_lookup_ref=None, media_ds=None, calib=None,
         ds = exploded.map_batches(classify_spans, batch_format="pyarrow")
         ds = ds.map_batches(
             OcrStage(media_lookup_ref=media_lookup_ref, calib=calib),
-            batch_format="pyarrow", batch_size=OCR_BATCH_SIZE,
-            concurrency=ocr_concurrency, num_cpus=OCR_NUM_CPUS)
+            batch_format="pyarrow", batch_size=OCR_BATCH_SIZE)
 
     return reassemble(ds)
 
 
 def _broadcast(docs_ds, *, threshold: int, tail: bool, media_lookup_ref=None,
-               calib=None, ocr_concurrency=None):
+               calib=None):
     """Docs with ≤ ``threshold`` spans run map-only through
     ``DocLocalExtract``; with ``tail`` the rest take ``_exploded``,
     without it no shuffle is built and every doc runs doc-local."""
@@ -256,18 +252,15 @@ def _broadcast(docs_ds, *, threshold: int, tail: bool, media_lookup_ref=None,
         else docs_ds
     small = src.map_batches(
         DocLocalExtract(media_lookup_ref=media_lookup_ref, calib=calib),
-        batch_format="pyarrow", concurrency=ocr_concurrency,
-        num_cpus=OCR_NUM_CPUS)
+        batch_format="pyarrow")
     if not tail:
         return small
     big = _exploded(docs_ds.map_batches(big_only, batch_format="pyarrow"),
-                    media_lookup_ref=media_lookup_ref, calib=calib,
-                    ocr_concurrency=ocr_concurrency)
+                    media_lookup_ref=media_lookup_ref, calib=calib)
     return small.union(big)
 
 
 def extract_spans(docs_ds, *, media=None, calib=None,
-                  ocr_concurrency: int | None = None,
                   max_spans: int | None = None):
     """documents Dataset → ``reassemble.OUT_SCHEMA`` span rows.
 
@@ -278,27 +271,28 @@ def extract_spans(docs_ds, *, media=None, calib=None,
     Dataset's local input files) exceeds it or is unknown.
     ``calib`` is an optional ``(knots_x, knots_y)`` isotonic calibrator
     (fit_page_calibrator): it sets the cascade thresholds and
-    ``conf_calibrated``. ``ocr_concurrency`` caps each OCR stage's
-    tasks; None leaves it uncapped, so it fuses with the map before it.
-    Every plan returns the same rows: the plan only changes speed.
+    ``conf_calibrated``. Ray Data sizes every stage's task count, so
+    the doc-local stage fuses with its read. Every plan returns the
+    same rows: the plan only changes speed.
     """
     if isinstance(media, rd.Dataset):
-        return _exploded(docs_ds, media_ds=media, calib=calib,
-                         ocr_concurrency=ocr_concurrency)
+        return _exploded(docs_ds, media_ds=media, calib=calib)
     files = docs_ds.input_files() if max_spans is None else []
     if files and all(map(os.path.isfile, files)):
         max_spans = _max_spans(sorted(files))
     return _broadcast(
         docs_ds, threshold=SKEW_THRESHOLD,
         tail=max_spans is None or max_spans > SKEW_THRESHOLD,
-        media_lookup_ref=media, calib=calib,
-        ocr_concurrency=ocr_concurrency)
+        media_lookup_ref=media, calib=calib)
 
 
 def extract_spans_hybrid(docs_ds, *, skew_threshold=SKEW_THRESHOLD,
                          skew_tail="auto", **kw):
     """perfbench's old entry; delete once it calls ``extract_spans``.
-    ``skew_tail="never"`` builds no tail, ``"auto"`` always one."""
+    ``skew_tail="never"`` builds no tail, ``"auto"`` always one.
+    ``ocr_concurrency`` is accepted and ignored: Ray Data sizes the
+    stages."""
+    kw.pop("ocr_concurrency", None)
     return _broadcast(docs_ds, threshold=skew_threshold,
                       tail=skew_tail != "never", **kw)
 

@@ -1,5 +1,7 @@
 """Model-adjacent operator pipelines: multimodal features, frame
 sampling, multi-engine ensemble merge, confidence calibration.
+Their map stages are stateless functions that Ray Data runs as tasks,
+as many as its scheduler picks.
 
 All operate on the deterministic span/media corpus (derived per
 sf_dir) or seeded synthetic samples; results are deterministic but not
@@ -44,13 +46,13 @@ def _lineage_write(ds: "rd.Dataset", path: str) -> "rd.Dataset":
 
 
 def media_feature_stats(sf_dir: str) -> pd.DataFrame:
-    """MediaFeatures actor stage → per media_kind count + mean payload
+    """``media_features`` stage → per media_kind count + mean payload
     size (feature[0]); exercises the binary→feature plumbing end-to-end."""
     corpus = _corpus(sf_dir)
     media = rd.read_parquet(f"{corpus}/media",
                             columns=["media_kind", "payload"])
-    feats = media.map_batches(multimodal.MediaFeatures, batch_size=128,
-                              concurrency=2, batch_format="pyarrow")
+    feats = media.map_batches(multimodal.media_features, batch_size=128,
+                              batch_format="pyarrow")
 
     def partial(t: pa.Table) -> pa.Table:
         df = pd.DataFrame({
@@ -74,7 +76,7 @@ def preprocess_media(sf_dir: str) -> pd.DataFrame:
     """P1-P5 preprocessing over the media corpus with a deterministic
     mis-scan injected: every page whose crc32(media_ref) % 5 == 0 is
     rotated 90° clockwise upstream (simulated scanner rotation), then
-    the PreprocessMedia actor stage deskews / dewarps / size-caps /
+    the ``preprocess_media`` stage deskews / dewarps / size-caps /
     noise-scores every payload. Returns per-media preprocessing
     lineage, WRITTEN to a derived parquet partition first (the
     ``_lineage_write`` contract); the paired DuckDB entry re-reads
@@ -107,8 +109,8 @@ def preprocess_media(sf_dir: str) -> pd.DataFrame:
             pc.round(t["pp_noise_score"], ndigits=6))
 
     pp = media.map_batches(misscan, batch_format="pyarrow") \
-        .map_batches(multimodal.PreprocessMedia, batch_size=128,
-                     concurrency=2, batch_format="pyarrow") \
+        .map_batches(multimodal.preprocess_media, batch_size=128,
+                     batch_format="pyarrow") \
         .drop_columns(["payload"]) \
         .map_batches(round_score, batch_format="pyarrow")
     out = _lineage_write(pp, f"{_corpus(sf_dir)}/preprocess_lineage") \
@@ -190,13 +192,10 @@ def degradation_bank(sf_dir: str, severity: str = "medium",
                          "acc": pa.array(accs, type=pa.float64()),
                          "conf": pa.array(confs, type=pa.float64())})
 
-    # fixed pool of 2: the surrounding explode/score TASK stages must
-    # still fit in a small session's CPU budget (a pool sized to the
-    # whole node starves them — the executor deadlocks, measured)
     scored = base \
         .map_batches(explode_ops, batch_size=32, batch_format="pyarrow") \
-        .map_batches(multimodal.PreprocessMedia, batch_size=128,
-                     concurrency=2, batch_format="pyarrow") \
+        .map_batches(multimodal.preprocess_media, batch_size=128,
+                     batch_format="pyarrow") \
         .map_batches(score, batch_format="pyarrow")
     lineage = _lineage_write(
         scored, f"{corpus}/degradation_bank_lineage").to_pandas()
@@ -225,35 +224,35 @@ def tensorize_profile(sf_dir: str, sample_n: int = 256) -> pd.DataFrame:
     (stages/tensorize.py — reference ImagePreprocessor,
     pytorch_mobile/ocr_pipeline.py:350-444). The model-input tensors
     are produced, crc-fingerprinted and dropped inside each task —
-    only the narrow per-page profile row leaves the actor (an 11 MB
+    only the narrow per-page profile row leaves the task (an 11 MB
     det tensor must never enter the object store as a column). The
     profile is WRITTEN to a derived parquet partition
     (``_lineage_write``) and the DuckDB entry re-reads the same file,
     a rows+schema+hash check of serialization and determinism, not
     of the tensors; the tensorizer kernels themselves are exactly
     gated in tests/test_tensorize.py."""
-    from ..stages.tensorize import TensorizeMedia
+    from ..stages.tensorize import tensorize_media
 
     corpus = _corpus(sf_dir)
     base = rd.read_parquet(f"{corpus}/media",
                            columns=["media_ref", "media_kind", "payload"]) \
         .filter(expr="media_kind == 'page_raster'") \
         .limit(sample_n)
-    profile = base.map_batches(TensorizeMedia, batch_size=16,
-                               concurrency=2, batch_format="pyarrow")
+    profile = base.map_batches(tensorize_media, batch_size=16,
+                               batch_format="pyarrow")
     out = _lineage_write(
         profile, f"{corpus}/tensorize_lineage").to_pandas()
     return out.sort_values("media_ref").reset_index(drop=True)
 
 
 def frame_samples(sf_dir: str) -> pd.DataFrame:
-    """FrameSample explode (1 media row → k frame rows), sorted output."""
+    """``frame_sample`` explode (1 media row → k frame rows), sorted
+    output."""
     corpus = _corpus(sf_dir)
     media = rd.read_parquet(f"{corpus}/media",
                             columns=["media_ref", "payload"])
-    out = media.map_batches(multimodal.FrameSample, batch_size=128,
-                            concurrency=2, batch_format="pyarrow",
-                            fn_constructor_kwargs={"every_k": 2}).to_pandas()
+    out = media.map_batches(multimodal.frame_sample, batch_size=128,
+                            batch_format="pyarrow").to_pandas()
     return out.sort_values(["media_ref", "frame_index"]).reset_index(drop=True)
 
 

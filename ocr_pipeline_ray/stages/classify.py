@@ -10,11 +10,10 @@ Kept spans emit canonical text: tags stripped, whitespace collapsed,
 char-corrections applied (charfix F3→F2→F1 canonical order) so output
 bytes are partition-invariant.
 
-A stateless ``map_batches`` function (NOT an actor pool): the only
-state is two compiled regexes, created once per *process* at module
-import — tasks stay elastic and cannot deadlock against an actor pool
-on a small node. (The reference's analogous rule banks are also
-module-level compiles, pipeline.py:2071-2090.)
+A stateless ``map_batches`` function run as tasks: the only state is
+two compiled regexes, created once per *process* at module import.
+(The reference's analogous rule banks are also module-level compiles,
+pipeline.py:2071-2090.)
 """
 
 from __future__ import annotations

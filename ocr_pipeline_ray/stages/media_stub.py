@@ -3,7 +3,7 @@
 The container has no image/OCR libraries (no PIL/cv2/tesseract), so —
 as permitted for multimodal stages — the *decode* step is a
 deterministic fake while all Ray-side plumbing (binary payload column,
-actor-pool stage, batch sizing, schema) is real. The format plays the
+map stage, batch sizing, schema) is real. The format plays the
 role of the reference's rendered page bitmaps whose ground-truth text
 is known by construction (synthetic_degradation.py:457-506 pattern).
 

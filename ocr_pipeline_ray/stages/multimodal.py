@@ -2,15 +2,15 @@
 
 Image/audio/video content is carried as plain ``binary`` columns with
 a ``media_kind`` string and struct metadata. Feature extraction
-(``MediaFeatures``), P1-P5 preprocessing (``PreprocessMedia``) and
-frame sampling (``FrameSample``) are ``map_batches`` stages over those
-columns. Decode-and-verify is not a stage of its own: the OCR read
+(``media_features``), P1-P5 preprocessing (``preprocess_media``) and
+frame sampling (``frame_sample``) are stateless ``map_batches``
+functions over those columns; Ray Data runs them as tasks. Decode-and-verify is not a stage of its own: the OCR read
 path (``stages.ocr.ocr_page_cascade``) decodes each payload once and
 turns an over-size, blank or torn one into a status row.
 
 Reference parity: the preprocessing family P1-P11 (SURVEY §2.2,
 pipeline.py:458-644) is the same stage shape — per-row binary→tensor
-kernels behind an actor pool; the degradation bank
+kernels in a map stage; the degradation bank
 (synthetic_degradation.py:60-76) is mirrored by ``sources.degrade``.
 """
 
@@ -26,7 +26,10 @@ import pyarrow as pa
 from ..functions.geometry import XY_CUT_BAND
 from . import media_stub
 
-class MediaFeatures:
+FEATURE_DIM = 8
+
+
+def media_features(batch: pa.Table) -> pa.Table:
     """binary payload → fixed-size numeric feature vector.
 
     The feature extractor analog of the reference's image-quality
@@ -34,33 +37,28 @@ class MediaFeatures:
     of the payload bytes (size, entropy estimate, magic class) emitted
     as a ``list<float>`` column ready for the similarity operators.
     """
-
-    FEATURE_DIM = 8
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        feats = []
-        for payload in batch["payload"].to_pylist():
-            if not payload:
-                feats.append([0.0] * self.FEATURE_DIM)
-                continue
-            arr = np.frombuffer(payload[:4096], dtype=np.uint8)
-            hist, _ = np.histogram(arr, bins=4, range=(0, 256))
-            p = hist / max(1, arr.size)
-            ent = float(-(p[p > 0] * np.log2(p[p > 0])).sum())
-            kind = media_stub.classify_payload(payload)
-            feats.append([
-                float(len(payload)),
-                float(arr.mean()),
-                float(arr.std()),
-                ent,
-                1.0 if kind == "page" else 0.0,
-                1.0 if kind == "blank" else 0.0,
-                1.0 if kind == "corrupt" else 0.0,
-                float(int(hashlib.md5(payload).hexdigest()[:8], 16) % 997) / 997.0,
-            ])
-        return batch.drop_columns(["payload"]).append_column(
-            "features",
-            pa.array(feats, type=pa.list_(pa.float32(), self.FEATURE_DIM)))
+    feats = []
+    for payload in batch["payload"].to_pylist():
+        if not payload:
+            feats.append([0.0] * FEATURE_DIM)
+            continue
+        arr = np.frombuffer(payload[:4096], dtype=np.uint8)
+        hist, _ = np.histogram(arr, bins=4, range=(0, 256))
+        p = hist / max(1, arr.size)
+        ent = float(-(p[p > 0] * np.log2(p[p > 0])).sum())
+        kind = media_stub.classify_payload(payload)
+        feats.append([
+            float(len(payload)),
+            float(arr.mean()),
+            float(arr.std()),
+            ent,
+            1.0 if kind == "page" else 0.0,
+            1.0 if kind == "blank" else 0.0,
+            1.0 if kind == "corrupt" else 0.0,
+            float(int(hashlib.md5(payload).hexdigest()[:8], 16) % 997) / 997.0,
+        ])
+    return batch.drop_columns(["payload"]).append_column(
+        "features", pa.array(feats, type=pa.list_(pa.float32(), FEATURE_DIM)))
 
 
 # ---------------------------------------------------------------------------
@@ -171,73 +169,65 @@ def _noise_score(lines: list[tuple[str, int, int]]) -> float:
     return sus / chars
 
 
-class PreprocessMedia:
-    """P1-P5 preprocessing actor stage: FPG1 pages are deskewed
-    (rotation detect + inverse transform), dewarped (baseline snap),
-    size-capped and noise-scored; the corrected payload is re-encoded
-    in place so every downstream decode (OCR, frame sampling) sees the
-    preprocessed page. Non-page payloads pass through untouched.
+def preprocess_media(batch: pa.Table) -> pa.Table:
+    """P1-P5 preprocessing stage: FPG1 pages are deskewed (rotation
+    detect + inverse transform), dewarped (baseline snap), size-capped
+    and noise-scored; the corrected payload is re-encoded in place so
+    every downstream decode (OCR, frame sampling) sees the preprocessed
+    page. Non-page payloads pass through untouched.
 
     Output = input columns with ``payload`` replaced and
     ``pp_rotated / pp_dewarped / pp_rescaled : bool``,
     ``pp_noise_score : float64`` appended.
     """
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads, rot, dew, res, noise = [], [], [], [], []
-        for payload in batch["payload"].to_pylist():
-            if payload is None or \
-                    media_stub.classify_payload(payload) != "page":
-                payloads.append(payload)
-                rot.append(False)
-                dew.append(False)
-                res.append(False)
-                noise.append(0.0)
-                continue
-            lines = media_stub.decode_page(payload)
-            (seed,) = struct.unpack("<Q", payload[4:12])
-            was_rot = _detect_rotation(lines)
-            if was_rot:
-                lines = _unrotate(lines)
-            lines, was_dew = _dewarp_lines(lines)
-            lines, was_res = _rescale_coords(lines)
-            payloads.append(media_stub.encode_page(lines, seed)
-                            if (was_rot or was_dew or was_res) else payload)
-            rot.append(was_rot)
-            dew.append(was_dew)
-            res.append(was_res)
-            noise.append(_noise_score(lines))
-        out = batch.drop_columns(["payload"])
-        return out.append_column("payload", pa.array(payloads,
-                                                     type=pa.binary())) \
-            .append_column("pp_rotated", pa.array(rot, type=pa.bool_())) \
-            .append_column("pp_dewarped", pa.array(dew, type=pa.bool_())) \
-            .append_column("pp_rescaled", pa.array(res, type=pa.bool_())) \
-            .append_column("pp_noise_score",
-                           pa.array(noise, type=pa.float64()))
+    payloads, rot, dew, res, noise = [], [], [], [], []
+    for payload in batch["payload"].to_pylist():
+        if payload is None or \
+                media_stub.classify_payload(payload) != "page":
+            payloads.append(payload)
+            rot.append(False)
+            dew.append(False)
+            res.append(False)
+            noise.append(0.0)
+            continue
+        lines = media_stub.decode_page(payload)
+        (seed,) = struct.unpack("<Q", payload[4:12])
+        was_rot = _detect_rotation(lines)
+        if was_rot:
+            lines = _unrotate(lines)
+        lines, was_dew = _dewarp_lines(lines)
+        lines, was_res = _rescale_coords(lines)
+        payloads.append(media_stub.encode_page(lines, seed)
+                        if (was_rot or was_dew or was_res) else payload)
+        rot.append(was_rot)
+        dew.append(was_dew)
+        res.append(was_res)
+        noise.append(_noise_score(lines))
+    out = batch.drop_columns(["payload"])
+    return out.append_column("payload", pa.array(payloads,
+                                                 type=pa.binary())) \
+        .append_column("pp_rotated", pa.array(rot, type=pa.bool_())) \
+        .append_column("pp_dewarped", pa.array(dew, type=pa.bool_())) \
+        .append_column("pp_rescaled", pa.array(res, type=pa.bool_())) \
+        .append_column("pp_noise_score", pa.array(noise, type=pa.float64()))
 
 
-class FrameSample:
+def frame_sample(batch: pa.Table, every_k: int = 2) -> pa.Table:
     """'Video' payloads → every k-th 'frame' (line record) as new rows —
     the flat_map-shaped explode (one input row → many output rows) used
     for frame sampling; on the fake format a frame is a page line."""
-
-    def __init__(self, every_k: int = 2) -> None:
-        self.every_k = every_k
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        refs, idxs, texts = [], [], []
-        for ref, payload in zip(batch["media_ref"].to_pylist(),
-                                batch["payload"].to_pylist()):
-            if media_stub.classify_payload(payload) != "page":
-                continue
-            for i, (text, _, _) in enumerate(media_stub.decode_page(payload)):
-                if i % self.every_k == 0:
-                    refs.append(ref)
-                    idxs.append(i)
-                    texts.append(text)
-        return pa.table({
-            "media_ref": pa.array(refs, type=pa.string()),
-            "frame_index": pa.array(idxs, type=pa.int32()),
-            "frame_text": pa.array(texts, type=pa.string()),
-        })
+    refs, idxs, texts = [], [], []
+    for ref, payload in zip(batch["media_ref"].to_pylist(),
+                            batch["payload"].to_pylist()):
+        if media_stub.classify_payload(payload) != "page":
+            continue
+        for i, (text, _, _) in enumerate(media_stub.decode_page(payload)):
+            if i % every_k == 0:
+                refs.append(ref)
+                idxs.append(i)
+                texts.append(text)
+    return pa.table({
+        "media_ref": pa.array(refs, type=pa.string()),
+        "frame_index": pa.array(idxs, type=pa.int32()),
+        "frame_text": pa.array(texts, type=pa.string()),
+    })

@@ -31,7 +31,9 @@ the reference cropping each detected text box).
 from __future__ import annotations
 
 import numpy as np
+import pyarrow as pa
 
+from . import media_stub
 from .pixels import CELL_H, SCALE
 
 DET_TARGET = 960
@@ -131,9 +133,9 @@ def _crc_tensor(t: np.ndarray) -> int:
     return zlib.crc32(np.ascontiguousarray(t, dtype=np.float32).tobytes())
 
 
-class TensorizeMedia:
-    """Actor-pool map_batches stage: raster payloads → per-page model-
-    input profile. The full tensors are model-call-sized intermediates
+def tensorize_media(batch: pa.Table) -> pa.Table:
+    """map_batches stage: raster payloads → per-page model-input
+    profile. The full tensors are model-call-sized intermediates
     (a det tensor is 11 MB); they are produced, fingerprinted and
     dropped INSIDE the task — only the narrow profile row leaves
     (shapes, scale, per-tensor crc32, rec line count). Batches stay
@@ -145,42 +147,36 @@ class TensorizeMedia:
     hash), rec_n_lines, rec_w_max, crc_det, crc_rec_fold (int64 SUM of
     per-line crcs — order-independent), crc_angle.
     """
-
-    def __call__(self, batch):
-        import pyarrow as pa
-
-        from . import media_stub
-
-        refs, dh, dw, dsq = [], [], [], []
-        rn, rw, cd, cr, ca = [], [], [], [], []
-        for ref, payload in zip(batch["media_ref"].to_pylist(),
-                                batch["payload"].to_pylist()):
-            if media_stub.classify_payload(payload) != "raster":
-                continue
-            img = media_stub.decode_raster(payload)
-            if 0 in img.shape:
-                continue  # degenerate raster: no pixels to tensorize
-            det, scale, new_h, new_w = det_tensor(img)
-            bands = line_bands(img)
-            recs = [rec_tensor(b) for b in bands]
-            ang = angle_tensor(img)
-            refs.append(ref)
-            dh.append(new_h)
-            dw.append(new_w)
-            dsq.append(int(np.floor(scale * 1e6 + 0.5)))
-            rn.append(len(recs))
-            rw.append(max(rec_width(*b.shape) for b in bands))
-            cd.append(_crc_tensor(det))
-            cr.append(int(sum(_crc_tensor(r) for r in recs)))
-            ca.append(_crc_tensor(ang))
-        return pa.table({
-            "media_ref": pa.array(refs, type=pa.string()),
-            "det_h": pa.array(dh, type=pa.int64()),
-            "det_w": pa.array(dw, type=pa.int64()),
-            "det_scale_q": pa.array(dsq, type=pa.int64()),
-            "rec_n_lines": pa.array(rn, type=pa.int64()),
-            "rec_w_max": pa.array(rw, type=pa.int64()),
-            "crc_det": pa.array(cd, type=pa.int64()),
-            "crc_rec_fold": pa.array(cr, type=pa.int64()),
-            "crc_angle": pa.array(ca, type=pa.int64()),
-        })
+    refs, dh, dw, dsq = [], [], [], []
+    rn, rw, cd, cr, ca = [], [], [], [], []
+    for ref, payload in zip(batch["media_ref"].to_pylist(),
+                            batch["payload"].to_pylist()):
+        if media_stub.classify_payload(payload) != "raster":
+            continue
+        img = media_stub.decode_raster(payload)
+        if 0 in img.shape:
+            continue  # degenerate raster: no pixels to tensorize
+        det, scale, new_h, new_w = det_tensor(img)
+        bands = line_bands(img)
+        recs = [rec_tensor(b) for b in bands]
+        ang = angle_tensor(img)
+        refs.append(ref)
+        dh.append(new_h)
+        dw.append(new_w)
+        dsq.append(int(np.floor(scale * 1e6 + 0.5)))
+        rn.append(len(recs))
+        rw.append(max(rec_width(*b.shape) for b in bands))
+        cd.append(_crc_tensor(det))
+        cr.append(int(sum(_crc_tensor(r) for r in recs)))
+        ca.append(_crc_tensor(ang))
+    return pa.table({
+        "media_ref": pa.array(refs, type=pa.string()),
+        "det_h": pa.array(dh, type=pa.int64()),
+        "det_w": pa.array(dw, type=pa.int64()),
+        "det_scale_q": pa.array(dsq, type=pa.int64()),
+        "rec_n_lines": pa.array(rn, type=pa.int64()),
+        "rec_w_max": pa.array(rw, type=pa.int64()),
+        "crc_det": pa.array(cd, type=pa.int64()),
+        "crc_rec_fold": pa.array(cr, type=pa.int64()),
+        "crc_angle": pa.array(ca, type=pa.int64()),
+    })

@@ -6,6 +6,8 @@ hand-built edge cases."""
 
 from __future__ import annotations
 
+import re
+
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -98,11 +100,18 @@ def test_operator_names_keep_the_stage_classes(small_corpus, monkeypatch):
         assert name in stats, name
 
 
-def test_benchmark_alias_keeps_its_plans(small_corpus, golden_df,
-                                         monkeypatch):
+def test_benchmark_alias_keeps_its_plans(tmp_path, golden_df, monkeypatch):
     """The benchmark harness calls ``extract_spans_hybrid`` with
     ``skew_tail="never"`` (no tail) and ``skew_threshold=96,
-    skew_tail="auto"`` (a tail at 96, built unconditionally)."""
+    skew_tail="auto"`` (a tail at 96, built unconditionally), and
+    passes ``ocr_concurrency``, which is ignored: the doc-local stage
+    fuses with its read. The corpus has 8 files, enough for the 4-CPU
+    session that Ray splits no read block (a ``SplitBlocks`` after the
+    read would stop the fusion on its own)."""
+    from ocr_pipeline_ray.sources.synth import write_corpus
+
+    write_corpus(str(tmp_path), n_docs=N_DOCS, seed=SEED, skew_upper=SKEW,
+                 num_files=8)
     plans = []
     real = extract._broadcast
 
@@ -110,13 +119,14 @@ def test_benchmark_alias_keeps_its_plans(small_corpus, golden_df,
         plans.append((kw["threshold"], kw["tail"]))
         return real(docs, **kw)
     monkeypatch.setattr(extract, "_broadcast", spy)
-    docs = rd.read_parquet(f"{small_corpus}/documents_spans")
-    ref = build_media_lookup(f"{small_corpus}/media")
+    docs = rd.read_parquet(f"{tmp_path}/documents_spans")
+    ref = build_media_lookup(f"{tmp_path}/media")
     for kw, has_tail in (({"skew_tail": "never"}, False),
                          ({"skew_threshold": 96, "skew_tail": "auto"}, True)):
         ds = extract_spans_hybrid(docs, media_lookup_ref=ref,
                                   ocr_concurrency=2, **kw).materialize()
-        assert "DocLocalExtract" in ds.stats()
+        assert re.search(r"ReadParquet->[^:\n]*MapBatches\(DocLocalExtract\)",
+                         ds.stats()), ds.stats()
         assert ("_rank_bucket" in ds.stats()) == has_tail
         _assert_matches_golden(ds.to_pandas(), golden_df)
     assert plans == [(extract.SKEW_THRESHOLD, False), (96, True)]

@@ -4,6 +4,12 @@ elects the same text per line as ``read_line`` inside OcrStage."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
+import pandas as pd
+
 from ocr_pipeline_ray.pipelines import modelops
 from ocr_pipeline_ray.sources.synth import gen_doc
 from ocr_pipeline_ray.stages import media_stub
@@ -57,3 +63,27 @@ def test_pixel_tiled_restore_recovers_every_page(ray_session):
     assert (prof["n_patches"] > 1).all()
     assert (prof["otsu_only_ok"] == 0).all()
     assert (prof["tiled_restored_ok"] == 1).all()
+
+
+_TWO_CPU_RUN = """
+import sys
+import ray
+ray.init(address="local", num_cpus=2, include_dashboard=False,
+         logging_level="ERROR", object_store_memory=256 * 2**20)
+from ocr_pipeline_ray.pipelines import modelops
+modelops.media_feature_stats(sys.argv[1]).to_pickle(sys.argv[2])
+ray.shutdown()
+"""
+
+
+def test_media_feature_stats_finishes_on_two_cpus(ray_session, tmp_path):
+    """A 2-CPU session finishes: every map stage runs as tasks, so no
+    stage holds both CPUs while the ReadParquet that feeds it waits.
+    The 2-CPU frame equals this 4-CPU session's."""
+    want = modelops.media_feature_stats(SF_DIR)
+    out = tmp_path / "two_cpus.pkl"
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    subprocess.run([sys.executable, "-c", _TWO_CPU_RUN, SF_DIR, str(out)],
+                   cwd=root, check=True, timeout=180,
+                   env={**os.environ, "PYTHONPATH": root})
+    pd.testing.assert_frame_equal(pd.read_pickle(out), want)

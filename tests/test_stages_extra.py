@@ -15,16 +15,15 @@ from ocr_pipeline_ray.stages.ensemble import ensemble_merge, vote_merge_tokens
 class TestMultimodal:
     def test_media_features_stage(self, small_corpus):
         media = rd.read_parquet(f"{small_corpus}/media")
-        out = media.map_batches(multimodal.MediaFeatures, batch_size=64,
-                                concurrency=2, batch_format="pyarrow").to_pandas()
+        out = media.map_batches(multimodal.media_features, batch_size=64,
+                                batch_format="pyarrow").to_pandas()
         dims = {len(f) for f in out["features"]}
-        assert dims == {multimodal.MediaFeatures.FEATURE_DIM}
+        assert dims == {multimodal.FEATURE_DIM}
 
     def test_frame_sample_explodes(self, small_corpus):
         media = rd.read_parquet(f"{small_corpus}/media")
-        out = media.map_batches(multimodal.FrameSample, batch_size=64,
-                                concurrency=2, batch_format="pyarrow",
-                                fn_constructor_kwargs={"every_k": 2}).to_pandas()
+        out = media.map_batches(multimodal.frame_sample, batch_size=64,
+                                batch_format="pyarrow").to_pandas()
         assert len(out) > 0
         assert (out["frame_index"] % 2 == 0).all()
 
@@ -217,7 +216,7 @@ class TestPreprocessKernels:
         assert scrambled != truth  # the mis-scan really breaks reading order
 
         import pyarrow as pa
-        out = multimodal.PreprocessMedia()(
+        out = multimodal.preprocess_media(
             pa.table({"media_ref": ["r"], "payload": [rotated]}))
         assert out["pp_rotated"][0].as_py() is True
         fixed, _, _ = ocr_page(out["payload"][0].as_py(), dpi=300)
@@ -227,7 +226,7 @@ class TestPreprocessKernels:
         import pyarrow as pa
 
         from ocr_pipeline_ray.stages import multimodal
-        out = multimodal.PreprocessMedia()(
+        out = multimodal.preprocess_media(
             pa.table({"media_ref": ["c"], "payload": [self._clean_page()]}))
         assert out["pp_rotated"][0].as_py() is False
 
@@ -246,7 +245,7 @@ class TestPreprocessKernels:
         bad, _, _ = ocr_page(warped, dpi=300)
         assert bad.splitlines()[4] == "twoR"  # mis-ordered without dewarp
 
-        out = multimodal.PreprocessMedia()(
+        out = multimodal.preprocess_media(
             pa.table({"media_ref": ["w"], "payload": [warped]}))
         assert out["pp_dewarped"][0].as_py() is True
         good, _, _ = ocr_page(out["payload"][0].as_py(), dpi=300)
@@ -261,7 +260,7 @@ class TestPreprocessKernels:
 
         lines = [(f"giant row {i}", 0, i * 40_000) for i in range(4)]
         big = media_stub.encode_page(lines, 3)
-        out = multimodal.PreprocessMedia()(
+        out = multimodal.preprocess_media(
             pa.table({"media_ref": ["g"], "payload": [big]}))
         assert out["pp_rescaled"][0].as_py() is True
         fixed = out["payload"][0].as_py()
@@ -282,7 +281,7 @@ class TestPreprocessKernels:
         noisy = media_stub.encode_page([("lOZS Sll OBB l|l", 0, 0),
                                         ("ZSl lOB SSS OOO", 0, 30),
                                         ("B|l zSo gOl bIz", 0, 60)], 9)
-        out = multimodal.PreprocessMedia()(
+        out = multimodal.preprocess_media(
             pa.table({"media_ref": ["c", "n"], "payload": [clean, noisy]}))
         scores = out["pp_noise_score"].to_pylist()
         assert scores[0] < 0.1 < 0.5 < scores[1]

@@ -125,7 +125,7 @@ class TestStage:
         assert df.equals(df2)
 
     def test_stage_fingerprints_match_direct_kernels(self, small_corpus):
-        """The actor-stage profile equals computing the tensors
+        """The stage's profile equals computing the tensors
         directly from the same payloads — no hidden state."""
         import pyarrow.parquet as pq
 
@@ -136,9 +136,8 @@ class TestStage:
                                           media["payload"].to_pylist())
                 if k == "page_raster"][:5]
         assert rows
-        stage = tz.TensorizeMedia()
         import pyarrow as pa
-        out = stage(pa.table({
+        out = tz.tensorize_media(pa.table({
             "media_ref": pa.array([r for r, _ in rows]),
             "payload": pa.array([p for _, p in rows], type=pa.binary())}))
         got = {r: c for r, c in zip(out["media_ref"].to_pylist(),
@@ -159,11 +158,10 @@ class TestStage:
         good = media_stub.encode_raster(img)
         degenerate = [media_stub.encode_raster(np.zeros(s, dtype=np.uint8))
                       for s in ((0, 40), (40, 0), (0, 0))]
-        stage = tz.TensorizeMedia()
-        alone = stage(pa.table({
+        alone = tz.tensorize_media(pa.table({
             "media_ref": pa.array(["good"]),
             "payload": pa.array([good], type=pa.binary())}))
-        mixed = stage(pa.table({
+        mixed = tz.tensorize_media(pa.table({
             "media_ref": pa.array(["d0", "d1", "good", "d2"]),
             "payload": pa.array(degenerate[:2] + [good] + degenerate[2:],
                                 type=pa.binary())}))
