@@ -71,13 +71,12 @@ def entry() -> Any:
 def _extract(corpus: str):
     """The flagship extraction path (``extract_spans``, with the
     isotonic calibrator fit on the corpus) → ordered span Dataset."""
-    import ray.data as rd
-
     from ocr_pipeline_ray.pipelines.extract import (build_media_lookup,
                                                     extract_spans,
-                                                    fit_page_calibrator)
+                                                    fit_page_calibrator,
+                                                    read_docs)
 
-    docs = rd.read_parquet(f"{corpus}/documents_spans")
+    docs = read_docs(f"{corpus}/documents_spans")
     return extract_spans(
         docs, media=build_media_lookup(f"{corpus}/media"),
         calib=fit_page_calibrator(f"{corpus}/media"))

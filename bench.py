@@ -110,7 +110,8 @@ def run_bench() -> dict:
         from ocr_pipeline_ray.pipelines.extract import (MEDIA_COLUMNS,
                                                         build_media_lookup,
                                                         extract_spans,
-                                                        fit_page_calibrator)
+                                                        fit_page_calibrator,
+                                                        read_docs)
 
         corpus, n_docs = _corpus_for_bench(SF_DIR)
         timings: dict[str, float] = {}
@@ -121,7 +122,7 @@ def run_bench() -> dict:
         # side media read + object-store put + calibrator fit) stays
         # outside the clock: serial Amdahl overhead that a cluster
         # deployment shards/caches, not pipeline work.
-        docs = rd.read_parquet(f"{corpus}/documents_spans")
+        docs = read_docs(f"{corpus}/documents_spans")
         ref = build_media_lookup(f"{corpus}/media")
         calib = fit_page_calibrator(f"{corpus}/media")
         # join mode forces the join plan, whatever the footer check
@@ -130,7 +131,9 @@ def run_bench() -> dict:
             if BENCH_MODE == "join" else ref
         # untimed warm-up on one input shard: spawns the worker
         # processes and imports the package in them, so the timed run
-        # measures pipeline work, not cold interpreter start
+        # measures pipeline work, not cold interpreter start. Ray's own
+        # read plan splits the shard into 2 x CPUs blocks, so every
+        # worker runs the doc-local stage once.
         import glob as _glob
         warm_file = sorted(_glob.glob(f"{corpus}/documents_spans/*.parquet"))[0]
         extract_spans(rd.read_parquet(warm_file), media=ref,

@@ -28,6 +28,10 @@ alive node's object store.
   moves only narrow text rows.
 
 Every plan returns the same schema and byte-identical results (tested).
+``read_docs`` plans the documents read from footers the same way: a
+read of few files gets one block per file, split toward 2 × the
+cluster's CPUs only as far as their bytes fill Ray's minimum block
+size, so a small input's read fuses with the stages after it.
 """
 
 from __future__ import annotations
@@ -51,58 +55,96 @@ from ..stages.ocr import OcrStage
 from ..stages.reassemble import reassemble
 
 
-def fit_page_calibrator(media_path: str, sample_n: int = 512):
-    """M10/A7: fit the isotonic confidence calibrator on a seeded
-    labelled sample (the reference fits offline on labelled bills and
-    ships ``calibration_models.pkl``, pipeline.py:196-369; here the
-    corpus's construction truth IS the label).
+def _cluster_cpus() -> int:
+    return int(ray.cluster_resources().get("CPU", 1))
 
-    Sample selection is a NARROW driver read (media_ref + media_kind
-    only — the first ``sample_n`` page_png refs in media_ref order,
-    deterministic); the payload decode itself is a ``map_batches`` over
-    a ref-filtered scan (predicate pushdown — only sample rows' payload
-    bytes leave storage), so the per-job fixed cost is one small
-    distributed pass, not a serial driver loop. The ≤ sample_n (conf,
-    correct) rows are re-sorted by media_ref on the driver before the
-    PAV fit, which makes the knots byte-identical to the old serial
-    loop (fit_isotonic's stable sort sees the same input order). A page
-    is "correct" when its canonical decode equals the canonical ground
-    truth. Returns ``(knots_x, knots_y)`` or None when the sample is
-    too small (calibration then stays off).
+
+# The calibration sample's rows: one per decoded sample page.
+SAMPLE_SCHEMA = pa.schema([("media_ref", pa.string()),
+                           ("conf", pa.float64()),
+                           ("correct", pa.float64())])
+
+
+def _calibration_sample(media_path: str, sample_n: int):
+    """``SAMPLE_SCHEMA`` rows of the first ``sample_n`` page_png refs in
+    media_ref order, as a Dataset (None when there is no page_png).
+
+    Selection is a NARROW read in the calling process (media_ref +
+    media_kind, file by file). The decode is a ``map_batches`` over the (media_ref, file)
+    pairs of the sample in up to 2 × the cluster's CPUs blocks (Ray's
+    block count for a small read): each task reads its pairs' rows
+    through a ref filter on their files (predicate pushdown — only sample rows' payload bytes
+    leave storage) and decodes them. Every input block holds at least
+    one pair, so every block the pass emits is the map's own
+    ``SAMPLE_SCHEMA`` table; a filtered ``read_parquet`` instead emits
+    a schema-less zero-row block for each file or split with no sample
+    row, and Ray passes it by the map untouched.
     """
-    from ..functions.calibration import MIN_SAMPLES, fit_isotonic
-
-    refs = pq.read_table(media_path, columns=["media_ref", "media_kind"])
-    refs = refs.filter(pc.equal(refs["media_kind"], "page_png"))["media_ref"]
-    sample_refs = sorted(refs.to_pylist())[:sample_n]
+    pages = []
+    for frag in pads.dataset(media_path, format="parquet").get_fragments():
+        t = frag.to_table(columns=["media_ref", "media_kind"])
+        refs = t.filter(pc.equal(t["media_kind"], "page_png"))["media_ref"]
+        pages += [(ref, frag.path) for ref in refs.to_pylist()]
+    sample_refs = sorted(ref for ref, _ in pages)[:sample_n]
     if not sample_refs:
         return None
+    wanted = set(sample_refs)
+    pairs = sorted({(ref, path) for ref, path in pages if ref in wanted})
 
     def decode_sample(batch: pa.Table) -> pa.Table:
         from ..functions.charfix import fix_text
         from ..functions.geometry import truth_reading_order
         from ..stages.ocr import ocr_page_cascade
 
-        out_ref, out_conf, out_ok = [], [], []
-        for ref, payload, truth in zip(batch["media_ref"].to_pylist(),
-                                       batch["payload"].to_pylist(),
-                                       batch["truth_lines"].to_pylist()):
-            text, conf, status, _cascade = ocr_page_cascade(payload)
-            if status != "ok" or not truth:
-                continue
-            truth_text = fix_text("\n".join(truth_reading_order(truth)))
-            out_ref.append(ref)
-            out_conf.append(conf)
-            out_ok.append(1.0 if text == truth_text else 0.0)
-        return pa.table({"media_ref": pa.array(out_ref, type=pa.string()),
-                         "conf": pa.array(out_conf, type=pa.float64()),
-                         "correct": pa.array(out_ok, type=pa.float64())})
+        by_path: dict[str, list[str]] = {}
+        for ref, path in zip(batch["media_ref"].to_pylist(),
+                             batch["path"].to_pylist()):
+            by_path.setdefault(path, []).append(ref)
+        rows = {name: [] for name in SAMPLE_SCHEMA.names}
+        for path, refs in by_path.items():
+            t = pq.read_table(path,
+                              columns=["media_ref", "payload", "truth_lines"],
+                              filters=pads.field("media_ref").isin(refs))
+            for ref, payload, truth in zip(t["media_ref"].to_pylist(),
+                                           t["payload"].to_pylist(),
+                                           t["truth_lines"].to_pylist()):
+                text, conf, status, _cascade = ocr_page_cascade(payload)
+                if status != "ok" or not truth:
+                    continue
+                truth_text = fix_text("\n".join(truth_reading_order(truth)))
+                rows["media_ref"].append(ref)
+                rows["conf"].append(conf)
+                rows["correct"].append(1.0 if text == truth_text else 0.0)
+        return pa.table(rows, schema=SAMPLE_SCHEMA)
 
-    sample = rd.read_parquet(
-        media_path, columns=["media_ref", "payload", "truth_lines"],
-        filter=pads.field("media_ref").isin(sample_refs)) \
-        .map_batches(decode_sample, batch_format="pyarrow") \
-        .to_pandas()
+    return rd.from_items([{"media_ref": ref, "path": path}
+                          for ref, path in pairs],
+                         override_num_blocks=min(len(pairs),
+                                                 2 * _cluster_cpus())) \
+        .map_batches(decode_sample, batch_format="pyarrow")
+
+
+def fit_page_calibrator(media_path: str, sample_n: int = 512):
+    """M10/A7: fit the isotonic confidence calibrator on a seeded
+    labelled sample (the reference fits offline on labelled bills and
+    ships ``calibration_models.pkl``, pipeline.py:196-369; here the
+    corpus's construction truth IS the label).
+
+    The sample is ``_calibration_sample``'s one small distributed pass,
+    not a serial loop in the calling process. The ≤ sample_n (conf,
+    correct) rows are re-sorted by media_ref before the PAV fit, which
+    makes the knots byte-identical to the old serial loop
+    (fit_isotonic's stable sort sees the same input order). A page is
+    "correct" when its canonical decode equals the canonical ground
+    truth. Returns ``(knots_x, knots_y)`` or None when the sample is
+    too small (calibration then stays off).
+    """
+    from ..functions.calibration import MIN_SAMPLES, fit_isotonic
+
+    sample = _calibration_sample(media_path, sample_n)
+    if sample is None:
+        return None
+    sample = sample.to_pandas()
     if len(sample) < MIN_SAMPLES:
         return None
     sample = sample.sort_values("media_ref", kind="mergesort")
@@ -120,19 +162,19 @@ MEDIA_BROADCAST_SHARE = 0.25
 MEDIA_COLUMNS = ["media_ref", "payload"]
 
 
-def _media_bytes(media_path: str) -> int:
-    """Uncompressed bytes of the ``media_ref`` and ``payload`` column
-    chunks over the files ``pq.read_table(media_path)`` would read,
-    summed from their Parquet footers."""
+def _footer_bytes(path, columns=None) -> int:
+    """Uncompressed bytes of the ``columns`` column chunks (all of them
+    when None) over the Parquet files at ``path`` (a dir, a file or a
+    list of files), summed from their footers; no data is read."""
     total = 0
-    for frag in pads.dataset(media_path, format="parquet").get_fragments():
+    for frag in pads.dataset(path, format="parquet").get_fragments():
         md = frag.metadata
         for rg in range(md.num_row_groups):
             row_group = md.row_group(rg)
             total += sum(row_group.column(c).total_uncompressed_size
                          for c in range(row_group.num_columns)
-                         if row_group.column(c).path_in_schema
-                         in MEDIA_COLUMNS)
+                         if columns is None
+                         or row_group.column(c).path_in_schema in columns)
     return total
 
 
@@ -153,10 +195,35 @@ def build_media_lookup(media_path: str) -> Any:
     """
     store = min(int(n["Resources"]["object_store_memory"])
                 for n in ray.nodes() if n["Alive"])
-    if _media_bytes(media_path) > int(MEDIA_BROADCAST_SHARE * store):
+    budget = int(MEDIA_BROADCAST_SHARE * store)
+    if _footer_bytes(media_path, MEDIA_COLUMNS) > budget:
         return rd.read_parquet(media_path, columns=MEDIA_COLUMNS)
     t = pq.read_table(media_path, columns=MEDIA_COLUMNS)
     return ray.put(t.combine_chunks())
+
+
+def read_docs(path) -> rd.Dataset:
+    """``read_parquet`` of documents files (``path``: a dir, a file or a
+    list of files) with the block count planned from their footers.
+
+    Ray's own plan splits any read of fewer than 2 × CPUs files into
+    2 × CPUs blocks, whatever their size, which turns a tiny input into
+    a read operator plus that many unfused map tasks. Under 2 × CPUs
+    files, the read here gets one block per file, split toward
+    2 × CPUs only as far as the files' uncompressed footer bytes fill
+    ``target_min_block_size`` blocks, so a read → doc-local chain runs
+    as one fused task per file. From 2 × CPUs files on, Ray's own plan
+    stands: it already runs at most one read task per file, and packs
+    small files into 2 × CPUs tasks. A doc is one row, so it is whole
+    in every block and the plan only changes speed."""
+    files = [f.path for f in
+             pads.dataset(path, format="parquet").get_fragments()]
+    cpus = _cluster_cpus()
+    if len(files) >= 2 * cpus:
+        return rd.read_parquet(path)
+    min_block = rd.DataContext.get_current().target_min_block_size
+    blocks = max(len(files), min(2 * cpus, _footer_bytes(files) // min_block))
+    return rd.read_parquet(path, override_num_blocks=blocks)
 
 
 def _file_max_spans(path: str, pending: np.ndarray | None = None) -> int:
@@ -212,10 +279,9 @@ def _exploded(docs_ds, *, media_lookup_ref=None, media_ds=None, calib=None):
         # One memory-bound aggregator per partition at 0.1 CPU, one
         # partition per cluster CPU: aggregators that outgrow the free
         # CPU starve the OCR / map tasks into a deadlock.
-        cpus = int(ray.cluster_resources().get("CPU", 1))
         joined = media_rows.join(
             media_text, join_type="left_outer",
-            num_partitions=min(MEDIA_JOIN_BUCKETS, cpus),
+            num_partitions=min(MEDIA_JOIN_BUCKETS, _cluster_cpus()),
             on=("media_ref",), aggregator_ray_remote_args={"num_cpus": 0.1},
         )
         ocrd = joined.map_batches(apply_media_text, batch_format="pyarrow")

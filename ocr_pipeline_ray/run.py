@@ -6,11 +6,13 @@
 
 Runs the flagship extraction pipeline through the checkpoint layer
 (state/checkpoint.py): one Ray Data pass over every uncommitted
-partition, each committed atomically with its lineage record. A killed
-job re-submitted with the same args skips the committed partitions and
-recomputes the rest in one pass; a kill loses at most the in-flight
-pass's uncommitted partitions. ``--gen-docs N`` synthesizes a corpus
-first (testing without external data).
+partition, each committed atomically with its lineage record. The pass
+runs one fused read → doc-local → write task per documents file unless
+the files' footer bytes ask for a split (``pipelines.extract.read_docs``).
+A killed job re-submitted with the same args skips the committed
+partitions and recomputes the rest in one pass; a kill loses at most
+the in-flight pass's uncommitted partitions. ``--gen-docs N``
+synthesizes a corpus first (testing without external data).
 
 This script OWNS the Ray session: on a cluster, ``ray.init()`` with no
 address inside a job attaches to the cluster; standalone it starts

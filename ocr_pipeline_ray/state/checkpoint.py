@@ -10,11 +10,15 @@ inventory: a killed run loses everything), so this is new design:
   (``stages.agg.bucket_ids``; never Python ``hash()``, which is
   per-process randomized);
 - one invocation is ONE Ray Data pass over every pending partition (a
-  partition without a ``_SUCCESS`` marker): the corpus is read once and
-  filtered to pending docs, extracted by ``extract_spans``, and
-  written through ``_PartitionSink``. Each write task stages its rows
-  into one temp dir per partition and returns a small per-partition
-  lineage partial; once every task has written, the driver merges the
+  partition without a ``_SUCCESS`` marker): the corpus is read once
+  (``read_docs``) and filtered to pending docs, extracted by
+  ``extract_spans``, and written through ``_PartitionSink``. The pass
+  runs as one fused read → filter → doc-local → write task per
+  documents file unless the files' footer bytes ask ``read_docs`` for
+  a split (toward 2 × the cluster's CPUs). Each write task stages its
+  rows into one temp dir per partition (so a partition holds at most
+  one parquet file per task) and returns a small per-partition lineage
+  partial; once every task has written, the calling process merges the
   partials and, partition by partition, writes ``_lineage.json``
   (docs, spans, counts by status/kind/cascade branch, confidence
   histogram, wall time of the pass) and the ``_SUCCESS`` marker into
@@ -57,11 +61,10 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
-import ray.data as rd
 from ray.data import Datasink
 from ray.data.block import BlockAccessor
 
-from ..pipelines.extract import _max_spans, build_media_lookup
+from ..pipelines.extract import _max_spans, build_media_lookup, read_docs
 # perfbench wraps this module attribute to capture the job's Dataset
 from ..pipelines.extract import extract_spans as extract_spans_hybrid
 from ..stages.agg import bucket_ids
@@ -194,8 +197,7 @@ def run_partitioned(corpus_dir: str, out_dir: str, num_parts: int = 8) -> dict:
         return batch.filter(pa.array(
             is_pending[bucket_ids(batch["doc_id"], num_parts)]))
 
-    docs = rd.read_parquet(files).map_batches(keep_pending,
-                                              batch_format="pyarrow")
+    docs = read_docs(files).map_batches(keep_pending, batch_format="pyarrow")
     spans = extract_spans_hybrid(
         docs, media=build_media_lookup(os.path.join(corpus_dir, "media")),
         max_spans=_max_spans(files, is_pending))

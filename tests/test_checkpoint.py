@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import glob
 import os
+import re
 import shutil
 import zlib
 from fractions import Fraction
@@ -181,6 +182,59 @@ def test_empty_partitions_commit(tmp_path, extract_calls):
     assert len(extract_calls) == 1
 
 
+def _ops(ds) -> list[tuple[str, int, int]]:
+    """(operator, tasks, blocks produced) of an executed, written
+    Dataset, from its stats."""
+    return [(name, int(tasks), int(blocks)) for name, tasks, blocks in
+            re.findall(r"Operator \d+ (\S+): (\d+) tasks executed, "
+                       r"(\d+) blocks produced", ds._write_ds.stats())]
+
+
+def test_docs_read_planned_from_footers(tmp_path, monkeypatch):
+    """A few small documents files: the job entry's pass is ONE fused
+    read → doc-local → write operator of one task per file (Ray's own
+    plan splits such a read into 2 × CPUs blocks and runs the map chain
+    as a second, unfused operator). A one-byte block floor lets the
+    footer bytes split the read to 2 × CPUs blocks, with the same
+    committed rows and lineage."""
+    from ocr_pipeline_ray.sources.synth import write_corpus
+
+    corpus = str(tmp_path / "corpus")
+    write_corpus(corpus, n_docs=24, seed=7, num_files=2)
+    files = glob.glob(f"{corpus}/documents_spans/*.parquet")
+    captured = []
+    real = checkpoint.extract_spans_hybrid
+
+    def capture(*a, **kw):
+        captured.append(real(*a, **kw))
+        return captured[-1]
+    monkeypatch.setattr(checkpoint, "extract_spans_hybrid", capture)
+
+    fused = str(tmp_path / "fused")
+    checkpoint.run_partitioned(corpus, fused, num_parts=2)
+    [(name, tasks, _)] = _ops(captured[-1])
+    assert name.startswith("ReadParquet->") and name.endswith("->Write")
+    assert "DocLocalExtract" in name and "SplitBlocks" not in name
+    assert tasks == len(files)
+    for part in glob.glob(os.path.join(fused, "part=*")):
+        assert len(glob.glob(os.path.join(part, "*.parquet"))) \
+            <= len(files)
+
+    monkeypatch.setattr(rd.DataContext.get_current(),
+                        "target_min_block_size", 1)
+    split = str(tmp_path / "split")
+    checkpoint.run_partitioned(corpus, split, num_parts=2)
+    read = _ops(captured[-1])[0]
+    assert read[0].startswith("ReadParquet->SplitBlocks(")
+    assert read[2] == 2 * int(ray.cluster_resources()["CPU"])
+    assert _committed(split, 2).equals(_committed(fused, 2))
+
+    def lineage(out):
+        return [{k: v for k, v in r.items() if k not in STAMPS}
+                for r in checkpoint.read_lineage(out)]
+    assert lineage(split) == lineage(fused)
+
+
 def test_stale_staging_dir_is_cleared(small_corpus, uninterrupted, tmp_path):
     out = str(tmp_path / "out")
     # a "killed" pass left junk parquet in a staging dir
@@ -334,7 +388,7 @@ def test_footer_check_picks_the_media_plan(small_corpus, monkeypatch):
     media = f"{small_corpus}/media"
     nbytes = _footer_bytes(media)
     assert nbytes > 0
-    assert extract._media_bytes(media) == nbytes
+    assert extract._footer_bytes(media, extract.MEDIA_COLUMNS) == nbytes
     # the test session's object store fits this corpus's media
     assert isinstance(build_media_lookup(media), ray.ObjectRef)
 

@@ -7,8 +7,14 @@ session over different lookups."""
 
 from __future__ import annotations
 
+import glob
+
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import pytest
+import ray
 import ray.data as rd
 
 from ocr_pipeline_ray.pipelines import extract
@@ -83,6 +89,27 @@ def test_broadcast_path_with_calibration(small_corpus, calib, golden_calib_df,
     ref = build_media_lookup(f"{small_corpus}/media")
     out = extract_spans(docs, media=ref, calib=calib).to_pandas()
     _assert_matches_golden(out, golden_calib_df)
+
+
+def test_calibration_sample_blocks_carry_schema(small_corpus):
+    """A sample that only some media files hold: every block of the
+    calibrator's decode pass is a ``SAMPLE_SCHEMA`` table (a filtered
+    read emits a schema-less zero-row block for each file or split
+    without a sample row), and its rows are the sample pages."""
+    media = f"{small_corpus}/media"
+    files = sorted(glob.glob(f"{media}/*.parquet"))
+    t = pq.read_table(files, columns=["media_ref", "media_kind"])
+    pages = sorted(t.filter(pc.equal(t["media_kind"], "page_png"))
+                   ["media_ref"].to_pylist())
+    holders = [f for f in files if set(pages[:8]) & set(
+        pq.read_table(f, columns=["media_ref"])["media_ref"].to_pylist())]
+    assert 0 < len(holders) < len(files)
+
+    blocks = ray.get(extract._calibration_sample(media, 8).to_arrow_refs())
+    assert blocks
+    assert all(b.schema == extract.SAMPLE_SCHEMA for b in blocks)
+    refs = pa.concat_tables(blocks)["media_ref"].to_pylist()
+    assert set(refs) <= set(pages[:8]) and len(refs) == len(set(refs))
 
 
 def test_doclocal_path_with_calibration(small_corpus, calib,
