@@ -28,10 +28,10 @@ alive node's object store.
   moves only narrow text rows.
 
 Every plan returns the same schema and byte-identical results (tested).
-``read_docs`` plans the documents read from footers the same way: a
-read of few files gets one block per file, split toward 2 × the
-cluster's CPUs only as far as their bytes fill Ray's minimum block
-size, so a small input's read fuses with the stages after it.
+``read_docs`` plans the documents read from footers the same way: an
+input of few files that is smaller than one Ray minimum block gets one
+block per file, so its read fuses with the stages after it; every
+other input keeps Ray's own plan.
 """
 
 from __future__ import annotations
@@ -70,11 +70,12 @@ def _calibration_sample(media_path: str, sample_n: int):
     media_ref order, as a Dataset (None when there is no page_png).
 
     Selection is a NARROW read in the calling process (media_ref +
-    media_kind, file by file). The decode is a ``map_batches`` over the (media_ref, file)
-    pairs of the sample in up to 2 × the cluster's CPUs blocks (Ray's
-    block count for a small read): each task reads its pairs' rows
-    through a ref filter on their files (predicate pushdown — only sample rows' payload bytes
-    leave storage) and decodes them. Every input block holds at least
+    media_kind, file by file). The decode is a ``map_batches`` over the
+    sample's (file, media_ref) pairs, in file order, in up to 2 × the
+    cluster's CPUs blocks (Ray's block count for a small read): each
+    task reads its pairs' rows through a ref filter on their files
+    (predicate pushdown — only sample rows' payload bytes leave
+    storage) and decodes them. Every input block holds at least
     one pair, so every block the pass emits is the map's own
     ``SAMPLE_SCHEMA`` table; a filtered ``read_parquet`` instead emits
     a schema-less zero-row block for each file or split with no sample
@@ -89,7 +90,9 @@ def _calibration_sample(media_path: str, sample_n: int):
     if not sample_refs:
         return None
     wanted = set(sample_refs)
-    pairs = sorted({(ref, path) for ref, path in pages if ref in wanted})
+    # by file first, so a file's sample rows sit in as few blocks as
+    # possible and each block reads a file at most once
+    pairs = sorted({(path, ref) for ref, path in pages if ref in wanted})
 
     def decode_sample(batch: pa.Table) -> pa.Table:
         from ..functions.charfix import fix_text
@@ -118,7 +121,7 @@ def _calibration_sample(media_path: str, sample_n: int):
         return pa.table(rows, schema=SAMPLE_SCHEMA)
 
     return rd.from_items([{"media_ref": ref, "path": path}
-                          for ref, path in pairs],
+                          for path, ref in pairs],
                          override_num_blocks=min(len(pairs),
                                                  2 * _cluster_cpus())) \
         .map_batches(decode_sample, batch_format="pyarrow")
@@ -204,26 +207,24 @@ def build_media_lookup(media_path: str) -> Any:
 
 def read_docs(path) -> rd.Dataset:
     """``read_parquet`` of documents files (``path``: a dir, a file or a
-    list of files) with the block count planned from their footers.
+    list of files), planned from their footers.
 
-    Ray's own plan splits any read of fewer than 2 × CPUs files into
-    2 × CPUs blocks, whatever their size, which turns a tiny input into
-    a read operator plus that many unfused map tasks. Under 2 × CPUs
-    files, the read here gets one block per file, split toward
-    2 × CPUs only as far as the files' uncompressed footer bytes fill
-    ``target_min_block_size`` blocks, so a read → doc-local chain runs
-    as one fused task per file. From 2 × CPUs files on, Ray's own plan
-    stands: it already runs at most one read task per file, and packs
-    small files into 2 × CPUs tasks. A doc is one row, so it is whole
-    in every block and the plan only changes speed."""
+    Ray's own plan gives a read at least 2 × CPUs blocks, even when the
+    input is smaller than one ``target_min_block_size`` block: its CPU
+    floor overrides its block-size floor. For such a tiny input that
+    means a split read plus 2 × CPUs unfused map tasks of a few docs
+    each, mostly fixed cost. When the files' uncompressed footer bytes
+    are under ``target_min_block_size`` and there are fewer than
+    2 × CPUs files, the read here gets one block per file, so a
+    read → doc-local chain runs as one fused task per file. Every other
+    input keeps Ray's plan. A doc is one row, so it is whole in every
+    block and the rows do not depend on the plan."""
     files = [f.path for f in
              pads.dataset(path, format="parquet").get_fragments()]
-    cpus = _cluster_cpus()
-    if len(files) >= 2 * cpus:
-        return rd.read_parquet(path)
     min_block = rd.DataContext.get_current().target_min_block_size
-    blocks = max(len(files), min(2 * cpus, _footer_bytes(files) // min_block))
-    return rd.read_parquet(path, override_num_blocks=blocks)
+    if len(files) < 2 * _cluster_cpus() and _footer_bytes(files) < min_block:
+        return rd.read_parquet(path, override_num_blocks=len(files))
+    return rd.read_parquet(path)
 
 
 def _file_max_spans(path: str, pending: np.ndarray | None = None) -> int:

@@ -6,9 +6,10 @@
 
 Runs the flagship extraction pipeline through the checkpoint layer
 (state/checkpoint.py): one Ray Data pass over every uncommitted
-partition, each committed atomically with its lineage record. The pass
-runs one fused read → doc-local → write task per documents file unless
-the files' footer bytes ask for a split (``pipelines.extract.read_docs``).
+partition, each committed atomically with its lineage record. On an
+input smaller than one Ray minimum block the pass runs one fused
+read → doc-local → write task per documents file; a larger input keeps
+Ray's own read plan (``pipelines.extract.read_docs``).
 A killed job re-submitted with the same args skips the committed
 partitions and recomputes the rest in one pass; a kill loses at most
 the in-flight pass's uncommitted partitions. ``--gen-docs N``

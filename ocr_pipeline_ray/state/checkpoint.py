@@ -12,13 +12,14 @@ inventory: a killed run loses everything), so this is new design:
 - one invocation is ONE Ray Data pass over every pending partition (a
   partition without a ``_SUCCESS`` marker): the corpus is read once
   (``read_docs``) and filtered to pending docs, extracted by
-  ``extract_spans``, and written through ``_PartitionSink``. The pass
-  runs as one fused read → filter → doc-local → write task per
-  documents file unless the files' footer bytes ask ``read_docs`` for
-  a split (toward 2 × the cluster's CPUs). Each write task stages its
-  rows into one temp dir per partition (so a partition holds at most
-  one parquet file per task) and returns a small per-partition lineage
-  partial; once every task has written, the calling process merges the
+  ``extract_spans``, and written through ``_PartitionSink``. When the
+  documents files' footer bytes are under one Ray minimum block, the
+  pass runs as one fused read → filter → doc-local → write task per
+  documents file; a larger input keeps Ray's own read plan. Each write
+  task stages its rows into one temp dir per partition (so a partition
+  holds at most one parquet file per task) and returns a small
+  per-partition lineage partial; once every task has written, the
+  calling process merges the
   partials and, partition by partition, writes ``_lineage.json``
   (docs, spans, counts by status/kind/cascade branch, confidence
   histogram, wall time of the pass) and the ``_SUCCESS`` marker into

@@ -191,12 +191,13 @@ def _ops(ds) -> list[tuple[str, int, int]]:
 
 
 def test_docs_read_planned_from_footers(tmp_path, monkeypatch):
-    """A few small documents files: the job entry's pass is ONE fused
-    read → doc-local → write operator of one task per file (Ray's own
-    plan splits such a read into 2 × CPUs blocks and runs the map chain
-    as a second, unfused operator). A one-byte block floor lets the
-    footer bytes split the read to 2 × CPUs blocks, with the same
-    committed rows and lineage."""
+    """A few documents files under one Ray minimum block: the job
+    entry's pass is ONE fused read → doc-local → write operator of one
+    task per file (Ray's own plan splits such a read into 2 × CPUs
+    blocks and runs the map chain as a second, unfused operator). With
+    the block floor lowered to the files' footer bytes, the input is no
+    longer tiny and Ray's split plan stands, with the same committed
+    rows and lineage."""
     from ocr_pipeline_ray.sources.synth import write_corpus
 
     corpus = str(tmp_path / "corpus")
@@ -221,12 +222,13 @@ def test_docs_read_planned_from_footers(tmp_path, monkeypatch):
             <= len(files)
 
     monkeypatch.setattr(rd.DataContext.get_current(),
-                        "target_min_block_size", 1)
+                        "target_min_block_size",
+                        extract._footer_bytes(files))
     split = str(tmp_path / "split")
     checkpoint.run_partitioned(corpus, split, num_parts=2)
     read = _ops(captured[-1])[0]
     assert read[0].startswith("ReadParquet->SplitBlocks(")
-    assert read[2] == 2 * int(ray.cluster_resources()["CPU"])
+    assert read[2] >= 2 * int(ray.cluster_resources()["CPU"])
     assert _committed(split, 2).equals(_committed(fused, 2))
 
     def lineage(out):
