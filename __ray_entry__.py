@@ -71,14 +71,12 @@ def entry() -> Any:
 def _extract(corpus: str):
     """The flagship extraction path (``extract_spans``, with the
     isotonic calibrator fit on the corpus) → ordered span Dataset."""
-    from ocr_pipeline_ray.pipelines.extract import (build_media_lookup,
-                                                    extract_spans,
+    from ocr_pipeline_ray.pipelines.extract import (extract_spans,
                                                     fit_page_calibrator,
-                                                    read_docs)
+                                                    plan_job)
 
-    docs = read_docs(f"{corpus}/documents_spans")
     return extract_spans(
-        docs, media=build_media_lookup(f"{corpus}/media"),
+        plan_job(f"{corpus}/documents_spans", f"{corpus}/media"),
         calib=fit_page_calibrator(f"{corpus}/media"))
 
 

@@ -41,6 +41,7 @@ does.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import os
@@ -108,27 +109,21 @@ def run_bench() -> dict:
         from ocr_pipeline_ray.pipelines import (dedup, relational, similarity,
                                                 text, windows)
         from ocr_pipeline_ray.pipelines.extract import (MEDIA_COLUMNS,
-                                                        build_media_lookup,
                                                         extract_spans,
                                                         fit_page_calibrator,
-                                                        read_docs)
+                                                        plan_job)
 
         corpus, n_docs = _corpus_for_bench(SF_DIR)
         timings: dict[str, float] = {}
         extras: dict[str, float] = {}
         suite_cpu0, suite_steal0 = _host_busy_sec()
 
-        # headline: flagship extraction pipeline. Input setup (driver-
-        # side media read + object-store put + calibrator fit) stays
-        # outside the clock: serial Amdahl overhead that a cluster
-        # deployment shards/caches, not pipeline work.
-        docs = read_docs(f"{corpus}/documents_spans")
-        ref = build_media_lookup(f"{corpus}/media")
+        # headline: flagship extraction pipeline. Input setup (job plan
+        # with its media put, calibrator fit) stays outside the clock:
+        # serial Amdahl overhead that a cluster deployment shards/caches,
+        # not pipeline work.
+        plan = plan_job(f"{corpus}/documents_spans", f"{corpus}/media")
         calib = fit_page_calibrator(f"{corpus}/media")
-        # join mode forces the join plan, whatever the footer check
-        # picked for this corpus
-        media = rd.read_parquet(f"{corpus}/media", columns=MEDIA_COLUMNS) \
-            if BENCH_MODE == "join" else ref
         # untimed warm-up on one input shard: spawns the worker
         # processes and imports the package in them, so the timed run
         # measures pipeline work, not cold interpreter start. Ray's own
@@ -136,11 +131,16 @@ def run_bench() -> dict:
         # worker runs the doc-local stage once.
         import glob as _glob
         warm_file = sorted(_glob.glob(f"{corpus}/documents_spans/*.parquet"))[0]
-        extract_spans(rd.read_parquet(warm_file), media=ref,
-                      calib=calib).count()
+        warm = dataclasses.replace(plan, docs=rd.read_parquet(warm_file))
+        extract_spans(warm, calib=calib).count()
+        # join mode forces the join plan, whatever the footer check
+        # picked for this corpus
+        if BENCH_MODE == "join":
+            plan = dataclasses.replace(plan, media=rd.read_parquet(
+                f"{corpus}/media", columns=MEDIA_COLUMNS))
         cpu0, steal0 = _host_busy_sec()
         t0 = time.perf_counter()
-        spans = extract_spans(docs, media=media, calib=calib)
+        spans = extract_spans(plan, calib=calib)
         n_spans = spans.count()
         dt = time.perf_counter() - t0
         cpu1, steal1 = _host_busy_sec()

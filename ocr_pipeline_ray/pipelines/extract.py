@@ -18,8 +18,7 @@ alive node's object store.
   ``OcrStage`` → keep filter → rank inside one task (no shuffle: each
   document is whole in its batch). Only docs over ``SKEW_THRESHOLD``
   spans take the exploded + shuffle plan above, a branch built only
-  when a plan step (a narrow read of the span offsets, one Ray task
-  per file) finds such a doc.
+  when the plan's skew bound (the largest span count) is over it.
 - ``join`` (the 100 TB path, media table too big to broadcast): the
   media table is OCR'd in place by a map stage, then a
   hash-partitioned ``Dataset.join`` on ``media_ref`` attaches the
@@ -28,16 +27,15 @@ alive node's object store.
   moves only narrow text rows.
 
 Every plan returns the same schema and byte-identical results (tested).
-``read_docs`` plans the documents read from footers the same way: an
-input of few files that is smaller than one Ray minimum block gets one
-block per file, so its read fuses with the stages after it; every
-other input keeps Ray's own plan.
+``plan_job`` makes every plan decision of a job: the documents read and
+the skew bound from one Ray task per documents file, the media plan
+from ``build_media_lookup``. ``extract_spans`` runs the ``JobPlan``.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Any
+from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 import pyarrow as pa
@@ -48,7 +46,7 @@ import ray
 import ray.data as rd
 
 from ..config import MEDIA_JOIN_BUCKETS, OCR_BATCH_SIZE, SKEW_THRESHOLD
-from ..stages.agg import bucket_ids, bucketed_map_groups
+from ..stages.agg import bucketed_map_groups
 from ..stages.classify import classify_spans
 from ..stages.explode import explode_spans
 from ..stages.ocr import OcrStage
@@ -65,34 +63,37 @@ SAMPLE_SCHEMA = pa.schema([("media_ref", pa.string()),
                            ("correct", pa.float64())])
 
 
-def _calibration_sample(media_path: str, sample_n: int):
-    """``SAMPLE_SCHEMA`` rows of the first ``sample_n`` page_png refs in
-    media_ref order, as a Dataset (None when there is no page_png).
-
-    Selection is a NARROW read in the calling process (media_ref +
-    media_kind, file by file). The decode is a ``map_batches`` over the
-    sample's (file, media_ref) pairs, in file order, in up to 2 × the
-    cluster's CPUs blocks (Ray's block count for a small read): each
-    task reads its pairs' rows through a ref filter on their files
-    (predicate pushdown — only sample rows' payload bytes leave
-    storage) and decodes them. Every input block holds at least
-    one pair, so every block the pass emits is the map's own
-    ``SAMPLE_SCHEMA`` table; a filtered ``read_parquet`` instead emits
-    a schema-less zero-row block for each file or split with no sample
-    row, and Ray passes it by the map untouched.
-    """
+def _sample_pages(media_path: str, sample_n: int) -> list[tuple[str, str]]:
+    """``(file, media_ref)`` of the first ``sample_n`` page_png refs in
+    media_ref order, sorted by file so that a decode block reads a file
+    at most once. A NARROW read in the calling process that keeps each
+    file's ``sample_n`` smallest refs before the merge: O(files ×
+    sample_n) refs, and always the global first ``sample_n``."""
     pages = []
     for frag in pads.dataset(media_path, format="parquet").get_fragments():
         t = frag.to_table(columns=["media_ref", "media_kind"])
-        refs = t.filter(pc.equal(t["media_kind"], "page_png"))["media_ref"]
+        refs = t.filter(pc.equal(t["media_kind"], "page_png"))["media_ref"] \
+            .combine_chunks()
+        refs = refs.take(pc.bottom_k_unstable(refs, sample_n))
         pages += [(ref, frag.path) for ref in refs.to_pylist()]
-    sample_refs = sorted(ref for ref, _ in pages)[:sample_n]
-    if not sample_refs:
+    wanted = set(sorted(ref for ref, _ in pages)[:sample_n])
+    return sorted({(path, ref) for ref, path in pages if ref in wanted})
+
+
+def _calibration_sample(media_path: str, sample_n: int):
+    """``SAMPLE_SCHEMA`` rows of ``_sample_pages``' refs, as a Dataset
+    (None when there is no page_png): a ``map_batches`` over the
+    (file, media_ref) pairs in up to 2 × the cluster's CPUs blocks
+    (Ray's block count for a small read). Each task reads its pairs'
+    rows through a ref filter on their files (predicate pushdown: only
+    sample rows' payload bytes leave storage) and decodes them. Every
+    input block holds at least one pair, so every block the pass emits
+    is a ``SAMPLE_SCHEMA`` table; a filtered ``read_parquet`` instead
+    emits a schema-less zero-row block for each file or split with no
+    sample row, which Ray passes by the map untouched."""
+    pairs = _sample_pages(media_path, sample_n)
+    if not pairs:
         return None
-    wanted = set(sample_refs)
-    # by file first, so a file's sample rows sit in as few blocks as
-    # possible and each block reads a file at most once
-    pairs = sorted({(path, ref) for ref, path in pages if ref in wanted})
 
     def decode_sample(batch: pa.Table) -> pa.Table:
         from ..functions.charfix import fix_text
@@ -165,20 +166,20 @@ MEDIA_BROADCAST_SHARE = 0.25
 MEDIA_COLUMNS = ["media_ref", "payload"]
 
 
-def _footer_bytes(path, columns=None) -> int:
+def _metadata_bytes(md, columns=None) -> int:
     """Uncompressed bytes of the ``columns`` column chunks (all of them
-    when None) over the Parquet files at ``path`` (a dir, a file or a
-    list of files), summed from their footers; no data is read."""
-    total = 0
-    for frag in pads.dataset(path, format="parquet").get_fragments():
-        md = frag.metadata
-        for rg in range(md.num_row_groups):
-            row_group = md.row_group(rg)
-            total += sum(row_group.column(c).total_uncompressed_size
-                         for c in range(row_group.num_columns)
-                         if columns is None
-                         or row_group.column(c).path_in_schema in columns)
-    return total
+    when None) in one Parquet file's footer ``md``."""
+    return sum(rg.column(c).total_uncompressed_size
+               for rg in map(md.row_group, range(md.num_row_groups))
+               for c in range(rg.num_columns)
+               if columns is None or rg.column(c).path_in_schema in columns)
+
+
+def _footer_bytes(path, columns=None) -> int:
+    """``_metadata_bytes`` summed over the Parquet files at ``path`` (a
+    dir, a file or a list of files); no data is read."""
+    return sum(_metadata_bytes(frag.metadata, columns) for frag in
+               pads.dataset(path, format="parquet").get_fragments())
 
 
 def build_media_lookup(media_path: str) -> Any:
@@ -205,49 +206,61 @@ def build_media_lookup(media_path: str) -> Any:
     return ray.put(t.combine_chunks())
 
 
-def read_docs(path) -> rd.Dataset:
-    """``read_parquet`` of documents files (``path``: a dir, a file or a
-    list of files), planned from their footers.
-
-    Ray's own plan gives a read at least 2 × CPUs blocks, even when the
-    input is smaller than one ``target_min_block_size`` block: its CPU
-    floor overrides its block-size floor. For such a tiny input that
-    means a split read plus 2 × CPUs unfused map tasks of a few docs
-    each, mostly fixed cost. When the files' uncompressed footer bytes
-    are under ``target_min_block_size`` and there are fewer than
-    2 × CPUs files, the read here gets one block per file, so a
-    read → doc-local chain runs as one fused task per file. Every other
-    input keeps Ray's plan. A doc is one row, so it is whole in every
-    block and the rows do not depend on the plan."""
-    files = [f.path for f in
-             pads.dataset(path, format="parquet").get_fragments()]
-    min_block = rd.DataContext.get_current().target_min_block_size
-    if len(files) < 2 * _cluster_cpus() and _footer_bytes(files) < min_block:
-        return rd.read_parquet(path, override_num_blocks=len(files))
-    return rd.read_parquet(path)
+@dataclass(frozen=True)
+class JobPlan:
+    """What ``extract_spans`` runs: the planned documents read, the
+    media plan (``build_media_lookup``'s broadcast ref or join Dataset)
+    and the largest span count of a doc the job extracts."""
+    docs: rd.Dataset
+    media: Any
+    max_spans: int
 
 
-def _file_max_spans(path: str, pending: np.ndarray | None = None) -> int:
-    """Plan kernel: the largest span count among one documents file's
-    docs (with ``pending``, only docs whose partition
-    ``bucket_ids(doc_id, len(pending))`` is True). Reads the offset leaf
-    of ``spans`` (plus ``doc_id`` to filter) by its path in the file's
-    Parquet schema: writers name the list child ``element`` or ``item``,
-    and only ``pq.ParquetFile.read`` takes nested paths."""
+def _file_plan(path: str, keep: Callable | None) -> tuple[int, int]:
+    """One documents file's footer bytes and the largest span count
+    among the docs ``keep`` leaves, from one open. Reads the offset
+    leaf of ``spans`` (plus ``doc_id`` for ``keep``) by its path in the
+    file's Parquet schema: writers name the list child ``element`` or
+    ``item``, and only ``pq.ParquetFile.read`` takes nested paths."""
     f = pq.ParquetFile(path)
     leaf = next(c.path for c in f.schema
                 if c.path.startswith("spans.") and c.path.endswith(".offset"))
-    t = f.read(columns=[leaf] + ["doc_id"] * (pending is not None))
-    n = pc.list_value_length(t["spans"]).fill_null(0).to_numpy()
-    if pending is not None:
-        n = n[pending[bucket_ids(t["doc_id"], len(pending))]]
-    return int(n.max(initial=0))
+    t = f.read(columns=[leaf] + ["doc_id"] * (keep is not None))
+    if keep is not None:
+        t = keep(t)
+    n = pc.list_value_length(t["spans"]).fill_null(0)
+    return _metadata_bytes(f.metadata), int(pc.max(n).as_py() or 0)
 
 
-def _max_spans(files: list[str], pending: np.ndarray | None = None) -> int:
-    """``_file_max_spans`` over ``files``, one Ray task per file."""
-    plan = ray.remote(_file_max_spans)
-    return max(ray.get([plan.remote(f, pending) for f in files]), default=0)
+def plan_job(docs_path, media_path: str,
+             keep: Callable | None = None) -> JobPlan:
+    """Every plan decision of an extraction job over the documents files
+    at ``docs_path`` (a dir, a file or a list of files) and the media at
+    ``media_path``. ``keep`` is an optional batch filter on ``doc_id``:
+    it runs as the read's ``map_batches`` stage, and the skew bound
+    counts only the docs it leaves.
+
+    Ray's own plan gives a read at least 2 × CPUs blocks even when the
+    input is smaller than one ``target_min_block_size`` block: for a
+    tiny input, a split read plus 2 × CPUs unfused map tasks of a few
+    docs each, mostly fixed cost. When the files' footer bytes are under
+    that block size and there are fewer than 2 × CPUs files, the read
+    gets one block per file, so a read → doc-local chain runs as one
+    fused task per file; every other input keeps Ray's plan. A doc is
+    one row, so the rows do not depend on the plan."""
+    files = sorted(f.path for f in
+                   pads.dataset(docs_path, format="parquet").get_fragments())
+    task = ray.remote(_file_plan)
+    stats = ray.get([task.remote(f, keep) for f in files])
+    min_block = rd.DataContext.get_current().target_min_block_size
+    tiny = len(files) < 2 * _cluster_cpus() \
+        and sum(nbytes for nbytes, _ in stats) < min_block
+    docs = rd.read_parquet(files, override_num_blocks=len(files) if tiny
+                           else None)
+    if keep is not None:
+        docs = docs.map_batches(keep, batch_format="pyarrow")
+    return JobPlan(docs=docs, media=build_media_lookup(media_path),
+                   max_spans=max((n for _, n in stats), default=0))
 
 
 def _exploded(docs_ds, *, media_lookup_ref=None, media_ds=None, calib=None):
@@ -327,30 +340,24 @@ def _broadcast(docs_ds, *, threshold: int, tail: bool, media_lookup_ref=None,
     return small.union(big)
 
 
-def extract_spans(docs_ds, *, media=None, calib=None,
-                  max_spans: int | None = None):
-    """documents Dataset → ``reassemble.OUT_SCHEMA`` span rows.
+def extract_spans(plan: JobPlan, *, calib=None):
+    """``plan.docs`` → ``reassemble.OUT_SCHEMA`` span rows, as
+    ``plan_job`` planned them.
 
-    ``media`` is what ``build_media_lookup`` returned: a media Dataset
-    runs the join plan; a broadcast table ref runs doc-local, plus the
-    shuffle tail for docs over ``SKEW_THRESHOLD`` spans when
-    ``max_spans`` (a bound the caller measured, else read from the
-    Dataset's local input files) exceeds it or is unknown.
-    ``calib`` is an optional ``(knots_x, knots_y)`` isotonic calibrator
-    (fit_page_calibrator): it sets the cascade thresholds and
-    ``conf_calibrated``. Ray Data sizes every stage's task count, so
-    the doc-local stage fuses with its read. Every plan returns the
-    same rows: the plan only changes speed.
+    A media Dataset runs the join plan; a broadcast table ref runs
+    doc-local, plus the shuffle tail for docs over ``SKEW_THRESHOLD``
+    spans when ``plan.max_spans`` exceeds it. ``calib`` is an optional
+    ``(knots_x, knots_y)`` isotonic calibrator (fit_page_calibrator):
+    it sets the cascade thresholds and ``conf_calibrated``. Ray Data
+    sizes every stage's task count, so the doc-local stage fuses with
+    its read. Every plan returns the same rows: the plan only changes
+    speed.
     """
-    if isinstance(media, rd.Dataset):
-        return _exploded(docs_ds, media_ds=media, calib=calib)
-    files = docs_ds.input_files() if max_spans is None else []
-    if files and all(map(os.path.isfile, files)):
-        max_spans = _max_spans(sorted(files))
-    return _broadcast(
-        docs_ds, threshold=SKEW_THRESHOLD,
-        tail=max_spans is None or max_spans > SKEW_THRESHOLD,
-        media_lookup_ref=media, calib=calib)
+    if isinstance(plan.media, rd.Dataset):
+        return _exploded(plan.docs, media_ds=plan.media, calib=calib)
+    return _broadcast(plan.docs, threshold=SKEW_THRESHOLD,
+                      tail=plan.max_spans > SKEW_THRESHOLD,
+                      media_lookup_ref=plan.media, calib=calib)
 
 
 def extract_spans_hybrid(docs_ds, *, skew_threshold=SKEW_THRESHOLD,

@@ -10,23 +10,19 @@ inventory: a killed run loses everything), so this is new design:
   (``stages.agg.bucket_ids``; never Python ``hash()``, which is
   per-process randomized);
 - one invocation is ONE Ray Data pass over every pending partition (a
-  partition without a ``_SUCCESS`` marker): the corpus is read once
-  (``read_docs``) and filtered to pending docs, extracted by
-  ``extract_spans``, and written through ``_PartitionSink``. When the
-  documents files' footer bytes are under one Ray minimum block, the
-  pass runs as one fused read → filter → doc-local → write task per
-  documents file; a larger input keeps Ray's own read plan. Each write
-  task stages its rows into one temp dir per partition (so a partition
+  partition without a ``_SUCCESS`` marker): ``plan_job`` plans the
+  corpus read with ``keep_pending`` as its filter, ``extract_spans``
+  runs the plan, and ``_PartitionSink`` writes it. Each write task
+  stages its rows into one temp dir per partition (so a partition
   holds at most one parquet file per task) and returns a small
   per-partition lineage partial; once every task has written, the
-  calling process merges the
-  partials and, partition by partition, writes ``_lineage.json``
-  (docs, spans, counts by status/kind/cascade branch, confidence
-  histogram, wall time of the pass) and the ``_SUCCESS`` marker into
-  the temp dir, then atomically renames it to ``part={pid}/`` — data
-  and commit marker appear together, so no kill window can expose an
-  uncommitted partition. A partition no doc hashes to still commits,
-  with ``n_docs=0`` and no parquet file;
+  calling process merges the partials and, partition by partition,
+  writes ``_lineage.json`` (docs, spans, counts by status/kind/cascade
+  branch, confidence histogram, wall time of the pass) and the
+  ``_SUCCESS`` marker into the temp dir, then atomically renames it to
+  ``part={pid}/`` — data and commit marker appear together, so no kill
+  window can expose an uncommitted partition. A partition no doc
+  hashes to still commits, with ``n_docs=0`` and no parquet file;
 - resume = re-invoke with the same args: committed partitions are
   skipped and never recomputed. A kill loses the in-flight pass's
   uncommitted partitions (all pending ones if it strikes before the
@@ -34,15 +30,13 @@ inventory: a killed run loses everything), so this is new design:
   Output readers MUST filter to partitions containing ``_SUCCESS``
   (glob ``part=*/_SUCCESS`` then read that partition's ``*.parquet``).
 
-The filtered read has no input files to plan from, so the job runs
-``extract_spans``' plan step over pending docs only (one Ray task per
-corpus file) and passes the bound as ``max_spans``: a corpus without a
-doc over the skew threshold never builds the (empty) tail branch.
-Driver state is O(files + partitions): the plan's per-file maxima and
-the lineage partials. The media plan is ``build_media_lookup``'s
-footer check: a broadcast table when the corpus media fit the object
-store budget, else the join plan, which decodes the whole media table
-on every pass (a resume's committed pages included).
+``keep_pending`` is the one place the job hashes ``doc_id`` into
+partitions before the write. ``plan_job`` runs it in its per-file plan
+tasks too, so the skew bound counts pending docs only. Driver state is
+O(files + partitions): the plan's per-file statistics and the lineage
+partials. The media plan is ``build_media_lookup``'s footer check; the
+join plan decodes the whole media table on every pass (a resume's
+committed pages included).
 
 At 100 TB the partition count is sized so one partition's spans fit
 comfortably in a staging dir (e.g. 4096 partitions of ~25 GB);
@@ -65,9 +59,9 @@ import pyarrow.parquet as pq
 from ray.data import Datasink
 from ray.data.block import BlockAccessor
 
-from ..pipelines.extract import _max_spans, build_media_lookup, read_docs
 # perfbench wraps this module attribute to capture the job's Dataset
 from ..pipelines.extract import extract_spans as extract_spans_hybrid
+from ..pipelines.extract import plan_job
 from ..stages.agg import bucket_ids
 
 CONF_BINS = 10
@@ -191,17 +185,14 @@ def run_partitioned(corpus_dir: str, out_dir: str, num_parts: int = 8) -> dict:
     t0 = time.time()
     is_pending = np.zeros(num_parts, dtype=bool)
     is_pending[pending] = True
-    files = sorted(glob.glob(os.path.join(corpus_dir, "documents_spans",
-                                          "*.parquet")))
 
     def keep_pending(batch: pa.Table) -> pa.Table:
         return batch.filter(pa.array(
             is_pending[bucket_ids(batch["doc_id"], num_parts)]))
 
-    docs = read_docs(files).map_batches(keep_pending, batch_format="pyarrow")
-    spans = extract_spans_hybrid(
-        docs, media=build_media_lookup(os.path.join(corpus_dir, "media")),
-        max_spans=_max_spans(files, is_pending))
+    spans = extract_spans_hybrid(plan_job(
+        os.path.join(corpus_dir, "documents_spans"),
+        os.path.join(corpus_dir, "media"), keep_pending))
     spans.write_datasink(_PartitionSink(out_dir, num_parts, pending, t0))
     return {"completed": pending, "skipped": skipped}
 

@@ -18,7 +18,8 @@ import ray
 import ray.data as rd
 
 from ocr_pipeline_ray.pipelines import extract
-from ocr_pipeline_ray.pipelines.extract import build_media_lookup, extract_spans
+from ocr_pipeline_ray.pipelines.extract import (JobPlan, build_media_lookup,
+                                                extract_spans, plan_job)
 from ocr_pipeline_ray.state import checkpoint
 
 STAMPS = ("wall_seconds", "committed_at_epoch")
@@ -40,14 +41,14 @@ def uninterrupted(small_corpus, out_dirs):
 
 @pytest.fixture
 def extract_calls(monkeypatch):
-    """Records the keyword args of every extraction call the job entry
-    makes (through ``checkpoint.extract_spans_hybrid``)."""
+    """Records the plan of every extraction call the job entry makes
+    (through ``checkpoint.extract_spans_hybrid``)."""
     calls = []
     real = checkpoint.extract_spans_hybrid
 
-    def spy(*a, **kw):
-        calls.append(kw)
-        return real(*a, **kw)
+    def spy(plan, **kw):
+        calls.append(plan)
+        return real(plan, **kw)
     monkeypatch.setattr(checkpoint, "extract_spans_hybrid", spy)
     return calls
 
@@ -165,7 +166,7 @@ def test_empty_partitions_commit(tmp_path, extract_calls):
     assert r1 == {"completed": list(range(8)), "skipped": []}
     # the plan's bound: no doc of this corpus exceeds the skew
     # threshold, so no tail branch is built
-    assert [kw["max_spans"] for kw in extract_calls] == [_largest_doc(corpus)]
+    assert [p.max_spans for p in extract_calls] == [_largest_doc(corpus)]
     assert _largest_doc(corpus) <= extract.SKEW_THRESHOLD
     _committed(out, 8)
     recs = checkpoint.read_lineage(out)
@@ -307,14 +308,15 @@ def test_skew_tail_in_job_entry(small_corpus, tmp_path, monkeypatch,
     monkeypatch.setattr(extract, "SKEW_THRESHOLD", threshold)
     out = str(tmp_path / "out")
     checkpoint.run_partitioned(small_corpus, out, num_parts=3)
-    assert [kw["max_spans"] for kw in extract_calls] \
+    assert [p.max_spans for p in extract_calls] \
         == [_largest_doc(small_corpus)]
 
     got = _committed(out, 3)
-    docs = rd.read_parquet(f"{small_corpus}/documents_spans")
     # the doc-local plan (a bound of 0 builds no tail) as the reference
-    refs = extract_spans(docs, media=build_media_lookup(
-        f"{small_corpus}/media"), max_spans=0).to_arrow_refs()
+    refs = extract_spans(JobPlan(
+        docs=rd.read_parquet(f"{small_corpus}/documents_spans"),
+        media=build_media_lookup(f"{small_corpus}/media"),
+        max_spans=0)).to_arrow_refs()
     want = pa.concat_tables([t for t in ray.get(refs) if t.num_rows]) \
         .select(got.schema.names) \
         .sort_by([("doc_id", "ascending"), ("order", "ascending")])
@@ -331,10 +333,45 @@ def test_pending_bound_counts_only_pending_docs(small_corpus):
     n = np.array([len(s or ()) for s in t["spans"].to_pylist()])
     pids = np.array([zlib.crc32(d.encode()) % 3
                      for d in t["doc_id"].to_pylist()])
+    media = f"{small_corpus}/media"
     for pid in range(3):
-        pending = np.arange(3) == pid
-        assert extract._max_spans(files, pending) == n[pids == pid].max()
-    assert extract._max_spans(files) == n.max()
+        def keep(batch, pid=pid):
+            ids = [zlib.crc32(d.encode()) % 3
+                   for d in batch["doc_id"].to_pylist()]
+            return batch.filter(pa.array(np.array(ids) == pid))
+        assert plan_job(files, media, keep=keep).max_spans \
+            == n[pids == pid].max()
+    assert plan_job(files, media).max_spans == n.max()
+
+
+def test_one_plan_read_per_documents_file(small_corpus, tmp_path,
+                                          monkeypatch):
+    """``_file_plan`` opens each documents file once per job: once per
+    file for ``plan_job`` and for the job entry, and not at all when
+    every partition is committed. The spy runs in the plan tasks, so it
+    logs each call to a file."""
+    log = tmp_path / "plan_reads.log"
+    real = extract._file_plan
+
+    def spy(path, keep=None):
+        with open(log, "a") as f:
+            f.write(path + "\n")
+        return real(path, keep)
+    monkeypatch.setattr(extract, "_file_plan", spy)
+
+    def reads() -> list[str]:
+        calls = log.read_text().split() if log.exists() else []
+        log.unlink(missing_ok=True)
+        return sorted(calls)
+
+    files = sorted(glob.glob(f"{small_corpus}/documents_spans/*.parquet"))
+    plan_job(f"{small_corpus}/documents_spans", f"{small_corpus}/media")
+    assert reads() == files
+    out = str(tmp_path / "out")
+    checkpoint.run_partitioned(small_corpus, out, num_parts=2)
+    assert reads() == files
+    checkpoint.run_partitioned(small_corpus, out, num_parts=2)
+    assert reads() == []
 
 
 def test_legacy_list_naming(small_corpus, uninterrupted, tmp_path,
@@ -362,11 +399,10 @@ def test_legacy_list_naming(small_corpus, uninterrupted, tmp_path,
 
     # a tail threshold under the largest doc: the plan read decides it
     monkeypatch.setattr(extract, "SKEW_THRESHOLD", 50)
-    ref = build_media_lookup(f"{small_corpus}/media")
 
     def spans(corpus):
-        ds = extract_spans(rd.read_parquet(f"{corpus}/documents_spans"),
-                           media=ref)
+        ds = extract_spans(plan_job(f"{corpus}/documents_spans",
+                                    f"{corpus}/media"))
         return ds.to_pandas().sort_values(["doc_id", "order"]) \
             .reset_index(drop=True)
     pd.testing.assert_frame_equal(spans(legacy), spans(small_corpus))
@@ -415,9 +451,9 @@ def test_join_plan_in_job_entry(small_corpus, uninterrupted, tmp_path,
     captured = []
     real = checkpoint.extract_spans_hybrid
 
-    def capture(*a, **kw):
-        captured.append(kw["media"])
-        ds = real(*a, **kw)
+    def capture(plan, **kw):
+        captured.append(plan.media)
+        ds = real(plan, **kw)
         captured.append(ds)
         return ds
     monkeypatch.setattr(checkpoint, "extract_spans_hybrid", capture)

@@ -7,6 +7,7 @@ session over different lookups."""
 
 from __future__ import annotations
 
+import dataclasses
 import glob
 
 import pandas as pd
@@ -18,9 +19,8 @@ import ray
 import ray.data as rd
 
 from ocr_pipeline_ray.pipelines import extract
-from ocr_pipeline_ray.pipelines.extract import (build_media_lookup,
-                                                extract_spans,
-                                                fit_page_calibrator)
+from ocr_pipeline_ray.pipelines.extract import (extract_spans,
+                                                fit_page_calibrator, plan_job)
 from tests.oracle.golden import golden_calibrator, golden_spans
 
 N_DOCS, SEED, SKEW = 60, 42, 120
@@ -67,17 +67,19 @@ def _assert_matches_golden(out_df: pd.DataFrame, golden_df: pd.DataFrame):
     assert (out["conf_calibrated"] - gold["conf_calibrated"]).abs().max() < 1e-9
 
 
+def _plan(corpus: str):
+    return plan_job(f"{corpus}/documents_spans", f"{corpus}/media")
+
+
 def test_broadcast_path_matches_golden(small_corpus, golden_df):
-    docs = rd.read_parquet(f"{small_corpus}/documents_spans")
-    ref = build_media_lookup(f"{small_corpus}/media")
-    out = extract_spans(docs, media=ref).to_pandas()
+    out = extract_spans(_plan(small_corpus)).to_pandas()
     _assert_matches_golden(out, golden_df)
 
 
 def test_join_path_matches_golden(small_corpus, golden_df):
-    docs = rd.read_parquet(f"{small_corpus}/documents_spans")
-    media = rd.read_parquet(f"{small_corpus}/media")
-    out = extract_spans(docs, media=media).to_pandas()
+    plan = dataclasses.replace(
+        _plan(small_corpus), media=rd.read_parquet(f"{small_corpus}/media"))
+    out = extract_spans(plan).to_pandas()
     _assert_matches_golden(out, golden_df)
 
 
@@ -85,9 +87,7 @@ def test_broadcast_path_with_calibration(small_corpus, calib, golden_calib_df,
                                         monkeypatch):
     # every doc with a span takes the exploded + shuffle tail
     monkeypatch.setattr(extract, "SKEW_THRESHOLD", 0)
-    docs = rd.read_parquet(f"{small_corpus}/documents_spans")
-    ref = build_media_lookup(f"{small_corpus}/media")
-    out = extract_spans(docs, media=ref, calib=calib).to_pandas()
+    out = extract_spans(_plan(small_corpus), calib=calib).to_pandas()
     _assert_matches_golden(out, golden_calib_df)
 
 
@@ -112,11 +112,34 @@ def test_calibration_sample_blocks_carry_schema(small_corpus):
     assert set(refs) <= set(pages[:8]) and len(refs) == len(set(refs))
 
 
+def test_calibration_sample_is_the_global_first_pages(tmp_path):
+    """Each media file keeps only its ``sample_n`` smallest page refs
+    before the merge; the selection still equals a global sort's first
+    ``sample_n`` page refs, on a corpus where one file alone holds more
+    page refs than ``sample_n``."""
+    from ocr_pipeline_ray.sources.synth import write_corpus
+
+    write_corpus(str(tmp_path), n_docs=40, seed=3, num_files=4)
+    media = f"{tmp_path}/media"
+    files = sorted(glob.glob(f"{media}/*.parquet"))
+    per_file = {}
+    for f in files:
+        t = pq.read_table(f, columns=["media_ref", "media_kind"])
+        per_file[f] = t.filter(pc.equal(t["media_kind"], "page_png")) \
+            ["media_ref"].to_pylist()
+    sample_n = min(len(refs) for refs in per_file.values()) - 1
+    assert len(files) > 1 and sample_n > 0
+    want = sorted(r for refs in per_file.values() for r in refs)[:sample_n]
+
+    pairs = extract._sample_pages(media, sample_n)
+    assert sorted(ref for _, ref in pairs) == want
+    assert pairs == sorted((f, r) for f, refs in per_file.items()
+                           for r in refs if r in set(want))
+
+
 def test_doclocal_path_with_calibration(small_corpus, calib,
                                        golden_calib_df):
-    docs = rd.read_parquet(f"{small_corpus}/documents_spans")
-    ref = build_media_lookup(f"{small_corpus}/media")
-    out = extract_spans(docs, media=ref, calib=calib).to_pandas()
+    out = extract_spans(_plan(small_corpus), calib=calib).to_pandas()
     _assert_matches_golden(out, golden_calib_df)
 
 
@@ -134,10 +157,7 @@ def test_warm_reader_rekeys_across_datasets(small_corpus, tmp_path,
     other_gold = pd.DataFrame(golden_spans(other_seed, other_n, SKEW))
 
     def run(corpus, c=None):
-        docs = rd.read_parquet(f"{corpus}/documents_spans")
-        ref = build_media_lookup(f"{corpus}/media")
-        return extract_spans(docs, media=ref,
-                             calib=c).to_pandas()
+        return extract_spans(_plan(corpus), calib=c).to_pandas()
 
     _assert_matches_golden(run(small_corpus), golden_df)
     _assert_matches_golden(run(other), other_gold)

@@ -10,16 +10,18 @@ import ray
 import ray.data as rd
 
 from ocr_pipeline_ray.pipelines.extract import (FIELDS_SCHEMA,
-                                                build_media_lookup,
                                                 extract_fields_per_doc,
-                                                extract_spans)
+                                                extract_spans, plan_job)
+
+
+def _spans(corpus: str):
+    return extract_spans(plan_job(f"{corpus}/documents_spans",
+                                  f"{corpus}/media"))
 
 
 @pytest.fixture(scope="module")
 def fields_df(small_corpus):
-    docs = rd.read_parquet(f"{small_corpus}/documents_spans")
-    ref = build_media_lookup(f"{small_corpus}/media")
-    spans = extract_spans(docs, media=ref)
+    spans = _spans(small_corpus)
     return extract_fields_per_doc(spans).to_pandas() \
         .sort_values("doc_id").reset_index(drop=True)
 
@@ -93,9 +95,7 @@ def test_kie_and_correction_loop_recover_degraded_fields():
 
 
 def test_doc_digest_matches_sha256_of_text(small_corpus, fields_df):
-    docs = rd.read_parquet(f"{small_corpus}/documents_spans")
-    ref = build_media_lookup(f"{small_corpus}/media")
-    spans = extract_spans(docs, media=ref).to_pandas()
+    spans = _spans(small_corpus).to_pandas()
     one = fields_df.iloc[0]
     g = spans[spans["doc_id"] == one["doc_id"]].sort_values("order")
     expected = hashlib.sha256("\n".join(g["text"]).encode()).hexdigest()

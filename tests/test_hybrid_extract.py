@@ -1,8 +1,8 @@
-"""The planner of ``extract_spans``: doc-local only when no document is
-over the skew threshold, doc-local + the exploded shuffle tail
-otherwise or when the span bound is unknown; every plan equals the
-golden spans. Plus the doc-local stage against the exploded chain on
-hand-built edge cases."""
+"""The skew plan of ``extract_spans``: doc-local only when the plan's
+span bound is not over the skew threshold, doc-local + the exploded
+shuffle tail otherwise; every plan equals the golden spans. Plus the
+doc-local stage against the exploded chain on hand-built edge
+cases."""
 
 from __future__ import annotations
 
@@ -16,9 +16,10 @@ import ray
 import ray.data as rd
 
 from ocr_pipeline_ray.pipelines import extract
-from ocr_pipeline_ray.pipelines.extract import (build_media_lookup,
+from ocr_pipeline_ray.pipelines.extract import (JobPlan, build_media_lookup,
                                                 extract_spans,
-                                                extract_spans_hybrid)
+                                                extract_spans_hybrid,
+                                                plan_job)
 from ocr_pipeline_ray.sources.synth import DOCS_SCHEMA
 from ocr_pipeline_ray.stages import media_stub
 from ocr_pipeline_ray.stages.classify import classify_spans
@@ -44,17 +45,17 @@ def largest_doc(small_corpus):
     return max(len(s or ()) for s in spans.to_pylist())
 
 
-def _run(docs, ref, **kw):
+def _run(corpus):
     """(output frame, executed operator stats) of one extraction."""
-    ds = extract_spans(docs, media=ref, **kw).materialize()
+    ds = extract_spans(plan_job(f"{corpus}/documents_spans",
+                                f"{corpus}/media")).materialize()
     return ds.to_pandas(), ds.stats()
 
 
 def test_no_doc_over_threshold_builds_no_tail(small_corpus, golden_df,
                                               largest_doc):
     assert largest_doc <= extract.SKEW_THRESHOLD
-    out, stats = _run(rd.read_parquet(f"{small_corpus}/documents_spans"),
-                      build_media_lookup(f"{small_corpus}/media"))
+    out, stats = _run(small_corpus)
     assert "DocLocalExtract" in stats and "_rank_bucket" not in stats
     _assert_matches_golden(out, golden_df)
 
@@ -62,29 +63,8 @@ def test_no_doc_over_threshold_builds_no_tail(small_corpus, golden_df,
 def test_threshold_below_largest_doc_builds_tail(small_corpus, golden_df,
                                                  largest_doc, monkeypatch):
     monkeypatch.setattr(extract, "SKEW_THRESHOLD", largest_doc - 1)
-    out, stats = _run(rd.read_parquet(f"{small_corpus}/documents_spans"),
-                      build_media_lookup(f"{small_corpus}/media"))
+    out, stats = _run(small_corpus)
     assert "DocLocalExtract" in stats and "_rank_bucket" in stats
-    _assert_matches_golden(out, golden_df)
-
-
-def test_dataset_without_input_files_builds_tail(small_corpus, golden_df):
-    docs = rd.from_arrow(pq.read_table(f"{small_corpus}/documents_spans"))
-    assert docs.input_files() == []
-    out, stats = _run(docs, build_media_lookup(f"{small_corpus}/media"))
-    assert "_rank_bucket" in stats
-    _assert_matches_golden(out, golden_df)
-
-
-def test_caller_bound_skips_the_plan_read(small_corpus, golden_df,
-                                          monkeypatch):
-    def no_read(*a, **kw):
-        raise AssertionError("plan read despite a caller bound")
-    monkeypatch.setattr(extract, "_max_spans", no_read)
-    out, stats = _run(rd.read_parquet(f"{small_corpus}/documents_spans"),
-                      build_media_lookup(f"{small_corpus}/media"),
-                      max_spans=0)
-    assert "_rank_bucket" not in stats
     _assert_matches_golden(out, golden_df)
 
 
@@ -93,8 +73,7 @@ def test_operator_names_keep_the_stage_classes(small_corpus, monkeypatch):
     benchmark's op.doclocal.* and op.ocr_pool.* layers are keyed on
     these names and would silently read 0 without them."""
     monkeypatch.setattr(extract, "SKEW_THRESHOLD", 0)
-    _, stats = _run(rd.read_parquet(f"{small_corpus}/documents_spans"),
-                    build_media_lookup(f"{small_corpus}/media"))
+    _, stats = _run(small_corpus)
     for name in ("DocLocalExtract", "explode_spans", "classify_spans",
                  "OcrStage", "filter_keep", "_rank_bucket"):
         assert name in stats, name
@@ -220,8 +199,11 @@ def test_tail_plan_on_edge_cases(case, edge_lookup_ref, monkeypatch):
     docs, want = _EDGE_CASES[case]
     batch = pa.Table.from_pylist([{"doc_id": d, "spans": s} for d, s in docs],
                                  schema=DOCS_SCHEMA)
-    ds = extract_spans(rd.from_arrow(batch),
-                       media=edge_lookup_ref).materialize()
+    # a hand-sized plan: its span bound is over the threshold
+    ds = extract_spans(JobPlan(docs=rd.from_arrow(batch),
+                               media=edge_lookup_ref,
+                               max_spans=extract.SKEW_THRESHOLD + 1)
+                       ).materialize()
     assert "_rank_bucket" in ds.stats()
     rows = sorted(ds.take_all(), key=lambda r: (r["doc_id"], r["order"]))
     assert [(r["doc_id"], r["order"], r["kind"],

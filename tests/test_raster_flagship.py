@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import pandas as pd
 import pytest
-import ray.data as rd
 
 from ocr_pipeline_ray.sources.synth import gen_doc
 from ocr_pipeline_ray.stages import media_stub, pixels
@@ -92,12 +91,10 @@ def test_degraded_pages_defeat_naive_read_and_recover_restored(raster_rows):
 
 
 def test_flagship_extract_emits_restored_rows(small_corpus):
-    from ocr_pipeline_ray.pipelines.extract import (build_media_lookup,
-                                                    extract_spans)
+    from ocr_pipeline_ray.pipelines.extract import extract_spans, plan_job
 
-    docs = rd.read_parquet(f"{small_corpus}/documents_spans")
-    ref = build_media_lookup(f"{small_corpus}/media")
-    out = extract_spans(docs, media=ref).to_pandas()
+    out = extract_spans(plan_job(f"{small_corpus}/documents_spans",
+                                 f"{small_corpus}/media")).to_pandas()
     restored = out[out["cascade"] == "restored"]
     assert len(restored) > 0
     assert (restored["kind"] == "media").all()

@@ -71,19 +71,16 @@ class TestFieldsParity:
     def test_distributed_fields_equal_sequential(self, small_corpus):
         """extract_fields_per_doc (groupby reduce) == sequential
         extract_fields over the oracle's golden spans."""
-        import ray.data as rd
-
         from ocr_pipeline_ray.functions.regex_banks import (extract_fields,
                                                             validate_fields)
-        from ocr_pipeline_ray.pipelines.extract import (build_media_lookup,
-                                                        extract_fields_per_doc,
-                                                        extract_spans)
+        from ocr_pipeline_ray.pipelines.extract import (extract_fields_per_doc,
+                                                        extract_spans,
+                                                        plan_job)
         from tests.oracle.golden import golden_spans
 
-        docs = rd.read_parquet(f"{small_corpus}/documents_spans")
-        ref = build_media_lookup(f"{small_corpus}/media")
-        got = extract_fields_per_doc(
-            extract_spans(docs, media=ref)).to_pandas() \
+        plan = plan_job(f"{small_corpus}/documents_spans",
+                        f"{small_corpus}/media")
+        got = extract_fields_per_doc(extract_spans(plan)).to_pandas() \
             .sort_values("doc_id").reset_index(drop=True)
 
         gold = pd.DataFrame(golden_spans(42, 60, 120))
