@@ -46,16 +46,9 @@ def _span_corpus(sf_dir: str) -> str:
     out = _span_corpus_path(sf_dir)
     marker = os.path.join(out, "_DONE")
     if not os.path.exists(marker):
-        import ray
         n_docs = _span_corpus_docs(sf_dir)
-        if ray.is_initialized() and n_docs >= 2000:
-            from ocr_pipeline_ray.sources.synth import write_corpus_parallel
-            write_corpus_parallel(out, n_docs=n_docs, seed=42,
-                                  skew_upper=200,
-                                  num_files=max(4, n_docs // 300))
-        else:
-            write_corpus(out, n_docs=n_docs, seed=42, skew_upper=200,
-                         num_files=4)
+        write_corpus(out, n_docs=n_docs, seed=42, skew_upper=200,
+                     num_files=n_docs // 300 if n_docs >= 2000 else 4)
         with open(marker, "w") as f:
             f.write("ok")
     return out

@@ -10,11 +10,14 @@ Plain run:  prints ONE JSON line
   throughputs + scaling efficiency (the north rule's two-cluster-size
   criterion, evidenced at two parallelism levels as documented in
   BASELINE.md) — for TWO execution modes of ``extract_spans``:
-    broadcast : zero-copy broadcast media table; the bench corpus caps
-                documents at 300 spans, under the skew threshold, so
-                the plan is doc-local and map-only (zero shuffle)
+    broadcast : the media plan ``plan_job`` picked: the zone map on the
+                clustered bench corpus, so each doc-local task reads
+                its payloads in-task; the corpus caps documents at 300
+                spans, under the skew threshold, so the plan is
+                doc-local and map-only (zero shuffle). The mode keeps
+                its old name so existing invocations still run.
     join      : media payloads resolved via the hash-partitioned
-                Dataset.join instead of the broadcast table
+                Dataset.join instead of the zone map
 
 --scaling-controlled: the contention-controlled variant of the same
   criterion (r3 verdict #3): per mode, N INTERLEAVED 8/32 pairs in
@@ -71,22 +74,15 @@ def _corpus_for_bench(sf_dir: str, n_docs_override: int = 0) -> tuple[str, int]:
     generator just wrote)."""
     import pyarrow.parquet as pq
 
-    import ray
-    from ocr_pipeline_ray.sources.synth import (write_corpus,
-                                                write_corpus_parallel)
+    from ocr_pipeline_ray.sources.synth import write_corpus
 
     n_docs = n_docs_override or BENCH_DOCS or max(
         100, pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows)
     out = f"/tmp/ocr_ray_bench_corpus/v4-n{n_docs}-seed42"
     marker = os.path.join(out, "_DONE")
     if not os.path.exists(marker):
-        num_files = max(16, n_docs // 300)
-        if ray.is_initialized():
-            write_corpus_parallel(out, n_docs=n_docs, seed=42,
-                                  skew_upper=300, num_files=num_files)
-        else:
-            write_corpus(out, n_docs=n_docs, seed=42, skew_upper=300,
-                         num_files=num_files)
+        write_corpus(out, n_docs=n_docs, seed=42, skew_upper=300,
+                     num_files=max(16, n_docs // 300))
         with open(marker, "w") as f:
             f.write("ok")
     return out, n_docs
@@ -119,7 +115,7 @@ def run_bench() -> dict:
         suite_cpu0, suite_steal0 = _host_busy_sec()
 
         # headline: flagship extraction pipeline. Input setup (job plan
-        # with its media put, calibrator fit) stays outside the clock:
+        # with its zone map put, calibrator fit) stays outside the clock:
         # serial Amdahl overhead that a cluster deployment shards/caches,
         # not pipeline work.
         plan = plan_job(f"{corpus}/documents_spans", f"{corpus}/media")
@@ -133,8 +129,8 @@ def run_bench() -> dict:
         warm_file = sorted(_glob.glob(f"{corpus}/documents_spans/*.parquet"))[0]
         warm = dataclasses.replace(plan, docs=rd.read_parquet(warm_file))
         extract_spans(warm, calib=calib).count()
-        # join mode forces the join plan, whatever the footer check
-        # picked for this corpus
+        # join mode forces the join plan, whatever plan_job picked for
+        # this corpus
         if BENCH_MODE == "join":
             plan = dataclasses.replace(plan, media=rd.read_parquet(
                 f"{corpus}/media", columns=MEDIA_COLUMNS))
@@ -237,7 +233,7 @@ def run_scaling() -> dict:
     efficiency = (t_8 / t_32) / (32 / 8). Extraction only (the other
     suite queries are sf-bound and finish in ~1 s each — they would
     measure startup, not scaling). Two modes: the doc-local map-only
-    broadcast plan and the media hash-join path."""
+    zone-map plan and the media hash-join path."""
     import pyarrow.parquet as pq
 
     base = max(100, pq.read_metadata(f"{SF_DIR}/documents.parquet").num_rows)

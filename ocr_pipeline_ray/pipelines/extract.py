@@ -6,34 +6,30 @@
     (+ a per-document field-extraction reduce on top).
 
 ``extract_spans`` is the one entry; media-payload resolution has two
-plans, and ``build_media_lookup`` picks one from the media files'
-Parquet footers (no data read): the ``media_ref`` + ``payload``
-column-chunk bytes against ``MEDIA_BROADCAST_SHARE`` of the smallest
-alive node's object store.
+plans, and ``plan_job`` picks one from the data (footers and the
+documents' ``media_ref`` ranges; no payload read, no constant):
 
-- ``broadcast`` (media table fits): the ``(media_ref, payload)`` Arrow
-  table is ``ray.put`` ONCE on the driver and each OCR worker process
-  maps it zero-copy once, in its warm ``PageReader``.
+- ``zone map`` (clustered media): the media zone map, one row per media
+  row group with its footer ``media_ref`` min/max, is ``ray.put`` once.
   ``stages.doclocal.DocLocalExtract`` runs explode → classify →
   ``OcrStage`` → keep filter → rank inside one task (no shuffle: each
-  document is whole in its batch). Only docs over ``SKEW_THRESHOLD``
-  spans take the exploded + shuffle plan above, a branch built only
-  when the plan's skew bound (the largest span count) is over it.
-- ``join`` (the 100 TB path, media table too big to broadcast): the
-  media table is OCR'd in place by a map stage, then a
-  hash-partitioned ``Dataset.join`` on ``media_ref`` attaches the
-  extracted TEXT to the span rows (text spans bypass the join and
-  union back). Payload bytes never enter the shuffle — the exchange
-  moves only narrow text rows.
+  document is whole in its batch); ``OcrStage`` reads only the media
+  row groups whose range holds a ref of its batch. Only docs over
+  ``SKEW_THRESHOLD`` spans take the exploded + shuffle plan below, a
+  branch built only when the plan's skew bound is over it.
+- ``join`` (unclustered media): the media table is OCR'd in place by a
+  map stage, then a hash-partitioned ``Dataset.join`` on ``media_ref``
+  attaches the extracted TEXT to the span rows (text spans bypass the
+  join and union back). Payload bytes never enter the shuffle — the
+  exchange moves only narrow text rows.
 
 Every plan returns the same schema and byte-identical results (tested).
-``plan_job`` makes every plan decision of a job: the documents read and
-the skew bound from one Ray task per documents file, the media plan
-from ``build_media_lookup``. ``extract_spans`` runs the ``JobPlan``.
+``extract_spans`` runs the ``JobPlan`` that ``plan_job`` made.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -49,7 +45,7 @@ from ..config import MEDIA_JOIN_BUCKETS, OCR_BATCH_SIZE, SKEW_THRESHOLD
 from ..stages.agg import bucketed_map_groups
 from ..stages.classify import classify_spans
 from ..stages.explode import explode_spans
-from ..stages.ocr import OcrStage
+from ..stages.ocr import MEDIA_COLUMNS, OcrStage, read_zone_rows
 from ..stages.reassemble import reassemble
 
 
@@ -82,47 +78,40 @@ def _sample_pages(media_path: str, sample_n: int) -> list[tuple[str, str]]:
 
 def _calibration_sample(media_path: str, sample_n: int):
     """``SAMPLE_SCHEMA`` rows of ``_sample_pages``' refs, as a Dataset
-    (None when there is no page_png): a ``map_batches`` over the
-    (file, media_ref) pairs in up to 2 × the cluster's CPUs blocks
-    (Ray's block count for a small read). Each task reads its pairs'
-    rows through a ref filter on their files (predicate pushdown: only
-    sample rows' payload bytes leave storage) and decodes them. Every
-    input block holds at least one pair, so every block the pass emits
-    is a ``SAMPLE_SCHEMA`` table; a filtered ``read_parquet`` instead
-    emits a schema-less zero-row block for each file or split with no
-    sample row, which Ray passes by the map untouched."""
+    (None when there is no page_png): a ``map_batches`` over the refs,
+    in file order, in up to 2 × the cluster's CPUs blocks (Ray's block
+    count for a small read). Each task reads its refs' rows through the
+    zone map (only the row groups that can hold them) and decodes them.
+    Every input block holds at least one ref, so every block the pass
+    emits is a ``SAMPLE_SCHEMA`` table; a filtered ``read_parquet``
+    instead emits a schema-less zero-row block for each file or split
+    with no sample row, which Ray passes by the map untouched."""
     pairs = _sample_pages(media_path, sample_n)
     if not pairs:
         return None
+    zones = _zone_map(media_path)
 
     def decode_sample(batch: pa.Table) -> pa.Table:
         from ..functions.charfix import fix_text
         from ..functions.geometry import truth_reading_order
         from ..stages.ocr import ocr_page_cascade
 
-        by_path: dict[str, list[str]] = {}
-        for ref, path in zip(batch["media_ref"].to_pylist(),
-                             batch["path"].to_pylist()):
-            by_path.setdefault(path, []).append(ref)
+        t = read_zone_rows(zones, batch["media_ref"].to_pylist(),
+                           MEDIA_COLUMNS + ["truth_lines"])
         rows = {name: [] for name in SAMPLE_SCHEMA.names}
-        for path, refs in by_path.items():
-            t = pq.read_table(path,
-                              columns=["media_ref", "payload", "truth_lines"],
-                              filters=pads.field("media_ref").isin(refs))
-            for ref, payload, truth in zip(t["media_ref"].to_pylist(),
-                                           t["payload"].to_pylist(),
-                                           t["truth_lines"].to_pylist()):
-                text, conf, status, _cascade = ocr_page_cascade(payload)
-                if status != "ok" or not truth:
-                    continue
-                truth_text = fix_text("\n".join(truth_reading_order(truth)))
-                rows["media_ref"].append(ref)
-                rows["conf"].append(conf)
-                rows["correct"].append(1.0 if text == truth_text else 0.0)
+        for ref, payload, truth in zip(t["media_ref"].to_pylist(),
+                                       t["payload"].to_pylist(),
+                                       t["truth_lines"].to_pylist()):
+            text, conf, status, _cascade = ocr_page_cascade(payload)
+            if status != "ok" or not truth:
+                continue
+            truth_text = fix_text("\n".join(truth_reading_order(truth)))
+            rows["media_ref"].append(ref)
+            rows["conf"].append(conf)
+            rows["correct"].append(1.0 if text == truth_text else 0.0)
         return pa.table(rows, schema=SAMPLE_SCHEMA)
 
-    return rd.from_items([{"media_ref": ref, "path": path}
-                          for path, ref in pairs],
+    return rd.from_items([{"media_ref": ref} for _path, ref in pairs],
                          override_num_blocks=min(len(pairs),
                                                  2 * _cluster_cpus())) \
         .map_batches(decode_sample, batch_format="pyarrow")
@@ -157,79 +146,79 @@ def fit_page_calibrator(media_path: str, sample_n: int = 512):
     return kx.tolist(), ky.tolist()
 
 
-# Share of the smallest alive node's object store a broadcast media
-# table may take; over it, ``build_media_lookup`` returns the join
-# plan's input instead. ``Table.combine_chunks`` splits a binary column
-# past 2 GiB into several chunks rather than raising, and the lookup
-# ``take``s across chunks, so no lower cap applies.
-MEDIA_BROADCAST_SHARE = 0.25
-MEDIA_COLUMNS = ["media_ref", "payload"]
-
-
-def _metadata_bytes(md, columns=None) -> int:
-    """Uncompressed bytes of the ``columns`` column chunks (all of them
-    when None) in one Parquet file's footer ``md``."""
+def _metadata_bytes(md) -> int:
+    """Uncompressed bytes of every column chunk in one Parquet file's
+    footer ``md``."""
     return sum(rg.column(c).total_uncompressed_size
                for rg in map(md.row_group, range(md.num_row_groups))
-               for c in range(rg.num_columns)
-               if columns is None or rg.column(c).path_in_schema in columns)
+               for c in range(rg.num_columns))
 
 
-def _footer_bytes(path, columns=None) -> int:
-    """``_metadata_bytes`` summed over the Parquet files at ``path`` (a
-    dir, a file or a list of files); no data is read."""
-    return sum(_metadata_bytes(frag.metadata, columns) for frag in
-               pads.dataset(path, format="parquet").get_fragments())
+def _zone_map(media_path: str) -> pa.Table:
+    """The media zone map: one row per row group of the media files at
+    ``media_path``, in file and row-group order, with its ``path``,
+    ``row_group`` and the footer's ``media_ref`` ``min`` / ``max`` (null
+    when it has none). No data is read."""
+    files = sorted(pads.dataset(media_path, format="parquet").get_fragments(),
+                   key=lambda f: f.path)
+    return pa.Table.from_pylist(
+        [{"path": f.path, "row_group": rg.id,
+          **rg.statistics.get("media_ref", {})}
+         for f in files for rg in f.row_groups],
+        schema=pa.schema([("path", pa.string()), ("row_group", pa.int64()),
+                          ("min", pa.string()), ("max", pa.string())]))
 
 
 def build_media_lookup(media_path: str) -> Any:
-    """The ``media`` argument of ``extract_spans``, planned from the
-    media files' footers: when their ``media_ref`` + ``payload`` bytes
-    fit ``MEDIA_BROADCAST_SHARE`` of the smallest alive node's object
-    store, the (media_ref, payload) Arrow table ``ray.put`` ONCE
-    (broadcast plan); otherwise a lazy ``read_parquet`` of those
-    columns (join plan).
+    """The zone-map plan's ``media``: ``_zone_map``, ``ray.put`` once.
+    It is O(media row groups); each OCR worker's ``PageReader`` reads
+    through it only the row groups that can hold its batch's refs."""
+    return ray.put(_zone_map(media_path))
 
-    An Arrow table (unlike a Python dict) is ZERO-COPY out of the object
-    store: every OCR worker's ``ray.get`` maps the same shared-memory
-    buffers instead of unpickling a private multi-hundred-MB dict copy —
-    pool-size × dict-deserialization was the dominant anti-scaling cost
-    (measured: 32 CPUs slower than 8 before this change). Lookups use
-    a per-reader ref → row index.
-    """
-    store = min(int(n["Resources"]["object_store_memory"])
-                for n in ray.nodes() if n["Alive"])
-    budget = int(MEDIA_BROADCAST_SHARE * store)
-    if _footer_bytes(media_path, MEDIA_COLUMNS) > budget:
-        return rd.read_parquet(media_path, columns=MEDIA_COLUMNS)
-    t = pq.read_table(media_path, columns=MEDIA_COLUMNS)
-    return ray.put(t.combine_chunks())
+
+def _zone_reads(zones: pa.Table, ranges) -> int:
+    """Media row groups the zone map reads for documents files whose
+    non-empty refs span ``ranges`` (``(min, max)``, None without refs),
+    at one block per file: per file, #(min ≤ file max) − #(max < file
+    min) over two sorted arrays, plus every row group with no range."""
+    mins = sorted(m for m in zones["min"].to_pylist() if m is not None)
+    maxs = sorted(m for m in zones["max"].to_pylist() if m is not None)
+    unranged = zones.num_rows - len(mins)
+    return sum(bisect.bisect_right(mins, hi) - bisect.bisect_left(maxs, lo)
+               + unranged for lo, hi in ranges if lo is not None)
 
 
 @dataclass(frozen=True)
 class JobPlan:
     """What ``extract_spans`` runs: the planned documents read, the
-    media plan (``build_media_lookup``'s broadcast ref or join Dataset)
-    and the largest span count of a doc the job extracts."""
+    media plan (``build_media_lookup``'s zone map ref or the join's
+    media Dataset) and the largest span count of a doc the job
+    extracts."""
     docs: rd.Dataset
     media: Any
     max_spans: int
 
 
-def _file_plan(path: str, keep: Callable | None) -> tuple[int, int]:
-    """One documents file's footer bytes and the largest span count
-    among the docs ``keep`` leaves, from one open. Reads the offset
-    leaf of ``spans`` (plus ``doc_id`` for ``keep``) by its path in the
-    file's Parquet schema: writers name the list child ``element`` or
-    ``item``, and only ``pq.ParquetFile.read`` takes nested paths."""
+def _file_plan(path: str, keep: Callable | None
+               ) -> tuple[int, int, str | None, str | None]:
+    """One documents file's footer bytes, the largest span count among
+    the docs ``keep`` leaves, and the min and max of their non-empty
+    ``media_ref`` values (None when they have none), from one open.
+    Reads the offset and ``media_ref`` leaves of ``spans`` (plus
+    ``doc_id`` for ``keep``) by their paths in the file's Parquet
+    schema: writers name the list child ``element`` or ``item``, and
+    only ``pq.ParquetFile.read`` takes nested paths."""
     f = pq.ParquetFile(path)
-    leaf = next(c.path for c in f.schema
-                if c.path.startswith("spans.") and c.path.endswith(".offset"))
-    t = f.read(columns=[leaf] + ["doc_id"] * (keep is not None))
+    leaves = [c.path for c in f.schema if c.path.startswith("spans.")
+              and c.path.endswith((".offset", ".media_ref"))]
+    t = f.read(columns=leaves + ["doc_id"] * (keep is not None))
     if keep is not None:
         t = keep(t)
     n = pc.list_value_length(t["spans"]).fill_null(0)
-    return _metadata_bytes(f.metadata), int(pc.max(n).as_py() or 0)
+    refs = pc.struct_field(pc.list_flatten(t["spans"]), "media_ref")
+    ends = pc.min_max(refs.filter(pc.not_equal(refs, ""))).as_py()
+    return (_metadata_bytes(f.metadata), int(pc.max(n).as_py() or 0),
+            ends["min"], ends["max"])
 
 
 def plan_job(docs_path, media_path: str,
@@ -237,8 +226,8 @@ def plan_job(docs_path, media_path: str,
     """Every plan decision of an extraction job over the documents files
     at ``docs_path`` (a dir, a file or a list of files) and the media at
     ``media_path``. ``keep`` is an optional batch filter on ``doc_id``:
-    it runs as the read's ``map_batches`` stage, and the skew bound
-    counts only the docs it leaves.
+    it runs as the read's ``map_batches`` stage, and the skew bound and
+    the ref ranges count only the docs it leaves.
 
     Ray's own plan gives a read at least 2 × CPUs blocks even when the
     input is smaller than one ``target_min_block_size`` block: for a
@@ -247,25 +236,35 @@ def plan_job(docs_path, media_path: str,
     that block size and there are fewer than 2 × CPUs files, the read
     gets one block per file, so a read → doc-local chain runs as one
     fused task per file; every other input keeps Ray's plan. A doc is
-    one row, so the rows do not depend on the plan."""
+    one row, so the rows do not depend on the plan.
+
+    The media plan is the zone map when, summed over the documents
+    files, the media row groups it reads (``_zone_reads``) are no more
+    than the media's row groups, the join's single scan; otherwise the
+    join."""
     files = sorted(f.path for f in
                    pads.dataset(docs_path, format="parquet").get_fragments())
     task = ray.remote(_file_plan)
     stats = ray.get([task.remote(f, keep) for f in files])
     min_block = rd.DataContext.get_current().target_min_block_size
     tiny = len(files) < 2 * _cluster_cpus() \
-        and sum(nbytes for nbytes, _ in stats) < min_block
+        and sum(s[0] for s in stats) < min_block
     docs = rd.read_parquet(files, override_num_blocks=len(files) if tiny
                            else None)
     if keep is not None:
         docs = docs.map_batches(keep, batch_format="pyarrow")
-    return JobPlan(docs=docs, media=build_media_lookup(media_path),
-                   max_spans=max((n for _, n in stats), default=0))
+    zones = _zone_map(media_path)
+    if _zone_reads(zones, [s[2:] for s in stats]) <= zones.num_rows:
+        media = ray.put(zones)
+    else:
+        media = rd.read_parquet(media_path, columns=MEDIA_COLUMNS)
+    return JobPlan(docs=docs, media=media,
+                   max_spans=max((s[1] for s in stats), default=0))
 
 
 def _exploded(docs_ds, *, media_lookup_ref=None, media_ds=None, calib=None):
     """explode → classify → OCR → ``reassemble`` shuffle: the join plan
-    and the broadcast plan's skew tail."""
+    and the zone-map plan's skew tail."""
     exploded = docs_ds.map_batches(explode_spans, batch_format="pyarrow")
 
     if media_ds is not None:
@@ -301,10 +300,9 @@ def _exploded(docs_ds, *, media_lookup_ref=None, media_ds=None, calib=None):
         ocrd = joined.map_batches(apply_media_text, batch_format="pyarrow")
         ds = ocrd.union(text_rows)
     else:
-        # Broadcast path: single pass, no branches — classify handles text
-        # rows and passes media rows through; the OCR stage resolves
-        # payloads from the zero-copy broadcast table. No explicit
-        # batch_size (see note above).
+        # Zone-map skew tail: single pass, no branches — classify handles
+        # text rows and passes media rows through; the OCR stage reads
+        # each batch's payloads through the zone map.
         ds = exploded.map_batches(classify_spans, batch_format="pyarrow")
         ds = ds.map_batches(
             OcrStage(media_lookup_ref=media_lookup_ref, calib=calib),
@@ -313,7 +311,7 @@ def _exploded(docs_ds, *, media_lookup_ref=None, media_ds=None, calib=None):
     return reassemble(ds)
 
 
-def _broadcast(docs_ds, *, threshold: int, tail: bool, media_lookup_ref=None,
+def _doc_local(docs_ds, *, threshold: int, tail: bool, media_lookup_ref=None,
                calib=None):
     """Docs with ≤ ``threshold`` spans run map-only through
     ``DocLocalExtract``; with ``tail`` the rest take ``_exploded``,
@@ -344,8 +342,7 @@ def extract_spans(plan: JobPlan, *, calib=None):
     """``plan.docs`` → ``reassemble.OUT_SCHEMA`` span rows, as
     ``plan_job`` planned them.
 
-    A media Dataset runs the join plan; a broadcast table ref runs
-    doc-local, plus the shuffle tail for docs over ``SKEW_THRESHOLD``
+    A media Dataset runs the join plan; a zone map ref runs doc-local, plus the shuffle tail for docs over ``SKEW_THRESHOLD``
     spans when ``plan.max_spans`` exceeds it. ``calib`` is an optional
     ``(knots_x, knots_y)`` isotonic calibrator (fit_page_calibrator):
     it sets the cascade thresholds and ``conf_calibrated``. Ray Data
@@ -355,7 +352,7 @@ def extract_spans(plan: JobPlan, *, calib=None):
     """
     if isinstance(plan.media, rd.Dataset):
         return _exploded(plan.docs, media_ds=plan.media, calib=calib)
-    return _broadcast(plan.docs, threshold=SKEW_THRESHOLD,
+    return _doc_local(plan.docs, threshold=SKEW_THRESHOLD,
                       tail=plan.max_spans > SKEW_THRESHOLD,
                       media_lookup_ref=plan.media, calib=calib)
 
@@ -367,7 +364,7 @@ def extract_spans_hybrid(docs_ds, *, skew_threshold=SKEW_THRESHOLD,
     ``ocr_concurrency`` is accepted and ignored: Ray Data sizes the
     stages."""
     kw.pop("ocr_concurrency", None)
-    return _broadcast(docs_ds, threshold=skew_threshold,
+    return _doc_local(docs_ds, threshold=skew_threshold,
                       tail=skew_tail != "never", **kw)
 
 

@@ -269,42 +269,20 @@ def _write_part(out_dir: str, part: int, lo: int, hi: int, seed: int,
                        os.path.join(out_dir, sub, f"part-{part:04d}.parquet"))
 
 
-def write_corpus_parallel(out_dir: str, n_docs: int, seed: int = 42,
-                          skew_upper: int = 300, num_files: int = 64) -> None:
-    """Ray-parallel corpus generation: one task per output file.
-
-    ``gen_doc`` is a pure function of (seed, doc_index), so file shards
-    generate independently and the result is byte-identical to the
-    sequential ``write_corpus`` with the same sharding (both write
-    through ``_write_part``). Requires an initialized Ray session
-    (callers that own one, e.g. bench.py).
-    """
-    import ray.data as rd
-
-    per = (n_docs + num_files - 1) // num_files
-
-    def gen_file(batch):
-        for f in batch["id"].to_pylist():
-            if f * per < n_docs:
-                _write_part(out_dir, f, f * per, min(n_docs, (f + 1) * per),
-                            seed, skew_upper)
-        return pa.table({"done": pa.array([len(batch["id"])],
-                                          type=pa.int64())})
-
-    rd.range(num_files).map_batches(gen_file, batch_size=1,
-                                    batch_format="pyarrow").count()
-
-
 def write_corpus(out_dir: str, n_docs: int, seed: int = 42, skew_upper: int = 300,
                  num_files: int = 4) -> None:
-    """Write partitioned parquet (documents_spans/, media/) under out_dir.
-
-    Multiple part files so downstream reads parallelize and the
-    checkpoint/resume tests have real input shards.
+    """Write partitioned parquet (documents_spans/, media/) under out_dir:
+    ``num_files`` contiguous shards of the docs, one Ray task per file
+    (a shard past the last doc is not written), so multiple part files
+    let downstream reads parallelize and give the checkpoint/resume
+    tests real input shards. ``gen_doc`` is a pure function of (seed,
+    doc_index), so a file's bytes do not depend on the task that writes
+    it. Needs a Ray session (``ray.remote`` starts one otherwise).
     """
+    import ray
+
     per = (n_docs + num_files - 1) // num_files
-    for f in range(num_files):
-        if f * per >= n_docs:
-            break
-        _write_part(out_dir, f, f * per, min(n_docs, (f + 1) * per), seed,
-                    skew_upper)
+    task = ray.remote(_write_part)
+    ray.get([task.remote(out_dir, f, f * per, min(n_docs, (f + 1) * per),
+                         seed, skew_upper)
+             for f in range(num_files) if f * per < n_docs])

@@ -44,8 +44,8 @@ raw confidences achieving the reference's target accuracies
 calibrated score downstream.
 
 Everything around the stub decode is the real distributed design:
-one warm ``PageReader`` per worker process (zero-copy broadcast
-payloads, calibrated cascade thresholds) shared by ``OcrStage``
+one warm ``PageReader`` per worker process (the media zone map,
+calibrated cascade thresholds) shared by ``OcrStage``
 (also run in-task by ``DocLocalExtract``) and ``MediaDecodeStage``,
 XY-cut reading order, char-correction canonicalization, failure-as-data
 status columns.
@@ -53,11 +53,14 @@ status columns.
 
 from __future__ import annotations
 
+import bisect
 import re
 import struct
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 from ..config import TAU_ENHANCE, TAU_LLM
 from ..functions.charfix import aggressive_digit_fix, fix_text
@@ -352,24 +355,45 @@ def _resolve_taus(calib) -> tuple[float, float]:
             tl if tl is not None else TAU_LLM)
 
 
+MEDIA_COLUMNS = ["media_ref", "payload"]
+
+
+def read_zone_rows(zones: pa.Table, refs, columns: list[str]) -> pa.Table:
+    """The media rows (``columns``) whose ``media_ref`` is one of the
+    non-empty ``refs``, in file, row-group and row order. ``zones`` is
+    the zone map (``pipelines.extract.build_media_lookup``). Only the
+    row groups whose ``[min, max]`` holds a wanted ref are read (every
+    row group with no range too), each file's in one call, whole, then
+    filtered to the wanted refs."""
+    wanted = sorted({r for r in refs if r})
+    by_path: dict[str, list[int]] = {}
+    for path, rg, lo, hi in zip(*(zones[c].to_pylist() for c in
+                                  ("path", "row_group", "min", "max"))):
+        if wanted and (lo is None or bisect.bisect_left(wanted, lo)
+                       < bisect.bisect_right(wanted, hi)):
+            by_path.setdefault(path, []).append(rg)
+    if not by_path:
+        return pa.table({c: [] for c in columns})
+    t = pa.concat_tables(pq.ParquetFile(path).read_row_groups(rgs, columns)
+                         for path, rgs in by_path.items())
+    return t.filter(pc.is_in(t["media_ref"],
+                             value_set=pa.array(wanted, pa.string())))
+
+
 class PageReader:
     """Warm per-process page-read state shared by the OCR stages.
 
     Built once per worker process by ``warm_reader`` (the reference's
-    lazy engine singletons, pipeline.py:1150-1195): the broadcast
-    ``(media_ref, payload)`` table, its ref→row index, and the optional
-    ``(knots_x, knots_y)`` isotonic calibrator with the cascade
-    thresholds derived from it.
+    lazy engine singletons, pipeline.py:1150-1195): the media zone map,
+    and the optional ``(knots_x, knots_y)`` isotonic calibrator with the
+    cascade thresholds derived from it.
     """
 
     def __init__(self, media_lookup_ref=None, calib=None) -> None:
-        # ZERO-COPY from the object store: ray.get maps shared buffers —
-        # no per-process dict materialization of the payloads.
-        self.media: pa.Table | None = None
+        self.zones: pa.Table | None = None
         if media_lookup_ref is not None:
             import ray
-            self.media = ray.get(media_lookup_ref)
-        self._ref_index: dict[str, int] | None = None
+            self.zones = ray.get(media_lookup_ref)
         self.calib = None
         if calib is not None:
             self.calib = (np.asarray(calib[0], dtype=np.float64),
@@ -377,23 +401,15 @@ class PageReader:
         self.tau_enhance, self.tau_llm = _resolve_taus(self.calib)
 
     def payloads(self, refs: list[str]) -> list[bytes | None]:
-        """Payload bytes for each of ``refs`` from the broadcast table,
-        in one ``take`` (None where there is no table or the ref is
-        missing)."""
-        if self.media is None:
+        """Payload bytes for each of ``refs``, read through the zone map
+        (None where there is no zone map or the ref is missing). A ref
+        held by several rows resolves to the last of them."""
+        if self.zones is None:
             return [None] * len(refs)
-        # ref→row index built ONCE per reader (lazily, off the zero-copy
-        # broadcast table): pc.index_in re-hashes the whole value_set on
-        # EVERY batch, which made per-batch cost grow with corpus size
-        # (measured super-linear wall at 150k docs). The dict costs
-        # ~100 B/ref of worker heap — the broadcast path is only used
-        # when the media table is node-sized anyway (else: join path).
-        if self._ref_index is None:
-            self._ref_index = {r: i for i, r in
-                               enumerate(self.media["media_ref"].to_pylist())}
-        rows = pa.array([self._ref_index.get(r) for r in refs],
-                        type=pa.int64())
-        return self.media["payload"].take(rows).to_pylist()
+        t = read_zone_rows(self.zones, refs, MEDIA_COLUMNS)
+        found = dict(zip(t["media_ref"].to_pylist(),
+                         t["payload"].to_pylist()))
+        return [found.get(r) for r in refs]
 
     def read(self, payload: bytes) -> tuple[str, float, float, str, str]:
         """One page → (text, conf, conf_calibrated, status, cascade)."""
@@ -415,20 +431,20 @@ class PageReader:
 
 
 # One-entry per-process cache: (key, reader). Holding a single entry
-# means a worker pins at most one broadcast table.
+# means a worker holds at most one zone map.
 _warm: tuple[tuple, PageReader] | None = None
 
 
 def warm_reader(media_lookup_ref=None, calib=None) -> PageReader:
     """This worker process's ``PageReader`` for ``(media_lookup_ref,
-    calib)``, built on first use and reused by every later task on the
-    same process. A different lookup ref or calibrator replaces the
-    entry."""
+    calib)``: the zone map ref and the calibrator knots. Built on first
+    use and reused by every later task on the same process; a different
+    zone map ref or calibrator replaces the entry."""
     global _warm
     key = (media_lookup_ref,
            None if calib is None else (tuple(calib[0]), tuple(calib[1])))
     if _warm is None or _warm[0] != key:
-        _warm = None  # drop the old table before mapping the new one
+        _warm = None  # drop the old reader before building the new one
         _warm = (key, PageReader(media_lookup_ref, calib))
     return _warm[1]
 
@@ -436,8 +452,9 @@ def warm_reader(media_lookup_ref=None, calib=None) -> PageReader:
 class OcrStage:
     """map_batches callable over mixed span rows.
 
-    Media rows (status='pending') are read through the broadcast lookup
-    (``media_lookup_ref``); text rows pass through. ``calib`` is an
+    Media rows (status='pending') are read through the zone map
+    (``media_lookup_ref``): only the media row groups that can hold the
+    batch's refs; text rows pass through. ``calib`` is an
     optional ``(knots_x, knots_y)`` isotonic calibrator: it derives the
     cascade thresholds and fills ``conf_calibrated``.
 
@@ -510,8 +527,6 @@ def apply_media_text(batch: pa.Table) -> pa.Table:
     """Join-path finisher: span rows ⋈ decoded media text → the
     standard ensemble span schema (missing media ⇒ status
     'missing_media', dropped later by filter_keep)."""
-    import pyarrow.compute as pc
-
     n = batch.num_rows
     have = pc.is_valid(batch["m_status"])
     return pa.table({

@@ -34,9 +34,11 @@ inventory: a killed run loses everything), so this is new design:
 partitions before the write. ``plan_job`` runs it in its per-file plan
 tasks too, so the skew bound counts pending docs only. Driver state is
 O(files + partitions): the plan's per-file statistics and the lineage
-partials. The media plan is ``build_media_lookup``'s footer check; the
-join plan decodes the whole media table on every pass (a resume's
-committed pages included).
+partials. ``plan_job`` picks the media plan from the footers and the
+pending docs' ref ranges: on the zone map, a pass reads only the media
+row groups that can hold its pending docs' refs; the join plan decodes
+the whole media table on every pass (a resume's committed pages
+included).
 
 At 100 TB the partition count is sized so one partition's spans fit
 comfortably in a staging dir (e.g. 4096 partitions of ~25 GB);

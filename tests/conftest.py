@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+
+import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 import ray
 
@@ -23,3 +27,16 @@ def small_corpus(tmp_path_factory):
     out = tmp_path_factory.mktemp("corpus")
     write_corpus(str(out), n_docs=60, seed=42, skew_upper=120, num_files=3)
     return str(out)
+
+
+def media_lookup(media_dir, media: dict):
+    """``build_media_lookup`` over one media file holding ``media``'s
+    (media_ref, payload) rows, written under ``media_dir``."""
+    from ocr_pipeline_ray.pipelines.extract import build_media_lookup
+
+    os.makedirs(media_dir, exist_ok=True)
+    pq.write_table(pa.table({
+        "media_ref": pa.array(list(media), type=pa.string()),
+        "payload": pa.array(list(media.values()), type=pa.binary())}),
+        os.path.join(media_dir, "part-0000.parquet"))
+    return build_media_lookup(str(media_dir))

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 import glob
 import os
 import re
 import shutil
 import zlib
-from fractions import Fraction
 
 import numpy as np
 import pandas as pd
@@ -224,7 +224,8 @@ def test_docs_read_planned_from_footers(tmp_path, monkeypatch):
 
     monkeypatch.setattr(rd.DataContext.get_current(),
                         "target_min_block_size",
-                        extract._footer_bytes(files))
+                        sum(extract._metadata_bytes(pq.ParquetFile(f).metadata)
+                            for f in files))
     split = str(tmp_path / "split")
     checkpoint.run_partitioned(corpus, split, num_parts=2)
     read = _ops(captured[-1])[0]
@@ -408,46 +409,130 @@ def test_legacy_list_naming(small_corpus, uninterrupted, tmp_path,
     pd.testing.assert_frame_equal(spans(legacy), spans(small_corpus))
 
 
-def _footer_bytes(media_dir: str) -> int:
-    """``media_ref`` + ``payload`` column-chunk bytes, file by file."""
-    total = 0
-    for f in sorted(glob.glob(os.path.join(media_dir, "*.parquet"))):
-        md = pq.ParquetFile(f).metadata
-        for i in range(md.num_row_groups):
-            rg = md.row_group(i)
-            total += sum(rg.column(j).total_uncompressed_size
-                         for j in range(rg.num_columns)
-                         if rg.column(j).path_in_schema
-                         in ("media_ref", "payload"))
-    return total
+def _relayout(corpus: str, dst, num_files: int, **write_kw) -> str:
+    """A copy of ``corpus`` whose media rows, in a seeded random order,
+    are split over ``num_files`` files written with ``write_kw``; the
+    documents are a symlink to the original's."""
+    os.makedirs(dst / "media")
+    os.symlink(os.path.join(corpus, "documents_spans"),
+               dst / "documents_spans")
+    t = pq.read_table(os.path.join(corpus, "media"))
+    t = t.take(np.random.default_rng(0).permutation(t.num_rows))
+    for i, rows in enumerate(np.array_split(np.arange(t.num_rows),
+                                            num_files)):
+        pq.write_table(t.take(rows), dst / "media" / f"part-{i:04d}.parquet",
+                       **write_kw)
+    return str(dst)
 
 
-def test_footer_check_picks_the_media_plan(small_corpus, monkeypatch):
-    media = f"{small_corpus}/media"
-    nbytes = _footer_bytes(media)
-    assert nbytes > 0
-    assert extract._footer_bytes(media, extract.MEDIA_COLUMNS) == nbytes
-    # the test session's object store fits this corpus's media
-    assert isinstance(build_media_lookup(media), ray.ObjectRef)
+def test_media_plan_from_the_data(small_corpus, tmp_path):
+    """``plan_job`` takes the zone map when the media row groups it
+    reads, summed over the documents files, are no more than the
+    media's row groups. ``write_corpus`` clusters each documents file's
+    refs into one media file: the zone map. Media rows shuffled across
+    the files, or one media file written without statistics next to
+    several documents files: the join. Forced onto the shuffled layout,
+    the zone map still returns the clustered layout's rows."""
+    def zone_reads(corpus):
+        files = sorted(glob.glob(f"{corpus}/documents_spans/*.parquet"))
+        ranges = [extract._file_plan(f, None)[2:] for f in files]
+        return extract._zone_reads(
+            extract._zone_map(f"{corpus}/media"), ranges)
 
-    # exact shares put the budget at the footer bytes, then one under
-    store = min(int(n["Resources"]["object_store_memory"])
-                for n in ray.nodes() if n["Alive"])
-    monkeypatch.setattr(extract, "MEDIA_BROADCAST_SHARE",
-                        Fraction(nbytes, store))
-    assert isinstance(build_media_lookup(media), ray.ObjectRef)
-    monkeypatch.setattr(extract, "MEDIA_BROADCAST_SHARE",
-                        Fraction(nbytes - 1, store))
-    join = build_media_lookup(media)
-    assert isinstance(join, rd.Dataset)
-    assert join.schema().names == ["media_ref", "payload"]
+    def plan(corpus):
+        return plan_job(f"{corpus}/documents_spans", f"{corpus}/media")
+
+    clustered = plan(small_corpus)
+    assert isinstance(clustered.media, ray.ObjectRef)
+    zones = ray.get(clustered.media)
+    assert zones.equals(extract._zone_map(f"{small_corpus}/media"))
+    assert zones.num_rows == 3 and zones["min"].null_count == 0
+    assert zone_reads(small_corpus) == 3
+
+    shuffled = _relayout(small_corpus, tmp_path / "shuffled", 3)
+    no_stats = _relayout(small_corpus, tmp_path / "no_stats", 1,
+                         write_statistics=False)
+    assert zone_reads(shuffled) == 9 and zone_reads(no_stats) == 3
+    for corpus in (shuffled, no_stats):
+        join = plan(corpus).media
+        assert isinstance(join, rd.Dataset)
+        assert join.schema().names == extract.MEDIA_COLUMNS
+
+    def rows(p):
+        return p.to_pandas().sort_values(["doc_id", "order"]) \
+            .reset_index(drop=True)
+    forced = dataclasses.replace(
+        plan(shuffled), media=build_media_lookup(f"{shuffled}/media"))
+    pd.testing.assert_frame_equal(rows(extract_spans(forced)),
+                                  rows(extract_spans(clustered)))
+
+
+def _read_row_groups_spy(monkeypatch) -> list[int]:
+    """Row groups read per ``pq.ParquetFile.read_row_groups`` call in
+    this process."""
+    reads = []
+    real = pq.ParquetFile.read_row_groups
+
+    def spy(self, row_groups, *a, **kw):
+        reads.append(len(row_groups))
+        return real(self, row_groups, *a, **kw)
+    monkeypatch.setattr(pq.ParquetFile, "read_row_groups", spy)
+    return reads
+
+
+def test_doclocal_reads_one_media_row_group_per_file(small_corpus,
+                                                     monkeypatch):
+    """On the clustered layout, ``DocLocalExtract`` over one documents
+    file reads one media row group: the one whose range holds the
+    file's refs. The stage runs in this process, where the spy sees
+    it."""
+    from ocr_pipeline_ray.stages.doclocal import DocLocalExtract
+
+    lookup = build_media_lookup(f"{small_corpus}/media")
+    reads = _read_row_groups_spy(monkeypatch)
+    for f in sorted(glob.glob(f"{small_corpus}/documents_spans/*.parquet")):
+        reads.clear()
+        out = DocLocalExtract(media_lookup_ref=lookup)(pq.read_table(f))
+        assert "media" in out["kind"].to_pylist()
+        assert reads == [1], f
+
+
+def test_pending_partition_reads_only_its_refs(small_corpus, monkeypatch):
+    """With a ``keep`` that leaves 1 of 4 partitions, the media rows the
+    zone map keeps after its ref filter are exactly that partition's
+    media refs."""
+    from ocr_pipeline_ray.stages import ocr
+    from ocr_pipeline_ray.stages.agg import bucket_ids
+    from ocr_pipeline_ray.stages.doclocal import DocLocalExtract
+
+    kept = []
+    real = ocr.read_zone_rows
+
+    def spy(zones, refs, columns):
+        t = real(zones, refs, columns)
+        kept.extend(t["media_ref"].to_pylist())
+        return t
+    monkeypatch.setattr(ocr, "read_zone_rows", spy)
+
+    def keep(batch: pa.Table) -> pa.Table:
+        return batch.filter(pa.array(bucket_ids(batch["doc_id"], 4) == 1))
+
+    lookup = build_media_lookup(f"{small_corpus}/media")
+    want = []
+    for f in sorted(glob.glob(f"{small_corpus}/documents_spans/*.parquet")):
+        batch = keep(pq.read_table(f))
+        want += [s["media_ref"] for spans in batch["spans"].to_pylist()
+                 for s in spans or () if s["kind"] == "media"]
+        DocLocalExtract(media_lookup_ref=lookup)(batch)
+    assert want and sorted(kept) == sorted(want)
 
 
 def test_join_plan_in_job_entry(small_corpus, uninterrupted, tmp_path,
                                 monkeypatch):
-    """A zero broadcast budget sends the job entry down the join plan,
-    fresh and on a resume, with the broadcast run's partitions."""
-    monkeypatch.setattr(extract, "MEDIA_BROADCAST_SHARE", 0)
+    """Media rows shuffled across the files send the job entry down the
+    join plan, fresh and on a resume, with the zone-map run's
+    partitions."""
+    corpus = _relayout(small_corpus, tmp_path / "shuffled", 3)
     captured = []
     real = checkpoint.extract_spans_hybrid
 
@@ -464,12 +549,11 @@ def test_join_plan_in_job_entry(small_corpus, uninterrupted, tmp_path,
         return isinstance(media, rd.Dataset) and "MediaDecodeStage" in stats
 
     out = str(tmp_path / "out")
-    checkpoint.run_partitioned(small_corpus, out, num_parts=4)
+    checkpoint.run_partitioned(corpus, out, num_parts=4)
     assert ran_join()
     assert _committed(out, 4).equals(_committed(uninterrupted, 4))
-
     shutil.rmtree(os.path.join(out, "part=2"))
-    r = checkpoint.run_partitioned(small_corpus, out, num_parts=4)
+    r = checkpoint.run_partitioned(corpus, out, num_parts=4)
     assert r == {"completed": [2], "skipped": [0, 1, 3]}
     assert ran_join()
     assert _committed(out, 4).equals(_committed(uninterrupted, 4))

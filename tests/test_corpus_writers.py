@@ -1,5 +1,5 @@
-"""The Ray-parallel corpus writer writes the same part files, byte for
-byte, as the sequential one with the same sharding."""
+"""The corpus writer's Ray tasks write the same part files, byte for
+byte, as ``_write_part`` called in this process with the same sharding."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from ocr_pipeline_ray.sources.synth import write_corpus, write_corpus_parallel
+from ocr_pipeline_ray.sources.synth import _write_part, write_corpus
 
 
 # 9 docs in files of 3: the fourth file would be empty and is not written
@@ -15,10 +15,11 @@ from ocr_pipeline_ray.sources.synth import write_corpus, write_corpus_parallel
 def test_parallel_writer_equals_sequential(tmp_path, n_docs, num_files,
                                            n_parts):
     seq, par = tmp_path / "seq", tmp_path / "par"
-    write_corpus(str(seq), n_docs=n_docs, seed=7, skew_upper=120,
+    per = (n_docs + num_files - 1) // num_files
+    for f in range(n_parts):
+        _write_part(str(seq), f, f * per, min(n_docs, (f + 1) * per), 7, 120)
+    write_corpus(str(par), n_docs=n_docs, seed=7, skew_upper=120,
                  num_files=num_files)
-    write_corpus_parallel(str(par), n_docs=n_docs, seed=7, skew_upper=120,
-                          num_files=num_files)
     for sub in ("documents_spans", "media"):
         names = sorted(os.listdir(seq / sub))
         assert len(names) == n_parts

@@ -1,9 +1,9 @@
 """North-rule gate: engine span sequences == oracle golden spans,
 exactly, on (kind, text, media_ref, order) — plus conf/status/cascade/
 calibration parity. The doc-local plan with and without the isotonic
-calibrator active, the broadcast plan with its exploded tail forced
+calibrator active, the zone-map plan with its exploded tail forced
 (calibrated), the join plan, and the doc-local plan re-run in one
-session over different lookups."""
+session over different zone maps."""
 
 from __future__ import annotations
 

@@ -28,6 +28,7 @@ from ocr_pipeline_ray.stages.explode import explode_spans
 from ocr_pipeline_ray.stages.ocr import OcrStage
 from ocr_pipeline_ray.stages.reassemble import (OUT_SCHEMA, _rank_bucket,
                                                 filter_keep)
+from tests.conftest import media_lookup
 from tests.oracle.golden import golden_spans
 from tests.test_extract_golden import (N_DOCS, SEED, SKEW,
                                        _assert_matches_golden)
@@ -92,12 +93,12 @@ def test_benchmark_alias_keeps_its_plans(tmp_path, golden_df, monkeypatch):
     write_corpus(str(tmp_path), n_docs=N_DOCS, seed=SEED, skew_upper=SKEW,
                  num_files=8)
     plans = []
-    real = extract._broadcast
+    real = extract._doc_local
 
     def spy(docs, **kw):
         plans.append((kw["threshold"], kw["tail"]))
         return real(docs, **kw)
-    monkeypatch.setattr(extract, "_broadcast", spy)
+    monkeypatch.setattr(extract, "_doc_local", spy)
     docs = rd.read_parquet(f"{tmp_path}/documents_spans")
     ref = build_media_lookup(f"{tmp_path}/media")
     for kw, has_tail in (({"skew_tail": "never"}, False),
@@ -167,10 +168,8 @@ _EDGE_CASES = {
 
 
 @pytest.fixture(scope="module")
-def edge_lookup_ref():
-    return ray.put(pa.table({
-        "media_ref": pa.array(list(_MEDIA), type=pa.string()),
-        "payload": pa.array(list(_MEDIA.values()), type=pa.binary())}))
+def edge_lookup_ref(tmp_path_factory):
+    return media_lookup(tmp_path_factory.mktemp("edge_media"), _MEDIA)
 
 
 @pytest.mark.parametrize("case", list(_EDGE_CASES))

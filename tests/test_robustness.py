@@ -132,19 +132,16 @@ class TestTornPayloads:
                                                      "none"), torn[:8]
             assert ocr_page(torn)[2] == "corrupt"
 
-    def test_torn_rows_flow_through_the_ocr_stage(self):
+    def test_torn_rows_flow_through_the_ocr_stage(self, tmp_path):
         import pyarrow as pa
-        import ray
 
         from ocr_pipeline_ray.stages.ocr import OcrStage
+        from tests.conftest import media_lookup
 
         torn = self._torn()
         n = len(torn)
         refs = [f"m{i}" for i in range(n)]
-        lookup = ray.put(pa.table({
-            "media_ref": pa.array(refs),
-            "payload": pa.array(torn, type=pa.binary()),
-        }))
+        lookup = media_lookup(tmp_path / "media", dict(zip(refs, torn)))
         batch = pa.table({
             "doc_id": pa.array([f"d{i}" for i in range(n)]),
             "kind": pa.array(["media"] * n),
@@ -180,13 +177,14 @@ class TestOversizePayload:
     ``filter_keep`` drops it like a corrupt page. The bound is patched
     low so a small page is over it."""
 
-    def test_oversize_page_is_a_dropped_status_row(self, monkeypatch):
+    def test_oversize_page_is_a_dropped_status_row(self, monkeypatch,
+                                                   tmp_path):
         import pyarrow as pa
-        import ray
 
         from ocr_pipeline_ray.sources.synth import DOCS_SCHEMA
         from ocr_pipeline_ray.stages import ocr
         from ocr_pipeline_ray.stages.doclocal import DocLocalExtract
+        from tests.conftest import media_lookup
 
         big = media_stub.encode_page(
             [("Total Consumption 2990 kWh for the billing period", 0, 0)], 7)
@@ -197,9 +195,8 @@ class TestOversizePayload:
         assert ocr.ocr_page_cascade(big) == ("", 0.0, "oversize", "none")
         assert ocr.ocr_page_cascade(small)[2:] == ("ok", "digital")
 
-        lookup = ray.put(pa.table({
-            "media_ref": pa.array(["m-big", "m-small"]),
-            "payload": pa.array([big, small], type=pa.binary())}))
+        lookup = media_lookup(tmp_path / "media",
+                              {"m-big": big, "m-small": small})
         spans = [{"kind": "media", "text": "", "media_ref": ref,
                   "offset": off} for off, ref in enumerate(["m-big",
                                                             "m-small"])]

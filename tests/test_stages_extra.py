@@ -159,17 +159,15 @@ class TestWarmReader:
     process keeps ONE warm PageReader, re-keyed by lookup ref and
     calibrator knots."""
 
-    def test_rekeys_and_holds_one_entry(self):
+    def test_rekeys_and_holds_one_entry(self, tmp_path):
         import gc
         import weakref
 
-        import pyarrow as pa
-        import ray
-
         from ocr_pipeline_ray.stages import ocr
+        from tests.conftest import media_lookup
 
-        table = pa.table({"media_ref": ["m0"], "payload": [b"x"]})
-        ref_a, ref_b = ray.put(table), ray.put(table)
+        ref_a = media_lookup(tmp_path / "media", {"m0": b"x"})
+        ref_b = media_lookup(tmp_path / "media", {"m0": b"x"})
         knots = ([0.55, 0.98], [0.30, 0.90])
 
         first = ocr.warm_reader(ref_a, knots)
