@@ -63,15 +63,16 @@ def apply_calibration(knots_x: np.ndarray, knots_y: np.ndarray,
 
 
 def threshold_for_accuracy(knots_x: np.ndarray, knots_y: np.ndarray,
-                           target: float, tol: float = 1e-4) -> float | None:
+                           target: float) -> float | None:
     """Smallest raw confidence whose calibrated accuracy >= target
-    (binary search over the monotone map; None if unreachable)."""
+    (binary search over the monotone map to 1e-4; None if
+    unreachable)."""
     lo, hi = float(knots_x[0]), float(knots_x[-1])
     if apply_calibration(knots_x, knots_y, np.array([hi]))[0] < target:
         return None
     if apply_calibration(knots_x, knots_y, np.array([lo]))[0] >= target:
         return lo
-    while hi - lo > tol:
+    while hi - lo > 1e-4:
         mid = (lo + hi) / 2
         if apply_calibration(knots_x, knots_y, np.array([mid]))[0] >= target:
             hi = mid

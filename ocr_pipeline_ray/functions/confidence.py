@@ -45,9 +45,8 @@ def logmean_confidence(confs: np.ndarray) -> float:
     return float(np.exp(np.mean(np.log(c))))
 
 
-def calibrated_confidence(raw: float, field_acc: float, completeness: float,
-                          elapsed_s: float = 0.0) -> float:
-    """A6: weighted blend x (1 - time penalty), clipped to [0, 1]."""
-    penalty = min(0.2, 0.02 * max(0.0, elapsed_s - 5.0))
-    score = (0.4 * raw + 0.35 * field_acc + 0.25 * completeness) * (1.0 - penalty)
+def calibrated_confidence(raw: float, field_acc: float,
+                          completeness: float) -> float:
+    """A6: weighted blend, clipped to [0, 1]."""
+    score = 0.4 * raw + 0.35 * field_acc + 0.25 * completeness
     return float(min(1.0, max(0.0, score)))

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-# default XY-cut band height: lines whose y falls in the same
-# band_height-pixel band read as one row
+# XY-cut band height: lines whose y falls in the same 24-pixel band
+# read as one row
 XY_CUT_BAND = 24
 
 
@@ -38,16 +38,16 @@ def bbox_iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return iou
 
 
-def xy_cut_order(xs: np.ndarray, ys: np.ndarray, band_height: int = XY_CUT_BAND) -> np.ndarray:
+def xy_cut_order(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Return the permutation that reads line anchors in XY-cut order.
 
-    Lines are grouped into horizontal bands of ``band_height`` pixels
+    Lines are grouped into horizontal bands of ``XY_CUT_BAND`` pixels
     (top-to-bottom), then read left-to-right within a band. Tie-break is
     (band, x, y, original index) — fully deterministic.
     """
     xs = np.asarray(xs, dtype=np.int64)
     ys = np.asarray(ys, dtype=np.int64)
-    band = ys // band_height
+    band = ys // XY_CUT_BAND
     idx = np.arange(xs.size)
     return np.lexsort((idx, ys, xs, band))
 

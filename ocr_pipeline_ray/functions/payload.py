@@ -12,8 +12,10 @@ from __future__ import annotations
 
 from typing import Any
 
+from .. import __version__
 
-def build_payload(row: dict[str, Any], engine_version: str = "0.1.0") -> dict:
+
+def build_payload(row: dict[str, Any]) -> dict:
     """One fields-table row → the nested payload dict."""
     def fmt(v):
         return None if v is None else float(f"{float(v):.6f}")
@@ -45,7 +47,7 @@ def build_payload(row: dict[str, Any], engine_version: str = "0.1.0") -> dict:
             "spanCount": int(row.get("n_spans") or 0),
             "documentConfidence": row.get("doc_conf"),
             "sha256": row.get("doc_digest"),
-            "engineVersion": engine_version,
+            "engineVersion": __version__,
         },
     }
 

@@ -102,9 +102,9 @@ RANGES = {
 CARBON_PER_KWH = (0.1, 1.0)
 
 
-def context_valid(text: str, start: int, end: int, field: str, window: int = 50) -> bool:
-    """F8: the +/-``window`` chars around a match must mention a unit keyword."""
-    ctx = text[max(0, start - window): end + window].lower()
+def context_valid(text: str, start: int, end: int, field: str) -> bool:
+    """F8: the +/-50 chars around a match must mention a unit keyword."""
+    ctx = text[max(0, start - 50): end + 50].lower()
     return any(k in ctx for k in _CONTEXT_KEYWORDS.get(field, ()))
 
 

@@ -73,18 +73,18 @@ def fingerprint_md5(text: str) -> str:
     return hashlib.md5(text.encode("utf-8")).hexdigest()
 
 
-def token_shingles(text: str, k: int = 3) -> list[str]:
-    """Distinct token k-gram shingles, order-stable (first occurrence)."""
+def token_shingles(text: str) -> list[str]:
+    """Distinct token 3-gram shingles, order-stable (first occurrence)."""
     toks = tokens(text)
     seen: dict[str, None] = {}
-    for i in range(len(toks) - k + 1):
-        seen.setdefault(" ".join(toks[i:i + k]), None)
+    for i in range(len(toks) - 2):
+        seen.setdefault(" ".join(toks[i:i + 3]), None)
     return list(seen)
 
 
 def jaccard(a: list[str], b: list[str]) -> float:
     """Jaccard over shingle sets; both-empty → 0.0 (NOT 1.0): docs with
-    no shingles (<k tokens) carry no similarity evidence, and 1.0 would
+    no shingles (<3 tokens) carry no similarity evidence, and 1.0 would
     declare every pair of short docs a near-duplicate (they also share
     the all-zero MinHash signature, so LSH would emit them all). The
     DuckDB oracles guard the zero denominator identically."""

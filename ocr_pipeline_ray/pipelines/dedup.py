@@ -56,18 +56,17 @@ _SHINGLE_SEP = "\x1f"
 
 
 def bucketed_min_survivor(ds: "rd.Dataset", key_col: str,
-                          num_buckets: int,
-                          id_col: str = "doc_id") -> "rd.Dataset":
+                          num_buckets: int) -> "rd.Dataset":
     """The engine-standard exact-dedup reduction, as a named operator:
     ``bucketed_map_groups`` on ``key_col`` with ONE vectorized
     ``groupby(key).min(id)`` pandas pass per bucket. Input: a Dataset
-    with (``id_col``:int64, ``key_col``:utf8); output: one (key, min
-    id) row per distinct key. Used by ``exact_dedup_augmented`` and
+    with (``doc_id``:int64, ``key_col``:utf8); output: one (key, min
+    doc_id) row per distinct key. Used by ``exact_dedup_augmented`` and
     ``text.prefix_dedup_survivors`` (same reference capability:
     pipeline.py:2580-2585 content digests)."""
     def bucket_dedup(g: pd.DataFrame) -> pd.DataFrame:
         return g.groupby(key_col, as_index=False) \
-            .agg(**{id_col: (id_col, "min")})
+            .agg(doc_id=("doc_id", "min"))
 
     return bucketed_map_groups(ds, key_col, bucket_dedup, num_buckets)
 
@@ -362,14 +361,14 @@ _SIMHASH_BAND_WIDTHS = (8, 7, 7, 7, 7, 7, 7, 7, 7)
 SIMHASH_MAX_HAMMING = 8
 
 
-def simhash_near_dups(sf_dir: str, num_buckets: int = 64) -> pd.DataFrame:
+def simhash_near_dups(sf_dir: str) -> pd.DataFrame:
     """SimHash near-dup: 64-bit signatures over the augmented corpus,
     pairs at Hamming distance ≤ 8 found via 9 prefix bands (widths
     8+7×8; pigeonhole ⇒ complete for d ≤ 8 — see band constants).
 
     Shuffle shape (the minhash pattern): band keys are int64 folds
     ``(band << 8) | bits`` reduced by ``bucketed_map_groups`` on
-    ``band_key`` (≤ num_buckets bounded groups, one vectorized pandas
+    ``band_key`` (≤ 64 bounded groups, one vectorized pandas
     pass per bucket), and the per-batch band explosion is a numpy
     broadcast, not a per-doc loop. Rows-only check (no SQL oracle —
     bit-level hashing is not SQL-expressible); completeness vs a
@@ -420,12 +419,12 @@ def simhash_near_dups(sf_dir: str, num_buckets: int = 64) -> pd.DataFrame:
 
     out = bucketed_map_groups(
         ds.map_batches(sig_rows, batch_format="pyarrow"), "band_key",
-        bucket_pairs, num_buckets).to_pandas().drop_duplicates()
+        bucket_pairs, 64).to_pandas().drop_duplicates()
     out = out.astype({"doc_a": "int64", "doc_b": "int64", "hamming": "int64"})
     return out.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
 
 
-def dedup_clusters(sf_dir: str, max_rounds: int = 16) -> pd.DataFrame:
+def dedup_clusters(sf_dir: str) -> pd.DataFrame:
     """Connected-components clustering of the minhash near-dup pair
     graph — the step a dedup pipeline runs AFTER pair generation:
     group transitively-linked docs, pick one survivor per component.
@@ -468,7 +467,7 @@ def dedup_clusters(sf_dir: str, max_rounds: int = 16) -> pd.DataFrame:
                              "cluster_id": pd.Series([], dtype="int64"),
                              "is_survivor": pd.Series([], dtype="int64")})
     n_parts = _join_partitions(sf_dir, "documents", "documents")
-    return _propagate_components(pairs_ds, n_parts, max_rounds)
+    return _propagate_components(pairs_ds, n_parts)
 
 
 def _propagate_components(pairs, n_parts: int,

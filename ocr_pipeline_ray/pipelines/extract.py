@@ -117,15 +117,16 @@ def _calibration_sample(media_path: str, sample_n: int):
         .map_batches(decode_sample, batch_format="pyarrow")
 
 
-def fit_page_calibrator(media_path: str, sample_n: int = 512):
+def fit_page_calibrator(media_path: str):
     """M10/A7: fit the isotonic confidence calibrator on a seeded
     labelled sample (the reference fits offline on labelled bills and
     ships ``calibration_models.pkl``, pipeline.py:196-369; here the
     corpus's construction truth IS the label).
 
-    The sample is ``_calibration_sample``'s one small distributed pass,
-    not a serial loop in the calling process. The ≤ sample_n (conf,
-    correct) rows are re-sorted by media_ref before the PAV fit, which
+    The sample is ``_calibration_sample``'s one small distributed pass
+    over 512 pages, not a serial loop in the calling process. The
+    ≤ 512 (conf, correct) rows are re-sorted by media_ref before the
+    PAV fit, which
     makes the knots byte-identical to the old serial loop
     (fit_isotonic's stable sort sees the same input order). A page is
     "correct" when its canonical decode equals the canonical ground
@@ -134,7 +135,7 @@ def fit_page_calibrator(media_path: str, sample_n: int = 512):
     """
     from ..functions.calibration import MIN_SAMPLES, fit_isotonic
 
-    sample = _calibration_sample(media_path, sample_n)
+    sample = _calibration_sample(media_path, 512)
     if sample is None:
         return None
     sample = sample.to_pandas()

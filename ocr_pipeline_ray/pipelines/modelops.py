@@ -18,13 +18,9 @@ import pyarrow.compute as pc
 import ray.data as rd
 
 from ..functions import calibration
+from ..sources.synth import _span_corpus
 from ..stages import multimodal
 from ..stages.ensemble import ensemble_merge
-
-
-def _corpus(sf_dir: str) -> str:
-    import __ray_entry__ as entrymod
-    return entrymod._span_corpus(sf_dir)
 
 
 def _lineage_write(ds: "rd.Dataset", path: str) -> "rd.Dataset":
@@ -48,7 +44,7 @@ def _lineage_write(ds: "rd.Dataset", path: str) -> "rd.Dataset":
 def media_feature_stats(sf_dir: str) -> pd.DataFrame:
     """``media_features`` stage → per media_kind count + mean payload
     size (feature[0]); exercises the binary→feature plumbing end-to-end."""
-    corpus = _corpus(sf_dir)
+    corpus = _span_corpus(sf_dir)
     media = rd.read_parquet(f"{corpus}/media",
                             columns=["media_kind", "payload"])
     feats = media.map_batches(multimodal.media_features, batch_size=128,
@@ -85,7 +81,7 @@ def preprocess_media(sf_dir: str) -> pd.DataFrame:
     are gated exactly in tests/test_stages_extra.py."""
     import zlib
 
-    corpus = _corpus(sf_dir)
+    corpus = _span_corpus(sf_dir)
     media = rd.read_parquet(f"{corpus}/media",
                             columns=["media_ref", "media_kind", "payload"])
 
@@ -113,17 +109,17 @@ def preprocess_media(sf_dir: str) -> pd.DataFrame:
                      batch_format="pyarrow") \
         .drop_columns(["payload"]) \
         .map_batches(round_score, batch_format="pyarrow")
-    out = _lineage_write(pp, f"{_corpus(sf_dir)}/preprocess_lineage") \
+    out = _lineage_write(pp, f"{_span_corpus(sf_dir)}/preprocess_lineage") \
         .to_pandas()
     return out.sort_values("media_ref").reset_index(drop=True)
 
 
-def degradation_bank(sf_dir: str, severity: str = "medium",
-                     sample_n: int = 384) -> pd.DataFrame:
+def degradation_bank(sf_dir: str, sample_n: int = 384) -> pd.DataFrame:
     """P11: run the full 15-op degradation bank (sources/degrade.py —
-    reference synthetic_degradation.py's 15 severity-scaled ops) over a
-    page sample: degrade → P1-P5 preprocess → ensemble cascade decode →
-    char accuracy vs construction truth. One row per op (+ the clean
+    reference synthetic_degradation.py's 15 severity-scaled ops, at
+    ``medium`` severity) over a page sample: degrade → P1-P5
+    preprocess → ensemble cascade decode → char accuracy vs
+    construction truth. One row per op (+ the clean
     baseline): the measured robustness profile of the whole read path.
     Geometry-domain damage (rotation, jitter, scan order, coordinate
     blowup) must be repaired by the preprocessors — their accuracy
@@ -138,7 +134,7 @@ def degradation_bank(sf_dir: str, severity: str = "medium",
     from ..functions.accuracy import char_accuracy
     from ..sources.degrade import DEGRADATION_OPS, degrade_page
 
-    corpus = _corpus(sf_dir)
+    corpus = _span_corpus(sf_dir)
     ops = ["none"] + sorted(DEGRADATION_OPS)
     base = rd.read_parquet(
         f"{corpus}/media",
@@ -160,7 +156,7 @@ def degradation_bank(sf_dir: str, severity: str = "medium",
                 out_ref.append(ref)
                 out_payload.append(
                     payload if op == "none"
-                    else degrade_page(payload, op, severity))
+                    else degrade_page(payload, op, "medium"))
                 out_truth.append(truth)
         return pa.table({
             "op": pa.array(out_op, type=pa.string()),
@@ -233,7 +229,7 @@ def tensorize_profile(sf_dir: str, sample_n: int = 256) -> pd.DataFrame:
     gated in tests/test_tensorize.py."""
     from ..stages.tensorize import tensorize_media
 
-    corpus = _corpus(sf_dir)
+    corpus = _span_corpus(sf_dir)
     base = rd.read_parquet(f"{corpus}/media",
                            columns=["media_ref", "media_kind", "payload"]) \
         .filter(expr="media_kind == 'page_raster'") \
@@ -248,7 +244,7 @@ def tensorize_profile(sf_dir: str, sample_n: int = 256) -> pd.DataFrame:
 def frame_samples(sf_dir: str) -> pd.DataFrame:
     """``frame_sample`` explode (1 media row → k frame rows), sorted
     output."""
-    corpus = _corpus(sf_dir)
+    corpus = _span_corpus(sf_dir)
     media = rd.read_parquet(f"{corpus}/media",
                             columns=["media_ref", "payload"])
     out = media.map_batches(multimodal.frame_sample, batch_size=128,
@@ -266,7 +262,7 @@ def ensemble_vote_merge(sf_dir: str) -> pd.DataFrame:
     from ..stages import media_stub
     from ..stages.ocr import engine_readings
 
-    corpus = _corpus(sf_dir)
+    corpus = _span_corpus(sf_dir)
     media = rd.read_parquet(f"{corpus}/media",
                             columns=["media_ref", "payload"])
 
@@ -351,7 +347,7 @@ def pixel_restore_bank(sf_dir: str, sample_n: int = 96) -> pd.DataFrame:
     from ..functions.geometry import truth_reading_order
     from ..stages import pixels as px
 
-    corpus = _corpus(sf_dir)
+    corpus = _span_corpus(sf_dir)
     ops = ["none", "low_contrast", "noise", "blur", "breaks"]
     base = rd.read_parquet(
         f"{corpus}/media", columns=["media_ref", "media_kind",
@@ -423,7 +419,7 @@ def pixel_restore_bank(sf_dir: str, sample_n: int = 96) -> pd.DataFrame:
     return out.sort_values(["op", "strategy"]).reset_index(drop=True)
 
 
-def pixel_tiled_restore(sf_dir: str, sample_n: int = 12) -> pd.DataFrame:
+def pixel_tiled_restore(sf_dir: str) -> pd.DataFrame:
     """P9: the patch-tiled overlap-blend denoise dataflow (reference
     jax_denoising_adapter.py:237-348) run as a REAL Ray pipeline over
     corpus pages — the explode → per-patch kernel → regroup+blend
@@ -454,12 +450,12 @@ def pixel_tiled_restore(sf_dir: str, sample_n: int = 12) -> pd.DataFrame:
     from ..stages import pixels as px
     from ..stages import tiling as tl
 
-    corpus = _corpus(sf_dir)
+    corpus = _span_corpus(sf_dir)
     base = rd.read_parquet(
         f"{corpus}/media", columns=["media_ref", "media_kind",
                                     "truth_lines"]) \
         .filter(expr="media_kind == 'page_png'") \
-        .limit(sample_n)
+        .limit(12)
 
     def explode(batch: pa.Table) -> pa.Table:
         refs, expects, naive, py, pxs, hh, ww, tiles = \

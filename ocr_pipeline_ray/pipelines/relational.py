@@ -51,6 +51,15 @@ def _i64(x: np.ndarray) -> np.ndarray:
     return np.floor(np.asarray(x, dtype=np.float64) * SCALE + 0.5).astype(np.int64)
 
 
+_PART_BYTES = 128 << 20   # on-disk bytes per join partition / bucket
+
+
+def _table_bytes(sf_dir: str, tables: tuple[str, ...]) -> int:
+    import os
+
+    return sum(os.path.getsize(f"{sf_dir}/{t}.parquet") for t in tables)
+
+
 def reduce_buckets(sf_dir: str, *tables: str) -> int:
     """Fan-out for the key-complete bucketed reductions, derived from
     the same on-disk-bytes rule as ``_join_partitions`` (one bucket per
@@ -58,7 +67,7 @@ def reduce_buckets(sf_dir: str, *tables: str) -> int:
     means one bucket task materializes 1/16 of all per-key partials in
     a single pandas frame at any scale, which stops fitting exactly
     when the join it consumes starts needing more partitions."""
-    return _join_partitions(sf_dir, *tables, lo=16, hi=1024)
+    return max(16, min(1024, _table_bytes(sf_dir, tables) // _PART_BYTES + 1))
 
 
 def bucketed_sum_topk(ds, *, key: str, carry: str, val: str, k: int,
@@ -113,20 +122,22 @@ def _lineitem(sf_dir: str, columns: list[str], filter_expr=None):
                            filter=filter_expr)
 
 
-def _join_partitions(sf_dir: str, *tables: str,
-                     target_bytes: int = 128 << 20,
-                     lo: int = 8, hi: int = 512) -> int:
+def _join_partitions(sf_dir: str, *tables: str) -> int:
     """Hash-join partition count scaled to the joined tables' on-disk
-    size (~one partition per 128 MB of compressed input). A FIXED
-    count is wrong in both directions at scale: 8 partitions against a
-    100 TB fact join serializes into 8 aggregators; hundreds of
-    partitions at sf0.01 pay Ray's ~200 ms/block aggregator constant
+    size (~one partition per 128 MB of compressed input, 8 to 512). A
+    FIXED count is wrong in both directions at scale: 8 partitions
+    against a 100 TB fact join serializes into 8 aggregators; hundreds
+    of partitions at sf0.01 pay Ray's ~200 ms/block aggregator constant
     dozens of times over (measured: 64 aggregators 2× slower than 32
-    on sandbox inputs)."""
-    import os
-
-    total = sum(os.path.getsize(f"{sf_dir}/{t}.parquet") for t in tables)
-    return max(lo, min(hi, total // target_bytes + 1))
+    on sandbox inputs). Tables whose bytes are under one
+    ``DataContext.target_min_block_size`` block (the tiny-input rule
+    ``extract.plan_job`` uses for its read) get one partition: their
+    rows fit one block, and each extra partition starts one more
+    aggregator actor."""
+    total = _table_bytes(sf_dir, tables)
+    if total < rd.DataContext.get_current().target_min_block_size:
+        return 1
+    return max(8, min(512, total // _PART_BYTES + 1))
 
 
 # --- q1: pricing summary (grouped agg with partial pre-aggregation) ---

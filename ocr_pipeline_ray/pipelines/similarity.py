@@ -47,12 +47,13 @@ def _emb_np(col) -> np.ndarray:
     return flat.reshape(n, -1)
 
 
-def _query_unit(sf_dir: str, vec_id: int = 0) -> np.ndarray:
-    """Unit-normalized query vector via a predicate-pushdown read of
-    exactly one row — never the whole embeddings table on the driver."""
+def _query_unit(sf_dir: str) -> np.ndarray:
+    """Unit-normalized vec_id=0 query vector via a predicate-pushdown
+    read of exactly one row — never the whole embeddings table on the
+    driver."""
     t = pq.read_table(f"{sf_dir}/embeddings.parquet",
                       columns=["vec_id", "embedding"],
-                      filters=[("vec_id", "=", vec_id)])
+                      filters=[("vec_id", "=", 0)])
     q = np.asarray(t["embedding"].to_pylist()[0], dtype=np.float64)
     return q / np.linalg.norm(q)
 
@@ -139,9 +140,13 @@ def _assign_margin(threshold: float) -> float:
 CELL_SPLIT_CAP = 4096
 _MAX_SHARDS = 255
 
+# IVF coarse quantizer: cells, and the prefix of vectors it trains on.
+IVF_CELLS = 16
+IVF_TRAIN_SAMPLE = 2048
 
-def embedding_near_dup_pairs(sf_dir: str, n_cells: int = 16,
-                             train_sample: int = 2048,
+
+def embedding_near_dup_pairs(sf_dir: str, n_cells: int = IVF_CELLS,
+                             train_sample: int = IVF_TRAIN_SAMPLE,
                              cell_cap: int = CELL_SPLIT_CAP) -> pd.DataFrame:
     """Cosine near-dup pairs over the corpus augmented with exact copies
     of the first N_COPY_VECS vectors (vec_id+COPY_OFFSET), via
@@ -282,15 +287,15 @@ def _sample_unit(sf_dir: str, n: int) -> tuple[np.ndarray, np.ndarray]:
     return unit, ids
 
 
-def _train_coarse_quantizer(sample_unit: np.ndarray, n_cells: int,
-                            iters: int = 5) -> np.ndarray:
+def _train_coarse_quantizer(sample_unit: np.ndarray,
+                            n_cells: int) -> np.ndarray:
     """Deterministic spherical k-means on a driver-side SAMPLE (the
     standard IVF training step: the quantizer is trained on a small
-    sample, never the full corpus). Strided init, fixed iteration
-    count, empty cells keep their previous centroid."""
+    sample, never the full corpus). Strided init, 5 iterations, empty
+    cells keep their previous centroid."""
     stride = max(1, len(sample_unit) // n_cells)
     centroids = sample_unit[::stride][:n_cells].copy()
-    for _ in range(iters):
+    for _ in range(5):
         assign = np.argmax(sample_unit @ centroids.T, axis=1)
         for c in range(len(centroids)):
             members = sample_unit[assign == c]
@@ -302,29 +307,29 @@ def _train_coarse_quantizer(sample_unit: np.ndarray, n_cells: int,
     return centroids
 
 
-def ivf_topk(sf_dir: str, k: int = 10, n_cells: int = 16, n_probe: int = 4,
-             train_sample: int = 2048) -> pd.DataFrame:
-    """IVF ANN, the 100 TB scale path for knn_brute_force:
+def ivf_topk(sf_dir: str) -> pd.DataFrame:
+    """IVF ANN top-10, the 100 TB scale path for knn_brute_force:
 
-    1. TRAIN (driver, small): spherical k-means coarse quantizer on the
-       first ``train_sample`` vectors;
+    1. TRAIN (driver, small): spherical k-means coarse quantizer with
+       ``IVF_CELLS`` cells on the first ``IVF_TRAIN_SAMPLE`` vectors;
     2. ASSIGN + PROBE (distributed): every batch normalizes its
        vectors, assigns them to their nearest centroid (broadcast
-       centroid matrix, one matmul) and keeps only rows in the
-       ``n_probe`` cells nearest the query — the full corpus is never
-       loaded on the driver;
+       centroid matrix, one matmul) and keeps only rows in the 4 cells
+       nearest the query — the full corpus is never loaded on the
+       driver;
     3. per-batch top-k over the probed subset → tiny global top-k.
 
     Results are approximate → rows-only driver check; recall vs brute
     force is asserted in tests."""
-    sample_unit, sample_ids = _sample_unit(sf_dir, train_sample)
-    centroids = _train_coarse_quantizer(sample_unit, n_cells)
+    k = 10
+    sample_unit, sample_ids = _sample_unit(sf_dir, IVF_TRAIN_SAMPLE)
+    centroids = _train_coarse_quantizer(sample_unit, IVF_CELLS)
 
     if 0 in sample_ids:
         q = sample_unit[sample_ids == 0][0]
     else:  # query vector outside the training sample: targeted read
         q = _query_unit(sf_dir)
-    probe_cells = np.argsort(-(centroids @ q))[:n_probe]
+    probe_cells = np.argsort(-(centroids @ q))[:4]
     ref = ray.put((q, centroids, np.asarray(sorted(probe_cells))))
 
     ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",

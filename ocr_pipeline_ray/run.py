@@ -26,7 +26,7 @@ import json
 import sys
 
 
-def main(argv: list[str] | None = None) -> int:
+def main() -> int:
     ap = argparse.ArgumentParser(prog="ocr_pipeline_ray.run")
     ap.add_argument("--corpus", required=True,
                     help="dir with documents_spans/ and media/ parquet")
@@ -35,7 +35,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--gen-docs", type=int, default=0,
                     help="if >0, synthesize a corpus of N docs first")
     ap.add_argument("--seed", type=int, default=42)
-    args = ap.parse_args(argv)
+    args = ap.parse_args()
 
     import ray
     if not ray.is_initialized():

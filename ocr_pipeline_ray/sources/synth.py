@@ -286,3 +286,35 @@ def write_corpus(out_dir: str, n_docs: int, seed: int = 42, skew_upper: int = 30
     ray.get([task.remote(out_dir, f, f * per, min(n_docs, (f + 1) * per),
                          seed, skew_upper)
              for f in range(num_files) if f * per < n_docs])
+
+
+_CORPUS_CACHE = "/tmp/ocr_ray_corpus"
+
+
+def _span_corpus_docs(sf_dir: str) -> int:
+    """Document count of the span corpus for an sf tier."""
+    return max(50, pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows // 2)
+
+
+def _span_corpus_path(sf_dir: str) -> str:
+    """PATH of the deterministic span corpus for an sf tier — pure
+    (reads only the tier's parquet metadata; never synthesizes the
+    corpus). Used by ``__ray_entry__.oracle_sql`` so that building the
+    oracle dict has no side effects; the paired Ray query (which the
+    driver runs first) materializes the corpus via ``_span_corpus``,
+    at this same path."""
+    return os.path.join(_CORPUS_CACHE,
+                        f"v4-n{_span_corpus_docs(sf_dir)}-seed42")
+
+
+def _span_corpus(sf_dir: str) -> str:
+    """Deterministic span corpus derived from the sf tier (cached)."""
+    out = _span_corpus_path(sf_dir)
+    marker = os.path.join(out, "_DONE")
+    if not os.path.exists(marker):
+        n_docs = _span_corpus_docs(sf_dir)
+        write_corpus(out, n_docs=n_docs, seed=42, skew_upper=200,
+                     num_files=n_docs // 300 if n_docs >= 2000 else 4)
+        with open(marker, "w") as f:
+            f.write("ok")
+    return out

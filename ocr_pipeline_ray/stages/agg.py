@@ -38,16 +38,14 @@ import pyarrow as pa
 
 
 def partial_merge(ds, partial_fn: Callable, keys: list[str],
-                  agg_spec: dict[str, tuple[str, str]],
-                  batch_size: int = 65536,
-                  batch_format: str = "pyarrow") -> pd.DataFrame:
+                  agg_spec: dict[str, tuple[str, str]]) -> pd.DataFrame:
     """Run ``partial_fn`` per batch (must emit one row per key present,
     pre-aggregated), stream the partials to the driver, merge with
     pandas. ``agg_spec`` is pandas NamedAgg form: out_col -> (in_col, how)
     where how is 'sum'/'min'/'max' (merge of partials must be associative).
     """
-    partials = ds.map_batches(partial_fn, batch_format=batch_format,
-                              batch_size=batch_size)
+    partials = ds.map_batches(partial_fn, batch_format="pyarrow",
+                              batch_size=65536)
     frames = [b for b in partials.iter_batches(batch_format="pandas")]
     if not frames:
         return pd.DataFrame(columns=keys + list(agg_spec))
@@ -56,11 +54,10 @@ def partial_merge(ds, partial_fn: Callable, keys: list[str],
         **{out: (col, how) for out, (col, how) in agg_spec.items()})
 
 
-def global_sum(ds, partial_fn: Callable, col: str,
-               batch_format: str = "pyarrow") -> int:
+def global_sum(ds, partial_fn: Callable, col: str) -> int:
     """Single global sum over per-batch partials (no shuffle at all)."""
     total = 0
-    partials = ds.map_batches(partial_fn, batch_format=batch_format)
+    partials = ds.map_batches(partial_fn, batch_format="pyarrow")
     for b in partials.iter_batches(batch_format="pandas"):
         total += int(b[col].sum())
     return total

@@ -73,12 +73,12 @@ def encode_page(lines: list[tuple[str, int, int]], seed: int) -> bytes:
     return MAGIC_PAGE + struct.pack("<Q", seed) + _scramble(body, seed)
 
 
-def encode_blank(seed: int, n_noise: int = 64) -> bytes:
-    return MAGIC_BLANK + _keystream(seed, n_noise)
+def encode_blank(seed: int) -> bytes:
+    return MAGIC_BLANK + _keystream(seed, 64)
 
 
-def encode_corrupt(seed: int, n: int = 48) -> bytes:
-    return _keystream(seed ^ 0xDEAD, n)
+def encode_corrupt(seed: int) -> bytes:
+    return _keystream(seed ^ 0xDEAD, 48)
 
 
 def encode_digital(text: str) -> bytes:

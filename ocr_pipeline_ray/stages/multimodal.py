@@ -212,8 +212,8 @@ def preprocess_media(batch: pa.Table) -> pa.Table:
         .append_column("pp_noise_score", pa.array(noise, type=pa.float64()))
 
 
-def frame_sample(batch: pa.Table, every_k: int = 2) -> pa.Table:
-    """'Video' payloads → every k-th 'frame' (line record) as new rows —
+def frame_sample(batch: pa.Table) -> pa.Table:
+    """'Video' payloads → every 2nd 'frame' (line record) as new rows —
     the flat_map-shaped explode (one input row → many output rows) used
     for frame sampling; on the fake format a frame is a page line."""
     refs, idxs, texts = [], [], []
@@ -222,7 +222,7 @@ def frame_sample(batch: pa.Table, every_k: int = 2) -> pa.Table:
         if media_stub.classify_payload(payload) != "page":
             continue
         for i, (text, _, _) in enumerate(media_stub.decode_page(payload)):
-            if i % every_k == 0:
+            if i % 2 == 0:
                 refs.append(ref)
                 idxs.append(i)
                 texts.append(text)

@@ -246,18 +246,24 @@ def _read_raster(payload: bytes) -> tuple[str, float, str, str]:
     ``accepted``. Single-shot: a bitmap has no 600-DPI re-decode. The
     pixel reader recovers every line whole, so a page with a line
     longer than the 300-DPI window is read with the window-free 600
-    engine set; clipping that line would lose text under status ok."""
+    engine set; clipping that line would lose text under status ok. A
+    page whose last read still rejects a cell (no glyph within the
+    reader's margin, even after the noisy-page bilateral passes) holds
+    a '?' the engine knows is wrong, so it is ``low_conf``, never
+    ``ok``."""
     from . import pixels
 
     img = media_stub.decode_raster(payload)
-    lines, strategy = pixels.restore_and_read(img)
+    lines, strategy, rejects = pixels._restore_and_read(img, None)
     lines = [ln for ln in lines if ln.strip()]
     if not lines:
         return "", 0.0, "blank", "none"
     text, conf, _min_conf = _read_page(lines, 600 if _clipped(lines) else 300)
+    status = "low_conf" if rejects else "ok"
     if strategy != "binarize":
-        return text, max(CONF_FLOOR, conf - RESTORE_PENALTY), "ok", "restored"
-    return text, conf, "ok", "accepted"
+        return (text, max(CONF_FLOOR, conf - RESTORE_PENALTY), status,
+                "restored")
+    return text, conf, status, "accepted"
 
 
 # Decode failures a torn-but-valid-magic payload can raise: reshape /

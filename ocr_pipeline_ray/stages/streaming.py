@@ -20,9 +20,9 @@ ts-ordered stream and memory stays bounded by (open sessions +
 in-flight slices). Output is ACTOR-SIDE: each bucket actor spills its
 closed sessions to its own parquet partition (atomic tmp→rename, the
 checkpoint-commit pattern) whenever the in-memory chunk passes
-``spill_rows``; ``drain`` flushes the tail and returns only FILE
+``SPILL_ROWS``; ``drain`` flushes the tail and returns only FILE
 PATHS — session rows never pass through the driver either. The bucket
-count scales with ``ray.cluster_resources()`` unless pinned.
+count scales with ``ray.cluster_resources()``.
 
 Ordering contract (stated per the guide): the global ``ts`` sort
 provides it here; a production log would read ts-partitioned input in
@@ -40,6 +40,7 @@ import pandas as pd
 import ray
 
 _OUT_COLUMNS = ["user_id", "session_start", "n_events", "duration_s"]
+SPILL_ROWS = 100_000   # closed sessions a bucket holds before it spills
 
 
 @ray.remote(num_cpus=0.5)
@@ -48,8 +49,8 @@ class SessionBucket:
     sequence reorder buffer for out-of-order feeder deliveries; closed
     sessions spill to this bucket's own parquet partition."""
 
-    def __init__(self, gap_seconds: float, out_dir: str, bucket_id: int,
-                 spill_rows: int = 100_000) -> None:
+    def __init__(self, gap_seconds: float, out_dir: str,
+                 bucket_id: int) -> None:
         self.gap = pd.Timedelta(seconds=gap_seconds)
         self.open: dict[int, dict] = {}  # user_id -> session record
         self.closed: list[dict] = []
@@ -57,7 +58,6 @@ class SessionBucket:
         self.next_seq = 0
         self.out_dir = out_dir
         self.bucket_id = bucket_id
-        self.spill_rows = spill_rows
         self.n_spilled = 0
         self.paths: list[str] = []
 
@@ -70,7 +70,7 @@ class SessionBucket:
             self.next_seq += 1
             if part is not None and len(part):
                 self._consume(part)
-        if len(self.closed) >= self.spill_rows:
+        if len(self.closed) >= SPILL_ROWS:
             self._spill()
 
     def _consume(self, df: pd.DataFrame) -> None:
@@ -163,35 +163,28 @@ def _typed_empty_sessions() -> pd.DataFrame:
         "duration_s": pd.Series([], dtype="float64")})
 
 
-def sessionize_streaming_ds(events_ds, gap_minutes: int = 30,
-                            num_buckets: int | None = None,
-                            out_dir: str | None = None):
+def sessionize_streaming_ds(events_ds, gap_minutes: int = 30):
     """Keyed-actor sessionizer with distributed ingestion AND
     distributed output: the driver sorts, hands sorted-block REFS to
     feeder tasks, and collects per-bucket parquet PATHS — event and
     session rows never pass through it. Returns a
     ``ray.data.Dataset`` reading the bucket partitions (the next
     pipeline stage consumes it as a stream), or None when no sessions
-    were produced. The caller owns ``out_dir`` cleanup once the
-    Dataset is consumed.
+    were produced. The caller removes the spill directory (the parent
+    of the Dataset's input files) once the Dataset is consumed.
 
-    Spill-path visibility: bucket actors write to ``out_dir`` on THEIR
-    node. On a multi-node cluster that path must be on a shared
-    filesystem (or object-store URI) passed in explicitly — with the
-    default local ``/tmp`` this raises rather than failing later with
+    Spill-path visibility: bucket actors spill to a node-local
+    ``/tmp`` directory on THEIR node, readable on a single node only;
+    on a multi-node cluster this raises rather than failing later with
     a FileNotFoundError on the reading side."""
     import ray.data as rd
 
-    if num_buckets is None:
-        num_buckets = _default_buckets()
-    if out_dir is None:
-        alive_nodes = sum(1 for n in ray.nodes() if n.get("Alive"))
-        if alive_nodes > 1:
-            raise ValueError(
-                "multi-node cluster: pass out_dir on a shared "
-                "filesystem — the default node-local /tmp spill is "
-                "only readable on a single node")
-        out_dir = os.path.join("/tmp/ocr_ray_sessions", uuid.uuid4().hex[:12])
+    num_buckets = _default_buckets()
+    if sum(1 for n in ray.nodes() if n.get("Alive")) > 1:
+        raise ValueError(
+            "multi-node cluster: the node-local /tmp spill is only "
+            "readable on a single node")
+    out_dir = os.path.join("/tmp/ocr_ray_sessions", uuid.uuid4().hex[:12])
     os.makedirs(out_dir, exist_ok=True)
     actors = [SessionBucket.remote(gap_minutes * 60, out_dir, b)
               for b in range(num_buckets)]
@@ -207,23 +200,17 @@ def sessionize_streaming_ds(events_ds, gap_minutes: int = 30,
     return rd.read_parquet(paths)
 
 
-def sessionize_streaming(events_ds, gap_minutes: int = 30,
-                         num_buckets: int | None = None,
-                         out_dir: str | None = None) -> pd.DataFrame:
+def sessionize_streaming(events_ds, gap_minutes: int = 30) -> pd.DataFrame:
     """Driver-gate wrapper over ``sessionize_streaming_ds``: the
     session partitions flow back as a Dataset (distributed read, not a
     driver ``pd.concat``); the final ``to_pandas`` is the output-sized
     gate return. The spill directory is removed after readback."""
     import shutil
 
-    owns_dir = out_dir is None
-    ds = sessionize_streaming_ds(events_ds, gap_minutes=gap_minutes,
-                                 num_buckets=num_buckets, out_dir=out_dir)
+    ds = sessionize_streaming_ds(events_ds, gap_minutes=gap_minutes)
     if ds is None:
         return _typed_empty_sessions()
     out = ds.to_pandas()
-    if owns_dir:
-        spill_dir = os.path.dirname(ds.input_files()[0])
-        shutil.rmtree(spill_dir, ignore_errors=True)
+    shutil.rmtree(os.path.dirname(ds.input_files()[0]), ignore_errors=True)
     out["n_events"] = out["n_events"].astype("int64")
     return out.sort_values(["user_id", "session_start"]).reset_index(drop=True)

@@ -74,20 +74,19 @@ def _normalize_3ch(gray: np.ndarray) -> np.ndarray:
     return (x[None, :, :] - MEAN[:, None, None]) / STD[:, None, None]
 
 
-def det_tensor(img: np.ndarray, target: int = DET_TARGET
-               ) -> tuple[np.ndarray, float, int, int]:
-    """Detection input: → ((1, 3, target, target) float32, scale,
-    new_h, new_w). Scale = target / max(h, w); the resized dims
+def det_tensor(img: np.ndarray) -> tuple[np.ndarray, float, int, int]:
+    """Detection input: → ((1, 3, DET_TARGET, DET_TARGET) float32,
+    scale, new_h, new_w). Scale = DET_TARGET / max(h, w); the resized dims
     (new_h, new_w) snap DOWN to /32 multiples (min 32); the valid
     region sits top-left, zero-padded right/bottom (reference
     preprocess_for_detection)."""
     h, w = img.shape
-    scale = target / max(h, w)
+    scale = DET_TARGET / max(h, w)
     new_h = max(32, (int(h * scale) // 32) * 32)
     new_w = max(32, (int(w * scale) // 32) * 32)
     resized = resize_bilinear(img, new_h, new_w)
     t = _normalize_3ch(resized)
-    out = np.zeros((1, 3, target, target), dtype=np.float32)
+    out = np.zeros((1, 3, DET_TARGET, DET_TARGET), dtype=np.float32)
     out[0, :, :new_h, :new_w] = t
     return out, scale, new_h, new_w
 

@@ -33,8 +33,8 @@ from typing import Callable
 
 import numpy as np
 
-PATCH = 48      # default tile (small pages in the synth corpus; the
-OVERLAP = 12    # reference runs 256/32 — same ratios, both configurable)
+PATCH = 48      # tile side (small pages in the synth corpus; the
+OVERLAP = 12    # reference runs 256/32 — same ratios)
 
 
 def _grid(n: int, patch: int, stride: int) -> tuple[int, list[int]]:
@@ -95,38 +95,37 @@ def tiled_apply(img: np.ndarray, kernel: Callable[[np.ndarray], np.ndarray],
 # ----------------------------------------------------------------------
 # Distributed halves: page row → patch rows → (kernel) → page bitmap.
 
-def explode_patches(img: np.ndarray, patch: int = PATCH,
-                    overlap: int = OVERLAP) -> list[dict]:
-    """One page → independent patch rows ``{py, px, h, w, tile}``
+def explode_patches(img: np.ndarray) -> list[dict]:
+    """One page → independent ``PATCH``-sized patch rows
+    ``{py, px, h, w, tile}``
     (tile flattened uint8 so it fits an Arrow fixed-type list column).
     ``h``/``w`` are the ORIGINAL page dims every patch row carries so
     the regroup task can rebuild the canvas without a side lookup."""
     h, w = img.shape
-    stride = patch - overlap
-    ph, ys = _grid(h, patch, stride)
-    pw, xs = _grid(w, patch, stride)
+    stride = PATCH - OVERLAP
+    ph, ys = _grid(h, PATCH, stride)
+    pw, xs = _grid(w, PATCH, stride)
     padded = _pad(img, ph, pw)
     return [{"py": y, "px": x, "h": h, "w": w,
-             "tile": padded[y:y + patch, x:x + patch].ravel()}
+             "tile": padded[y:y + PATCH, x:x + PATCH].ravel()}
             for y in ys for x in xs]
 
 
-def blend_patches(rows: list[dict], patch: int = PATCH,
-                  overlap: int = OVERLAP) -> np.ndarray:
+def blend_patches(rows: list[dict]) -> np.ndarray:
     """Regroup side: processed patch rows of ONE page → blended page.
     Exact same accumulate/normalize as ``tiled_apply`` — the two paths
     are pytest-asserted identical."""
     h, w = int(rows[0]["h"]), int(rows[0]["w"])
-    stride = patch - overlap
-    ph, _ = _grid(h, patch, stride)
-    pw, _ = _grid(w, patch, stride)
+    stride = PATCH - OVERLAP
+    ph, _ = _grid(h, PATCH, stride)
+    pw, _ = _grid(w, PATCH, stride)
     acc = np.zeros((ph, pw), dtype=np.float64)
     wsum = np.zeros((ph, pw), dtype=np.float64)
-    mask = weight_mask(patch, overlap)
+    mask = weight_mask(PATCH, OVERLAP)
     for r in rows:
         y, x = int(r["py"]), int(r["px"])
-        tile = np.asarray(r["tile"], dtype=np.float64).reshape(patch, patch)
-        acc[y:y + patch, x:x + patch] += tile * mask
-        wsum[y:y + patch, x:x + patch] += mask
+        tile = np.asarray(r["tile"], dtype=np.float64).reshape(PATCH, PATCH)
+        acc[y:y + PATCH, x:x + PATCH] += tile * mask
+        wsum[y:y + PATCH, x:x + PATCH] += mask
     blended = acc / wsum
     return np.clip(blended[:h, :w], 0, 255).round().astype(np.uint8)

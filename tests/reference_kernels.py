@@ -16,7 +16,9 @@ before it returned. Those versions are kept here verbatim so
 ``tests/test_kernel_differential.py`` can assert that promise on every
 input it generates. Only data (font tables, engine parameters,
 thresholds and geometry constants) is imported from the engine; every
-line of logic is frozen here.
+line of logic is frozen here. One rule did change on purpose: a noisy
+page's bilateral passes (two each, then one to three until the read
+rejects no cell), so ``restore_and_read`` here follows the new rule.
 """
 
 from __future__ import annotations
@@ -368,15 +370,10 @@ def route_strategy(img: np.ndarray) -> str:
     return "binarize"
 
 
-def restore_and_read(img: np.ndarray, strategy: str | None = None
-                     ) -> tuple[list[str], str]:
-    if strategy is None:
-        strategy = route_strategy(img)
-    if img.min() == img.max():
-        return read_lines(np.zeros(img.shape, dtype=bool)), strategy
+def _restore(img: np.ndarray, strategy: str, passes: int) -> np.ndarray:
     work = img
-    if "bilateral" in strategy:
-        work = bilateral(bilateral(work))
+    for _ in range(passes):
+        work = bilateral(work)
     if "equalize" in strategy:
         work = hist_equalize(work)
     if "sharpen" in strategy:
@@ -384,4 +381,47 @@ def restore_and_read(img: np.ndarray, strategy: str | None = None
     mask = binarize(work)
     if "close" in strategy:
         mask = morph_close(mask)
-    return read_lines(mask), strategy
+    return mask
+
+
+def _rejects(mask: np.ndarray) -> int:
+    """Cells of a physical-scale mask that ``read_lines`` rejects."""
+    max_err = _MIN_GLYPH_DIST // 2 - 1
+    c = SCALE // 2
+    mask = mask[c::SCALE, c::SCALE]
+    n = 0
+    for r in range(mask.shape[0] // CELL_H):
+        band = mask[r * CELL_H:r * CELL_H + GLYPH_H]
+        for col in range(mask.shape[1] // CELL_W):
+            cell = band[:, col * CELL_W:col * CELL_W + GLYPH_W].ravel()
+            n += int((cell[None, :] ^ _FONT_STACK).sum(axis=1).min()
+                     > max_err)
+    return n
+
+
+# A bilateral page takes one pass, then one more (up to three) while
+# the read still rejects a cell.
+def _restore_mask(img: np.ndarray, strategy: str) -> np.ndarray:
+    if "bilateral" not in strategy:
+        return _restore(img, strategy, 0)
+    for passes in (1, 2, 3):
+        mask = _restore(img, strategy, passes)
+        if not _rejects(mask):
+            break
+    return mask
+
+
+def restore_and_read(img: np.ndarray, strategy: str | None = None
+                     ) -> tuple[list[str], str]:
+    if strategy is None:
+        strategy = route_strategy(img)
+    if img.min() == img.max():
+        return read_lines(np.zeros(img.shape, dtype=bool)), strategy
+    return read_lines(_restore_mask(img, strategy)), strategy
+
+
+def restore_rejects(img: np.ndarray) -> int:
+    """The cells that ``restore_and_read``'s last read rejects."""
+    if img.min() == img.max():
+        return 0
+    return _rejects(_restore_mask(img, route_strategy(img)))

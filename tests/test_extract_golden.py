@@ -34,7 +34,7 @@ def golden_df():
 
 @pytest.fixture(scope="module")
 def calib(small_corpus):
-    c = fit_page_calibrator(f"{small_corpus}/media", sample_n=512)
+    c = fit_page_calibrator(f"{small_corpus}/media")
     assert c is not None
     return c
 

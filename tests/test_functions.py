@@ -51,7 +51,7 @@ class TestGeometry:
         # two bands; within band left-to-right regardless of input order
         xs = np.array([250, 0, 250, 0])
         ys = np.array([0, 2, 31, 30])
-        order = geometry.xy_cut_order(xs, ys, band_height=24)
+        order = geometry.xy_cut_order(xs, ys)
         assert list(order) == [1, 0, 3, 2]
 
 

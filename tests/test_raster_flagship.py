@@ -135,3 +135,37 @@ def test_raster_line_longer_than_300_window_reads_whole(degraded):
     row = {"truth_lines": [{"text": t} for t in lines],
            "degradations": [{"type": "pixel_blur"}] if degraded else []}
     assert got == _raster_expected(row)
+
+
+@pytest.mark.parametrize("seed,doc,ref", [
+    (3, 45, "m-doc-00000045-7"), (10, 178, "m-doc-00000178-0")])
+def test_noisy_page_takes_passes_until_no_reject(monkeypatch, seed, doc, ref):
+    """Two sigma-90 noise pages whose read still rejects a cell after
+    two bilateral passes read equal to the oracle after a third."""
+    from ocr_pipeline_ray.stages.ocr import ocr_page_cascade
+    from tests.oracle.golden import _raster_expected
+
+    _, media = gen_doc(seed, doc)
+    m = next(m for m in media if m["media_ref"] == ref)
+    assert m["degradations"][0]["type"] == "pixel_noise"
+    passes = []
+    real = pixels.bilateral
+    monkeypatch.setattr(pixels, "bilateral",
+                        lambda img: passes.append(1) or real(img))
+    assert ocr_page_cascade(m["payload"]) == _raster_expected(m)
+    assert len(passes) == 3
+
+
+def test_page_unreadable_at_the_pass_bound_is_low_conf():
+    """Noise past what three bilateral passes repair leaves a rejected
+    cell: the page reads low_conf, never ok."""
+    from ocr_pipeline_ray.stages.ocr import ocr_page_cascade
+
+    img = pixels.degrade_noise(
+        pixels.render_lines(["Total 42 kWh", "Account 12345"]), 1,
+        sigma=200.0)
+    lines, strategy = pixels.restore_and_read(img)
+    assert strategy == "bilateral+binarize"
+    assert any("?" in ln for ln in lines)
+    assert ocr_page_cascade(media_stub.encode_raster(img))[2:] \
+        == ("low_conf", "restored")

@@ -12,7 +12,7 @@ SF_DIR = "/root/testdata/sf0.001"
 
 def test_ivf_recall_vs_brute_force(ray_session):
     exact = similarity.knn_brute_force(SF_DIR, k=10)
-    approx = similarity.ivf_topk(SF_DIR, k=10, n_cells=16, n_probe=4)
+    approx = similarity.ivf_topk(SF_DIR)
     assert len(approx) == 10
     recall = len(set(approx["vec_id"]) & set(exact["vec_id"])) / 10
     assert recall >= 0.5, f"IVF recall {recall} too low"

@@ -3,10 +3,14 @@ given sf dir and compare rows / schema / values exactly.
 
 Usage: python tools/check_oracle.py [sf_dir] [query ...]
 (defaults: /root/testdata/sf0.01, all queries that have an oracle)
+
+Prints one line per query and a last ``N/M OK`` line; exits 1 when any
+query FAILs or ERRORs.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 
 import duckdb
@@ -44,12 +48,13 @@ def compare(name: str, got: pd.DataFrame, exp: pd.DataFrame) -> str:
     return f"{name}: OK ({len(got)} rows)"
 
 
-def main() -> None:
+def main() -> int:
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     if not ray.is_initialized():
         ray.init(address="local", num_cpus=16, include_dashboard=False,
                  logging_level="ERROR")
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))
     import __ray_entry__ as ent
     qs, oracles = ent.queries(), ent.oracle_sql()
     names = sys.argv[2:] or [n for n in qs if n in oracles]
@@ -57,18 +62,23 @@ def main() -> None:
     for t in TABLES:
         con.execute(
             f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf_dir}/{t}.parquet')")
+    n_ok = n_bad = 0
     for n in names:
         try:
             got = qs[n](sf_dir)
             if n in oracles:
-                exp = con.execute(oracles[n]).df()
-                print(compare(n, got, exp), flush=True)
+                line = compare(n, got, con.execute(oracles[n]).df())
             else:
-                print(f"{n}: rows-only ({len(got)} rows)", flush=True)
+                line = f"{n}: rows-only ({len(got)} rows)"
         except Exception as exc:  # noqa: BLE001
-            print(f"{n}: ERROR {type(exc).__name__}: {exc}", flush=True)
+            line = f"{n}: ERROR {type(exc).__name__}: {exc}"
+        n_ok += ": OK " in line
+        n_bad += ": FAIL" in line or ": ERROR " in line
+        print(line, flush=True)
     ray.shutdown()
+    print(f"{n_ok}/{len(names)} OK", flush=True)
+    return 1 if n_bad else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
