@@ -169,6 +169,40 @@ _STOP_ES = "('el','la','de','que','y','en','un','es')"
 _STOP_FR = "('le','la','et','les','des','en','un','du')"
 
 
+# Shared by the batch and the streaming sessionization entries (same
+# answer, same bytes as each entry held before).
+_EVENTS_SESSIONS = """
+            WITH flagged AS (
+                SELECT user_id, ts, event_id,
+                       CASE WHEN ts - lag(ts) OVER w > INTERVAL 30 MINUTE
+                            THEN 1 ELSE 0 END AS new_session
+                FROM events
+                WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)
+            ), numbered AS (
+                SELECT *, sum(new_session) OVER
+                       (PARTITION BY user_id ORDER BY ts, event_id
+                        ROWS UNBOUNDED PRECEDING) AS sid
+                FROM flagged
+            )
+            SELECT user_id,
+                   strftime(min(ts), '%Y-%m-%d %H:%M:%S.%f') AS session_start,
+                   count(*) AS n_events,
+                   epoch(max(ts) - min(ts)) AS duration_s
+            FROM numbered
+            GROUP BY user_id, sid
+            ORDER BY user_id, session_start
+        """
+
+
+def _oracle_corpus() -> str:
+    """The span corpus the derived-file oracle entries read: the tier
+    ``GRAFT_ORACLE_SF_DIR`` names (the driver gate's sf0.01 by default),
+    read at ``oracle_sql()`` call time. Side-effect-free: the paired Ray
+    query materializes the corpus."""
+    return _span_corpus_path(os.environ.get("GRAFT_ORACLE_SF_DIR",
+                                            "/root/testdata/sf0.01"))
+
+
 def oracle_sql() -> dict[str, str]:
     return {
         # Float policy (see pipelines/relational.py): summed floats are
@@ -337,48 +371,8 @@ def oracle_sql() -> dict[str, str]:
             GROUP BY user_id
             ORDER BY user_id
         """,
-        "events_sessions": """
-            WITH flagged AS (
-                SELECT user_id, ts, event_id,
-                       CASE WHEN ts - lag(ts) OVER w > INTERVAL 30 MINUTE
-                            THEN 1 ELSE 0 END AS new_session
-                FROM events
-                WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)
-            ), numbered AS (
-                SELECT *, sum(new_session) OVER
-                       (PARTITION BY user_id ORDER BY ts, event_id
-                        ROWS UNBOUNDED PRECEDING) AS sid
-                FROM flagged
-            )
-            SELECT user_id,
-                   strftime(min(ts), '%Y-%m-%d %H:%M:%S.%f') AS session_start,
-                   count(*) AS n_events,
-                   epoch(max(ts) - min(ts)) AS duration_s
-            FROM numbered
-            GROUP BY user_id, sid
-            ORDER BY user_id, session_start
-        """,
-        "events_sessions_streaming": """
-            WITH flagged AS (
-                SELECT user_id, ts, event_id,
-                       CASE WHEN ts - lag(ts) OVER w > INTERVAL 30 MINUTE
-                            THEN 1 ELSE 0 END AS new_session
-                FROM events
-                WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)
-            ), numbered AS (
-                SELECT *, sum(new_session) OVER
-                       (PARTITION BY user_id ORDER BY ts, event_id
-                        ROWS UNBOUNDED PRECEDING) AS sid
-                FROM flagged
-            )
-            SELECT user_id,
-                   strftime(min(ts), '%Y-%m-%d %H:%M:%S.%f') AS session_start,
-                   count(*) AS n_events,
-                   epoch(max(ts) - min(ts)) AS duration_s
-            FROM numbered
-            GROUP BY user_id, sid
-            ORDER BY user_id, session_start
-        """,
+        "events_sessions": _EVENTS_SESSIONS,
+        "events_sessions_streaming": _EVENTS_SESSIONS,
         "events_running_total": """
             SELECT user_id, event_id,
                    sum(CAST(floor(value * 1000000 + 0.5) AS BIGINT)) OVER
@@ -590,18 +584,14 @@ def oracle_sql() -> dict[str, str]:
         """,
         # media_feature_stats: size features are SQL-expressible — DuckDB
         # reads the SAME derived media parquet the Ray query reads (the
-        # corpus path is deterministic per sf tier; GRAFT_ORACLE_SF_DIR
-        # selects the tier, defaulting to the driver gate's sf0.01, and
-        # is read HERE at oracle_sql() call time). Path resolution is
-        # side-effect-free (_span_corpus_path); the corpus itself is
-        # materialized by the paired Ray query, which the driver runs
-        # before comparing.
+        # corpus path is deterministic per sf tier, _oracle_corpus); the
+        # driver runs the paired Ray query, which materializes the
+        # corpus, before comparing.
         "media_feature_stats": f"""
             SELECT media_kind,
                    count(*) AS n,
                    sum(octet_length(payload))::BIGINT AS total_bytes
-            FROM read_parquet('{_span_corpus_path(os.environ.get(
-                "GRAFT_ORACLE_SF_DIR", "/root/testdata/sf0.01"))}/media/*.parquet')
+            FROM read_parquet('{_oracle_corpus()}/media/*.parquet')
             GROUP BY media_kind
             ORDER BY media_kind
         """,
@@ -621,8 +611,7 @@ def oracle_sql() -> dict[str, str]:
         "preprocess_media": f"""
             SELECT media_ref, media_kind, pp_rotated, pp_dewarped,
                    pp_rescaled, pp_noise_score
-            FROM read_parquet('{_span_corpus_path(os.environ.get(
-                "GRAFT_ORACLE_SF_DIR", "/root/testdata/sf0.01"))}/preprocess_lineage/*.parquet')
+            FROM read_parquet('{_oracle_corpus()}/preprocess_lineage/*.parquet')
             ORDER BY media_ref
         """,
         "pixel_restore_bank": f"""
@@ -631,15 +620,13 @@ def oracle_sql() -> dict[str, str]:
                    sum(fixed128_ok)::BIGINT AS fixed128_ok,
                    sum(otsu_only_ok)::BIGINT AS otsu_only_ok,
                    sum(restored_ok)::BIGINT AS restored_ok
-            FROM read_parquet('{_span_corpus_path(os.environ.get(
-                "GRAFT_ORACLE_SF_DIR", "/root/testdata/sf0.01"))}/pixel_bank_lineage/*.parquet')
+            FROM read_parquet('{_oracle_corpus()}/pixel_bank_lineage/*.parquet')
             GROUP BY op, strategy
             ORDER BY op, strategy
         """,
         "pixel_tiled_restore": f"""
             SELECT media_ref, n_patches, otsu_only_ok, tiled_restored_ok
-            FROM read_parquet('{_span_corpus_path(os.environ.get(
-                "GRAFT_ORACLE_SF_DIR", "/root/testdata/sf0.01"))}/pixel_tiled_lineage/*.parquet')
+            FROM read_parquet('{_oracle_corpus()}/pixel_tiled_lineage/*.parquet')
             ORDER BY media_ref
         """,
         # tensorize_profile: the P10 tensorizer dataflow's per-page
@@ -651,8 +638,7 @@ def oracle_sql() -> dict[str, str]:
         "tensorize_profile": f"""
             SELECT media_ref, det_h, det_w, det_scale_q, rec_n_lines,
                    rec_w_max, crc_det, crc_rec_fold, crc_angle
-            FROM read_parquet('{_span_corpus_path(os.environ.get(
-                "GRAFT_ORACLE_SF_DIR", "/root/testdata/sf0.01"))}/tensorize_lineage/*.parquet')
+            FROM read_parquet('{_oracle_corpus()}/tensorize_lineage/*.parquet')
             ORDER BY media_ref
         """,
         # degradation_bank: same derived-file contract — the Ray query
@@ -666,8 +652,7 @@ def oracle_sql() -> dict[str, str]:
                    / count(*) AS mean_char_acc,
                    (sum(CAST(floor(conf * 1000000 + 0.5) AS BIGINT)) / 1000000.0)
                    / count(*) AS mean_conf
-            FROM read_parquet('{_span_corpus_path(os.environ.get(
-                "GRAFT_ORACLE_SF_DIR", "/root/testdata/sf0.01"))}/degradation_bank_lineage/*.parquet')
+            FROM read_parquet('{_oracle_corpus()}/degradation_bank_lineage/*.parquet')
             GROUP BY op
             ORDER BY op
         """,

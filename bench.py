@@ -115,7 +115,7 @@ def run_bench() -> dict:
         suite_cpu0, suite_steal0 = _host_busy_sec()
 
         # headline: flagship extraction pipeline. Input setup (job plan
-        # with its zone map put, calibrator fit) stays outside the clock:
+        # with its zone map, calibrator fit) stays outside the clock:
         # serial Amdahl overhead that a cluster deployment shards/caches,
         # not pipeline work.
         plan = plan_job(f"{corpus}/documents_spans", f"{corpus}/media")

@@ -7,9 +7,9 @@ capabilities of the reference ``sankalpsthakur/ocr-pipeline``
 - ``ray.data.Dataset`` pipelines of ``map_batches`` over zero-copy
   Arrow batches for every per-record transform,
 - every map stage runs as Ray Data tasks, sized by its scheduler:
-  the OCR engines are callable instances whose warm state is cached
-  per worker process (``stages.ocr.warm_reader``), the other stages
-  are plain functions,
+  the OCR stages are callable instances that carry their state (the
+  media zone map and a ``PageReader``), the other stages are plain
+  functions,
 - ``groupby(doc_id)`` + offset sort for per-document span-sequence
   reassembly (the north rule's core shuffle),
 - partition-committed output + lineage records for checkpoint/resume.

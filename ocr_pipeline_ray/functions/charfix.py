@@ -49,6 +49,8 @@ CONFUSION_TABLE = _CONFUSION = str.maketrans({
 # F1 gate: a whole word of confusable chars that contains >=1 digit.
 _CONFUSABLE_WORD = re.compile(r"\b[0-9lIoOzZsSgGbB|]+\b")
 _HAS_DIGIT = re.compile(r"[0-9]")
+# The confusable glyphs of that class (its letters and ``|``).
+_SUSPECTS = set("lIoOzZsSgGbB|")
 
 # Aggressive gate (the ensemble's "sharp" engine and the F11 last-chance
 # correction loop): ANY confusable-class word of length >= 2, digit

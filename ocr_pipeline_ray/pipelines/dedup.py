@@ -156,7 +156,7 @@ class _CandidateFilter:
     (``Dataset.to_arrow_refs`` — the rows themselves never visit the
     driver; the driver holds pointers only) and assembled ONCE per
     worker process, then reused by every later task there (the
-    ``stages.ocr.warm_reader`` pattern). A retried task re-reads the
+    package's one process-global cache). A retried task re-reads the
     refs, which the driver owns. Memory: each worker process holds one
     O(|candidates|) id set until another set replaces it."""
 

@@ -10,7 +10,8 @@ plans, and ``plan_job`` picks one from the data (footers and the
 documents' ``media_ref`` ranges; no payload read, no constant):
 
 - ``zone map`` (clustered media): the media zone map, one row per media
-  row group with its footer ``media_ref`` min/max, is ``ray.put`` once.
+  row group with its footer ``media_ref`` min/max, a KB-sized table the
+  OCR stage instances carry.
   ``stages.doclocal.DocLocalExtract`` runs explode → classify →
   ``OcrStage`` → keep filter → rank inside one task (no shuffle: each
   document is whole in its batch); ``OcrStage`` reads only the media
@@ -23,7 +24,9 @@ documents' ``media_ref`` ranges; no payload read, no constant):
   join and union back). Payload bytes never enter the shuffle — the
   exchange moves only narrow text rows.
 
-Every plan returns the same schema and byte-identical results (tested).
+Both plans decode with ``PageReader.decode`` and build span rows with
+``stages.ocr.apply_media_text``, so every plan returns the same schema
+and byte-identical results (tested).
 ``extract_spans`` runs the ``JobPlan`` that ``plan_job`` made.
 """
 
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 import pyarrow as pa
@@ -45,7 +48,8 @@ from ..config import MEDIA_JOIN_BUCKETS, OCR_BATCH_SIZE, SKEW_THRESHOLD
 from ..stages.agg import bucketed_map_groups
 from ..stages.classify import classify_spans
 from ..stages.explode import explode_spans
-from ..stages.ocr import MEDIA_COLUMNS, OcrStage, read_zone_rows
+from ..stages.ocr import (MEDIA_COLUMNS, MediaDecodeStage, OcrStage,
+                          apply_media_text, read_zone_rows)
 from ..stages.reassemble import reassemble
 
 
@@ -89,7 +93,7 @@ def _calibration_sample(media_path: str, sample_n: int):
     pairs = _sample_pages(media_path, sample_n)
     if not pairs:
         return None
-    zones = _zone_map(media_path)
+    zones = build_media_lookup(media_path)
 
     def decode_sample(batch: pa.Table) -> pa.Table:
         from ..functions.charfix import fix_text
@@ -155,11 +159,13 @@ def _metadata_bytes(md) -> int:
                for c in range(rg.num_columns))
 
 
-def _zone_map(media_path: str) -> pa.Table:
-    """The media zone map: one row per row group of the media files at
-    ``media_path``, in file and row-group order, with its ``path``,
-    ``row_group`` and the footer's ``media_ref`` ``min`` / ``max`` (null
-    when it has none). No data is read."""
+def build_media_lookup(media_path: str) -> pa.Table:
+    """The media zone map, the zone-map plan's ``media``: one row per
+    row group of the media files at ``media_path``, in file and
+    row-group order, with its ``path``, ``row_group`` and the footer's
+    ``media_ref`` ``min`` / ``max`` (null when it has none). No data is
+    read. It is O(media row groups); each ``OcrStage`` reads through it
+    only the row groups that can hold its batch's refs."""
     files = sorted(pads.dataset(media_path, format="parquet").get_fragments(),
                    key=lambda f: f.path)
     return pa.Table.from_pylist(
@@ -168,13 +174,6 @@ def _zone_map(media_path: str) -> pa.Table:
          for f in files for rg in f.row_groups],
         schema=pa.schema([("path", pa.string()), ("row_group", pa.int64()),
                           ("min", pa.string()), ("max", pa.string())]))
-
-
-def build_media_lookup(media_path: str) -> Any:
-    """The zone-map plan's ``media``: ``_zone_map``, ``ray.put`` once.
-    It is O(media row groups); each OCR worker's ``PageReader`` reads
-    through it only the row groups that can hold its batch's refs."""
-    return ray.put(_zone_map(media_path))
 
 
 def _zone_reads(zones: pa.Table, ranges) -> int:
@@ -192,11 +191,11 @@ def _zone_reads(zones: pa.Table, ranges) -> int:
 @dataclass(frozen=True)
 class JobPlan:
     """What ``extract_spans`` runs: the planned documents read, the
-    media plan (``build_media_lookup``'s zone map ref or the join's
-    media Dataset) and the largest span count of a doc the job
+    media plan (``build_media_lookup``'s zone map or the join's media
+    Dataset) and the largest span count of a doc the job
     extracts."""
     docs: rd.Dataset
-    media: Any
+    media: pa.Table | rd.Dataset
     max_spans: int
 
 
@@ -254,65 +253,75 @@ def plan_job(docs_path, media_path: str,
                            else None)
     if keep is not None:
         docs = docs.map_batches(keep, batch_format="pyarrow")
-    zones = _zone_map(media_path)
-    if _zone_reads(zones, [s[2:] for s in stats]) <= zones.num_rows:
-        media = ray.put(zones)
-    else:
+    media = build_media_lookup(media_path)
+    if _zone_reads(media, [s[2:] for s in stats]) > media.num_rows:
         media = rd.read_parquet(media_path, columns=MEDIA_COLUMNS)
     return JobPlan(docs=docs, media=media,
                    max_spans=max((s[1] for s in stats), default=0))
 
 
-def _exploded(docs_ds, *, media_lookup_ref=None, media_ds=None, calib=None):
+def _exploded(docs_ds, media, *, calib):
     """explode → classify → OCR → ``reassemble`` shuffle: the join plan
-    and the zone-map plan's skew tail."""
+    (``media`` a media Dataset) and the zone-map plan's skew tail
+    (``media`` the zone map)."""
     exploded = docs_ds.map_batches(explode_spans, batch_format="pyarrow")
 
-    if media_ds is not None:
+    if isinstance(media, rd.Dataset):
         # Scale path: the media TABLE is decoded in place by a map
         # stage (ensemble + cascade + calibration run where the payload
         # bytes already live), and only the extracted TEXT rows enter
-        # the hash join with the span rows — payloads never cross the
-        # shuffle. (The previous design joined payloads first and
-        # decoded after; shipping the binary column through the
-        # exchange was 3-10× slower and scaled super-linearly.)
-        media_rows = exploded.filter(expr="kind == 'media'")
-        # text rows have nothing pending, so OcrStage only adds the
-        # passthrough columns, under MediaDecodeStage's warm-reader key.
-        # No explicit batch_size on the text chain: a mid-pipeline
-        # batch_size forces a re-bundling pass that measured 3x slower
-        # end-to-end; block-sized batches keep the chain fused
-        text_rows = exploded.filter(expr="kind == 'text'") \
-            .map_batches(classify_spans, batch_format="pyarrow") \
-            .map_batches(OcrStage(calib=calib), batch_format="pyarrow")
-        from ..stages.ocr import MediaDecodeStage, apply_media_text
-        media_text = media_ds.select_columns(MEDIA_COLUMNS) \
-            .map_batches(
-                MediaDecodeStage(calib=calib), batch_format="pyarrow",
-                batch_size=OCR_BATCH_SIZE)
+        # the hash join with the pending media span rows — payloads
+        # never cross the shuffle. (The previous design joined payloads
+        # first and decoded after; shipping the binary column through
+        # the exchange was 3-10× slower and scaled super-linearly.)
+        # Text rows bypass the join. No explicit batch_size on the text
+        # chain: a mid-pipeline batch_size forces a re-bundling pass
+        # that measured 3x slower end-to-end; block-sized batches keep
+        # the chain fused
+        media_text = media.select_columns(MEDIA_COLUMNS).map_batches(
+            MediaDecodeStage(calib), batch_format="pyarrow",
+            batch_size=OCR_BATCH_SIZE)
+
+        def pending_media(batch: pa.Table) -> pa.Table:
+            # Ray's hash shuffle drops a zero-row block, and sends a
+            # side's columns to every join partition only with that
+            # side's first block. Without a row in that block, a
+            # partition no media row reaches has no span columns and
+            # its join fails, so each block also carries one all-null
+            # row (null kind), dropped after the join.
+            rows = classify_spans(batch.filter(pc.equal(batch["kind"],
+                                                        "media")))
+            return pa.concat_tables([rows, pa.table(
+                [pa.nulls(1, f.type) for f in rows.schema],
+                schema=rows.schema)])
+
+        def finish_joined(batch: pa.Table) -> pa.Table:
+            return apply_media_text(batch.filter(pc.is_valid(batch["kind"])))
+
         # One memory-bound aggregator per partition at 0.1 CPU, one
         # partition per cluster CPU: aggregators that outgrow the free
         # CPU starve the OCR / map tasks into a deadlock.
-        joined = media_rows.join(
-            media_text, join_type="left_outer",
-            num_partitions=min(MEDIA_JOIN_BUCKETS, _cluster_cpus()),
-            on=("media_ref",), aggregator_ray_remote_args={"num_cpus": 0.1},
-        )
-        ocrd = joined.map_batches(apply_media_text, batch_format="pyarrow")
-        ds = ocrd.union(text_rows)
+        joined = exploded.map_batches(pending_media, batch_format="pyarrow") \
+            .join(media_text, join_type="left_outer",
+                  num_partitions=min(MEDIA_JOIN_BUCKETS, _cluster_cpus()),
+                  on=("media_ref",),
+                  aggregator_ray_remote_args={"num_cpus": 0.1})
+        ds = joined.map_batches(finish_joined, batch_format="pyarrow") \
+            .union(exploded.filter(expr="kind == 'text'")
+                   .map_batches(classify_spans, batch_format="pyarrow")
+                   .map_batches(apply_media_text, batch_format="pyarrow"))
     else:
-        # Zone-map skew tail: single pass, no branches — classify handles
-        # text rows and passes media rows through; the OCR stage reads
-        # each batch's payloads through the zone map.
-        ds = exploded.map_batches(classify_spans, batch_format="pyarrow")
-        ds = ds.map_batches(
-            OcrStage(media_lookup_ref=media_lookup_ref, calib=calib),
-            batch_format="pyarrow", batch_size=OCR_BATCH_SIZE)
+        # Zone-map skew tail: single pass, no branches — classify
+        # handles text rows and passes media rows through; the OCR
+        # stage reads each batch's payloads through the zone map.
+        ds = exploded.map_batches(classify_spans, batch_format="pyarrow") \
+            .map_batches(OcrStage(media, calib), batch_format="pyarrow",
+                         batch_size=OCR_BATCH_SIZE)
 
     return reassemble(ds)
 
 
-def _doc_local(docs_ds, *, threshold: int, tail: bool, media_lookup_ref=None,
+def _doc_local(docs_ds, zones: pa.Table, *, threshold: int, tail: bool,
                calib=None):
     """Docs with ≤ ``threshold`` spans run map-only through
     ``DocLocalExtract``; with ``tail`` the rest take ``_exploded``,
@@ -329,13 +338,12 @@ def _doc_local(docs_ds, *, threshold: int, tail: bool, media_lookup_ref=None,
 
     src = docs_ds.map_batches(small_only, batch_format="pyarrow") if tail \
         else docs_ds
-    small = src.map_batches(
-        DocLocalExtract(media_lookup_ref=media_lookup_ref, calib=calib),
-        batch_format="pyarrow")
+    small = src.map_batches(DocLocalExtract(zones, calib),
+                            batch_format="pyarrow")
     if not tail:
         return small
     big = _exploded(docs_ds.map_batches(big_only, batch_format="pyarrow"),
-                    media_lookup_ref=media_lookup_ref, calib=calib)
+                    zones, calib=calib)
     return small.union(big)
 
 
@@ -343,8 +351,9 @@ def extract_spans(plan: JobPlan, *, calib=None):
     """``plan.docs`` → ``reassemble.OUT_SCHEMA`` span rows, as
     ``plan_job`` planned them.
 
-    A media Dataset runs the join plan; a zone map ref runs doc-local, plus the shuffle tail for docs over ``SKEW_THRESHOLD``
-    spans when ``plan.max_spans`` exceeds it. ``calib`` is an optional
+    A media Dataset runs the join plan; a zone map runs doc-local, plus
+    the shuffle tail for docs over ``SKEW_THRESHOLD`` spans when
+    ``plan.max_spans`` exceeds it. ``calib`` is an optional
     ``(knots_x, knots_y)`` isotonic calibrator (fit_page_calibrator):
     it sets the cascade thresholds and ``conf_calibrated``. Ray Data
     sizes every stage's task count, so the doc-local stage fuses with
@@ -352,20 +361,21 @@ def extract_spans(plan: JobPlan, *, calib=None):
     speed.
     """
     if isinstance(plan.media, rd.Dataset):
-        return _exploded(plan.docs, media_ds=plan.media, calib=calib)
-    return _doc_local(plan.docs, threshold=SKEW_THRESHOLD,
-                      tail=plan.max_spans > SKEW_THRESHOLD,
-                      media_lookup_ref=plan.media, calib=calib)
+        return _exploded(plan.docs, plan.media, calib=calib)
+    return _doc_local(plan.docs, plan.media, threshold=SKEW_THRESHOLD,
+                      tail=plan.max_spans > SKEW_THRESHOLD, calib=calib)
 
 
-def extract_spans_hybrid(docs_ds, *, skew_threshold=SKEW_THRESHOLD,
-                         skew_tail="auto", **kw):
+def extract_spans_hybrid(docs_ds, *, media_lookup_ref,
+                         skew_threshold=SKEW_THRESHOLD, skew_tail="auto",
+                         **kw):
     """perfbench's old entry; delete once it calls ``extract_spans``.
+    ``media_lookup_ref`` is ``build_media_lookup``'s zone map.
     ``skew_tail="never"`` builds no tail, ``"auto"`` always one.
     ``ocr_concurrency`` is accepted and ignored: Ray Data sizes the
     stages."""
     kw.pop("ocr_concurrency", None)
-    return _doc_local(docs_ds, threshold=skew_threshold,
+    return _doc_local(docs_ds, media_lookup_ref, threshold=skew_threshold,
                       tail=skew_tail != "never", **kw)
 
 

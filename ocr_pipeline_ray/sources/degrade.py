@@ -24,12 +24,12 @@ import struct
 import numpy as np
 
 from ..stages import media_stub
+from .synth import _CORRUPT
 
 Lines = list[tuple[str, int, int]]
 
 SEVERITY_P = {"low": 0.08, "medium": 0.2, "high": 0.4}
 
-_CONFUSE = {"1": "l", "0": "O", "2": "Z", "5": "S", "8": "B"}
 _SALT = "#*%@"
 
 
@@ -53,7 +53,7 @@ def _per_char(lines: Lines, rng, p: float, fn) -> Lines:
 
 def op_gaussian_noise(lines: Lines, rng, p: float) -> Lines:
     return _per_char(lines, rng, p,
-                     lambda ch: [_CONFUSE.get(ch, ch)])
+                     lambda ch: [_CORRUPT.get(ch, ch)])
 
 
 def op_salt_pepper(lines: Lines, rng, p: float) -> Lines:

@@ -17,8 +17,9 @@ to the exploded path by construction: each rule has one home (keep
 and rank in ``stages.reassemble``, text classification in
 ``classify_spans``, media resolution and reading in ``OcrStage``).
 Map-only → linear scaling, zero shuffle. It runs as Ray Data tasks on
-pooled worker processes through the same warm ``PageReader`` as
-``OcrStage``, so it fuses with the read before it and boots no actors.
+pooled worker processes, carrying its ``OcrStage`` (zone map and
+``PageReader``), so it fuses with the read before it and boots no
+actors.
 
 The skew tail (documents with more spans than ``SKEW_THRESHOLD``) is
 the one case where intra-doc parallelism matters; ``extract_spans``
@@ -45,8 +46,8 @@ class DocLocalExtract:
          batch's documents.
     """
 
-    def __init__(self, media_lookup_ref=None, calib=None) -> None:
-        self.ocr = OcrStage(media_lookup_ref=media_lookup_ref, calib=calib)
+    def __init__(self, zones: pa.Table, calib=None) -> None:
+        self.ocr = OcrStage(zones, calib)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         kept = filter_keep(self.ocr(classify_spans(explode_spans(batch))))

@@ -17,12 +17,12 @@ kernels in a map stage; the degradation bank
 from __future__ import annotations
 
 import hashlib
-import re
 import struct
 
 import numpy as np
 import pyarrow as pa
 
+from ..functions.charfix import _AGGRESSIVE_WORD, _SUSPECTS
 from ..functions.geometry import XY_CUT_BAND
 from . import media_stub
 
@@ -69,7 +69,6 @@ def media_features(batch: pa.Table) -> pa.Table:
 # on downstream XY-cut reading order is observable and tested.
 
 MAX_COORD = 10_000   # P1 coordinate cap (reference size guard 458-491)
-_SUSPECT_CHARS = set("lIoOzZsSgGbB|")
 
 
 def rotate_page_cw(payload: bytes) -> bytes:
@@ -153,9 +152,6 @@ def _rescale_coords(lines: list[tuple[str, int, int]]
     return [(t, int(x * scale), int(y * scale)) for t, x, y in lines], True
 
 
-_CONFUSABLE_RUN = re.compile(r"\b[0-9lIoOzZsSgGbB|]{2,}\b")
-
-
 def _noise_score(lines: list[tuple[str, int, int]]) -> float:
     """P3/P5 noise statistic: density of suspect glyphs inside
     confusable-class words (the ambiguity the OCR ensemble actually
@@ -164,8 +160,8 @@ def _noise_score(lines: list[tuple[str, int, int]]) -> float:
     chars = sum(len(t) for t, _, _ in lines)
     if chars == 0:
         return 1.0
-    sus = sum(sum(1 for ch in m.group(0) if ch in _SUSPECT_CHARS)
-              for t, _, _ in lines for m in _CONFUSABLE_RUN.finditer(t))
+    sus = sum(sum(1 for ch in m.group(0) if ch in _SUSPECTS)
+              for t, _, _ in lines for m in _AGGRESSIVE_WORD.finditer(t))
     return sus / chars
 
 

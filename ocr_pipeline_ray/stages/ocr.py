@@ -1,13 +1,13 @@
 """OCR stage for ``kind="media"`` spans, run as Ray Data tasks.
 
 The Ray-Data re-expression of the reference's engine stack (SURVEY
-§2.3 M1-M8): a callable INSTANCE for ``map_batches`` that only carries
-its constructor arguments, so Ray Data runs it as tasks on its pooled,
-already-warm worker processes (and fuses it with the map before it).
-The warm "engines" live in ``warm_reader``'s per-process cache, built
-once per worker process exactly like the reference's per-process lazy
-singletons (pipeline.py:1150-1195 caches PaddleOCR on a function
-attribute), and ``__call__`` scores a whole Arrow batch.
+§2.3 M1-M8): a callable INSTANCE for ``map_batches`` that carries all
+the state it reads (the media zone map and a ``PageReader``), so Ray
+Data runs it as tasks on its pooled worker processes (and fuses it
+with the map before it); ``__call__`` scores a whole Arrow batch. The
+reference caches its engines once per process (pipeline.py:1150-1195)
+because each loads a model; the stub engines load none, so nothing
+lives beside the stage in a process.
 
 Multi-engine ensemble (reference pipeline.py:1948-1982): every page
 line is read by THREE deterministic stub engines with distinct error
@@ -44,17 +44,17 @@ raw confidences achieving the reference's target accuracies
 calibrated score downstream.
 
 Everything around the stub decode is the real distributed design:
-one warm ``PageReader`` per worker process (the media zone map,
-calibrated cascade thresholds) shared by ``OcrStage``
-(also run in-task by ``DocLocalExtract``) and ``MediaDecodeStage``,
-XY-cut reading order, char-correction canonicalization, failure-as-data
+one decode (``PageReader.decode``) and one span finisher
+(``apply_media_text``) shared by both media plans — ``OcrStage`` (also
+run in-task by ``DocLocalExtract``) reads through the zone map,
+``MediaDecodeStage`` decodes the media table for the join — XY-cut
+reading order, char-correction canonicalization, failure-as-data
 status columns.
 """
 
 from __future__ import annotations
 
 import bisect
-import re
 import struct
 
 import numpy as np
@@ -63,14 +63,11 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..config import TAU_ENHANCE, TAU_LLM
-from ..functions.charfix import aggressive_digit_fix, fix_text
+from ..functions.charfix import (_CONFUSABLE_WORD, _HAS_DIGIT, _SUSPECTS,
+                                 aggressive_digit_fix, fix_text)
 from ..functions.confidence import geomean_confidence
 from ..functions.geometry import xy_cut_order
 from . import media_stub
-
-_CONFUSABLE_WORD = re.compile(r"\b[0-9lIoOzZsSgGbB|]+\b")
-_HAS_DIGIT = re.compile(r"[0-9]")
-_SUSPECTS = set("lIoOzZsSgGbB|")
 
 # (name, base_conf, per-suspect penalty, variant) per DPI. At 300 only
 # ``sharp`` trusts its aggressive correction; at 600 (cleaner glyphs)
@@ -363,6 +360,15 @@ def _resolve_taus(calib) -> tuple[float, float]:
 
 MEDIA_COLUMNS = ["media_ref", "payload"]
 
+# One decoded media row: what ``PageReader.decode`` returns and the
+# join plan joins back to the span rows.
+DECODE_SCHEMA = pa.schema([("media_ref", pa.string()),
+                           ("m_text", pa.string()),
+                           ("m_conf", pa.float64()),
+                           ("m_conf_calibrated", pa.float64()),
+                           ("m_status", pa.string()),
+                           ("m_cascade", pa.string())])
+
 
 def read_zone_rows(zones: pa.Table, refs, columns: list[str]) -> pa.Table:
     """The media rows (``columns``) whose ``media_ref`` is one of the
@@ -387,35 +393,18 @@ def read_zone_rows(zones: pa.Table, refs, columns: list[str]) -> pa.Table:
 
 
 class PageReader:
-    """Warm per-process page-read state shared by the OCR stages.
-
-    Built once per worker process by ``warm_reader`` (the reference's
-    lazy engine singletons, pipeline.py:1150-1195): the media zone map,
-    and the optional ``(knots_x, knots_y)`` isotonic calibrator with the
-    cascade thresholds derived from it.
+    """Page-read state of the OCR stages: the optional ``(knots_x,
+    knots_y)`` isotonic calibrator and the cascade thresholds derived
+    from it. Each stage builds one in its ``__init__``; Ray Data ships
+    it with the stage's transform.
     """
 
-    def __init__(self, media_lookup_ref=None, calib=None) -> None:
-        self.zones: pa.Table | None = None
-        if media_lookup_ref is not None:
-            import ray
-            self.zones = ray.get(media_lookup_ref)
+    def __init__(self, calib) -> None:
         self.calib = None
         if calib is not None:
             self.calib = (np.asarray(calib[0], dtype=np.float64),
                           np.asarray(calib[1], dtype=np.float64))
         self.tau_enhance, self.tau_llm = _resolve_taus(self.calib)
-
-    def payloads(self, refs: list[str]) -> list[bytes | None]:
-        """Payload bytes for each of ``refs``, read through the zone map
-        (None where there is no zone map or the ref is missing). A ref
-        held by several rows resolves to the last of them."""
-        if self.zones is None:
-            return [None] * len(refs)
-        t = read_zone_rows(self.zones, refs, MEDIA_COLUMNS)
-        found = dict(zip(t["media_ref"].to_pylist(),
-                         t["payload"].to_pylist()))
-        return [found.get(r) for r in refs]
 
     def read(self, payload: bytes) -> tuple[str, float, float, str, str]:
         """One page → (text, conf, conf_calibrated, status, cascade)."""
@@ -435,117 +424,83 @@ class PageReader:
             status = "low_conf"  # last-resort branch, pipeline.py:2034-2065
         return text, conf, cal, status, cascade
 
-
-# One-entry per-process cache: (key, reader). Holding a single entry
-# means a worker holds at most one zone map.
-_warm: tuple[tuple, PageReader] | None = None
-
-
-def warm_reader(media_lookup_ref=None, calib=None) -> PageReader:
-    """This worker process's ``PageReader`` for ``(media_lookup_ref,
-    calib)``: the zone map ref and the calibrator knots. Built on first
-    use and reused by every later task on the same process; a different
-    zone map ref or calibrator replaces the entry."""
-    global _warm
-    key = (media_lookup_ref,
-           None if calib is None else (tuple(calib[0]), tuple(calib[1])))
-    if _warm is None or _warm[0] != key:
-        _warm = None  # drop the old reader before building the new one
-        _warm = (key, PageReader(media_lookup_ref, calib))
-    return _warm[1]
+    def decode(self, media: pa.Table) -> pa.Table:
+        """Media rows ``(media_ref, payload)`` → ``DECODE_SCHEMA`` rows,
+        one per input row, in order."""
+        rows = [self.read(p) for p in media["payload"].to_pylist()]
+        cols = list(zip(*rows)) if rows else [()] * 5
+        return pa.table([media["media_ref"], *cols], schema=DECODE_SCHEMA)
 
 
 class OcrStage:
     """map_batches callable over mixed span rows.
 
     Media rows (status='pending') are read through the zone map
-    (``media_lookup_ref``): only the media row groups that can hold the
-    batch's refs; text rows pass through. ``calib`` is an
-    optional ``(knots_x, knots_y)`` isotonic calibrator: it derives the
-    cascade thresholds and fills ``conf_calibrated``.
+    ``zones`` (``pipelines.extract.build_media_lookup``): only the media
+    row groups that can hold the batch's refs, each distinct ref decoded
+    once (a ref held by several media rows takes the last of them). Text
+    rows pass through. ``calib`` is an optional ``(knots_x, knots_y)``
+    isotonic calibrator: it derives the cascade thresholds and fills
+    ``conf_calibrated``.
 
-    Output columns: doc_id, kind, text, media_ref, offset, status,
-    conf, conf_calibrated, cascade.
+    Output columns: ``apply_media_text``'s.
     """
 
-    def __init__(self, media_lookup_ref=None, calib=None) -> None:
-        self.media_lookup_ref, self.calib = media_lookup_ref, calib
+    def __init__(self, zones: pa.Table, calib=None) -> None:
+        self.zones, self.reader = zones, PageReader(calib)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        reader = warm_reader(self.media_lookup_ref, self.calib)
-        status = batch["status"].to_pylist()
-        texts = batch["text"].to_pylist()
-        confs = batch["conf"].to_pylist()
-        refs = batch["media_ref"].to_pylist()
-        cascades = ["accepted"] * batch.num_rows
-        cals = list(confs)
-
-        pending = [i for i, st in enumerate(status) if st == "pending"]
-        for i, payload in zip(pending,
-                              reader.payloads([refs[i] for i in pending])):
-            if payload is None:
-                texts[i], confs[i], cals[i] = "", 0.0, 0.0
-                status[i], cascades[i] = "missing_media", "none"
-                continue
-            texts[i], confs[i], cals[i], status[i], cascades[i] = \
-                reader.read(payload)
-
-        return pa.table({
-            "doc_id": batch["doc_id"],
-            "kind": batch["kind"],
-            "text": pa.array(texts, type=pa.string()),
-            "media_ref": batch["media_ref"],
-            "offset": batch["offset"],
-            "status": pa.array(status, type=pa.string()),
-            "conf": pa.array(confs, type=pa.float64()),
-            "conf_calibrated": pa.array(cals, type=pa.float64()),
-            "cascade": pa.array(cascades, type=pa.string()),
-        })
+        pending = batch["media_ref"].filter(
+            pc.equal(batch["status"], "pending"))
+        media = read_zone_rows(self.zones, pending.to_pylist(), MEDIA_COLUMNS)
+        last = {ref: i for i, ref in enumerate(media["media_ref"].to_pylist())}
+        decoded = self.reader.decode(
+            media.take(pa.array(last.values(), pa.int64())))
+        found = decoded.take(pc.index_in(batch["media_ref"],
+                                         value_set=decoded["media_ref"]))
+        for name in DECODE_SCHEMA.names[1:]:
+            batch = batch.append_column(name, found[name])
+        return apply_media_text(batch)
 
 
 class MediaDecodeStage:
     """map_batches decode of the MEDIA TABLE itself (the join path's
     heavy stage): payload bytes are processed where they already live
     and never enter the shuffle — only the extracted text rows
-    (media_ref, m_text, m_conf, m_conf_calibrated, m_status,
-    m_cascade) are joined back to the span rows.
+    (``DECODE_SCHEMA``) are joined back to the span rows.
     """
 
-    def __init__(self, calib=None) -> None:
-        self.calib = calib
+    def __init__(self, calib) -> None:
+        self.reader = PageReader(calib)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        reader = warm_reader(calib=self.calib)
-        rows = [reader.read(p) for p in batch["payload"].to_pylist()]
-        texts, confs, cals, statuses, cascades = zip(*rows) if rows \
-            else ((),) * 5
-        return pa.table({
-            "media_ref": batch["media_ref"],
-            "m_text": pa.array(texts, type=pa.string()),
-            "m_conf": pa.array(confs, type=pa.float64()),
-            "m_conf_calibrated": pa.array(cals, type=pa.float64()),
-            "m_status": pa.array(statuses, type=pa.string()),
-            "m_cascade": pa.array(cascades, type=pa.string()),
-        })
+        return self.reader.decode(batch)
 
 
 def apply_media_text(batch: pa.Table) -> pa.Table:
-    """Join-path finisher: span rows ⋈ decoded media text → the
-    standard ensemble span schema (missing media ⇒ status
-    'missing_media', dropped later by filter_keep)."""
-    n = batch.num_rows
-    have = pc.is_valid(batch["m_status"])
+    """The one span finisher of both media plans: span rows, with the
+    ``DECODE_SCHEMA`` columns of each row's media decode (null where it
+    has none; a batch without them has none) → the ensemble span
+    schema. A pending row with a decode takes it; a pending row without
+    one is ``missing_media`` (dropped later by ``filter_keep``); any
+    other row keeps its text, status and conf, with ``conf_calibrated``
+    = conf and cascade ``accepted``."""
+    m = {name: batch[name] if name in batch.column_names
+         else pa.nulls(batch.num_rows, DECODE_SCHEMA.field(name).type)
+         for name in DECODE_SCHEMA.names[1:]}
+    pending = pc.equal(batch["status"], "pending")
+    have = pc.and_(pending, pc.is_valid(m["m_status"]))
+
+    def pick(name, missing, own):
+        return pc.if_else(have, m[name], pc.if_else(pending, missing, own))
     return pa.table({
         "doc_id": batch["doc_id"],
         "kind": batch["kind"],
-        "text": pc.if_else(have, batch["m_text"], pa.scalar("")),
+        "text": pick("m_text", "", batch["text"]),
         "media_ref": batch["media_ref"],
         "offset": batch["offset"],
-        "status": pc.if_else(have, batch["m_status"],
-                             pa.scalar("missing_media")),
-        "conf": pc.if_else(have, batch["m_conf"], pa.scalar(0.0)),
-        "conf_calibrated": pc.if_else(have, batch["m_conf_calibrated"],
-                                      pa.scalar(0.0)),
-        "cascade": pc.if_else(have, batch["m_cascade"], pa.scalar("none")),
+        "status": pick("m_status", "missing_media", batch["status"]),
+        "conf": pick("m_conf", 0.0, batch["conf"]),
+        "conf_calibrated": pick("m_conf_calibrated", 0.0, batch["conf"]),
+        "cascade": pick("m_cascade", "none", pa.scalar("accepted")),
     })
-

@@ -440,7 +440,8 @@ def pixel_stats(img: np.ndarray) -> dict[str, float]:
     - ``partial_frac`` — fraction of SCALE-aligned blocks of the Otsu
       ink mask that are PARTIALLY inked. The renderer inks whole
       SCALE×SCALE blocks, so a clean page measures exactly 0; toner
-      dropout fragments blocks and drives it up.
+      dropout fragments blocks and drives it up. A page with no whole
+      block (under SCALE px high or wide) measures 0.
 
     Everything but ``contrast`` is exact integer arithmetic. One
     ``bincount`` histogram gives the Otsu split, ``ink_frac`` and
@@ -484,7 +485,7 @@ def _page_stats(img: np.ndarray) -> tuple[dict[str, float], np.ndarray, int]:
         "ink_frac": int(hist[:t + 1].sum()) / img.size,
         "paper_noise": paper_hf,
         "midtone_frac": int(hist[65:192].sum()) / img.size,
-        "partial_frac": float(partial.mean()),
+        "partial_frac": float(partial.mean()) if partial.size else 0.0,
     }, hist, t
 
 

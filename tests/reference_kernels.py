@@ -117,7 +117,7 @@ def pixel_stats(img: np.ndarray) -> dict[str, float]:
         "ink_frac": float(ink_mask.mean()),
         "paper_noise": paper_hf,
         "midtone_frac": float(((f > 64) & (f < 192)).mean()),
-        "partial_frac": float(partial.mean()),
+        "partial_frac": float(partial.mean()) if partial.size else 0.0,
     }
 
 

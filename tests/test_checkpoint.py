@@ -437,15 +437,15 @@ def test_media_plan_from_the_data(small_corpus, tmp_path):
         files = sorted(glob.glob(f"{corpus}/documents_spans/*.parquet"))
         ranges = [extract._file_plan(f, None)[2:] for f in files]
         return extract._zone_reads(
-            extract._zone_map(f"{corpus}/media"), ranges)
+            build_media_lookup(f"{corpus}/media"), ranges)
 
     def plan(corpus):
         return plan_job(f"{corpus}/documents_spans", f"{corpus}/media")
 
     clustered = plan(small_corpus)
-    assert isinstance(clustered.media, ray.ObjectRef)
-    zones = ray.get(clustered.media)
-    assert zones.equals(extract._zone_map(f"{small_corpus}/media"))
+    zones = clustered.media
+    assert isinstance(zones, pa.Table)
+    assert zones.equals(build_media_lookup(f"{small_corpus}/media"))
     assert zones.num_rows == 3 and zones["min"].null_count == 0
     assert zone_reads(small_corpus) == 3
 
@@ -492,7 +492,7 @@ def test_doclocal_reads_one_media_row_group_per_file(small_corpus,
     reads = _read_row_groups_spy(monkeypatch)
     for f in sorted(glob.glob(f"{small_corpus}/documents_spans/*.parquet")):
         reads.clear()
-        out = DocLocalExtract(media_lookup_ref=lookup)(pq.read_table(f))
+        out = DocLocalExtract(lookup)(pq.read_table(f))
         assert "media" in out["kind"].to_pylist()
         assert reads == [1], f
 
@@ -523,7 +523,7 @@ def test_pending_partition_reads_only_its_refs(small_corpus, monkeypatch):
         batch = keep(pq.read_table(f))
         want += [s["media_ref"] for spans in batch["spans"].to_pylist()
                  for s in spans or () if s["kind"] == "media"]
-        DocLocalExtract(media_lookup_ref=lookup)(batch)
+        DocLocalExtract(lookup)(batch)
     assert want and sorted(kept) == sorted(want)
 
 

@@ -146,9 +146,9 @@ def test_doclocal_path_with_calibration(small_corpus, calib,
 def test_warm_reader_rekeys_across_datasets(small_corpus, tmp_path,
                                            golden_df, calib,
                                            golden_calib_df):
-    """Pooled workers outlive a Dataset and keep their warm PageReader:
-    a later run with another lookup, or with a calibrator, must not be
-    served by the reader an earlier run left on the same process."""
+    """Pooled workers outlive a Dataset: a later run with another zone
+    map, or with a calibrator, must not be served anything an earlier
+    run left on the same process."""
     from ocr_pipeline_ray.sources.synth import write_corpus
 
     other, other_seed, other_n = str(tmp_path / "other"), 7, 24

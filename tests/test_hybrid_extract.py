@@ -1,8 +1,8 @@
 """The skew plan of ``extract_spans``: doc-local only when the plan's
 span bound is not over the skew threshold, doc-local + the exploded
 shuffle tail otherwise; every plan equals the golden spans. Plus the
-doc-local stage against the exploded chain on hand-built edge
-cases."""
+doc-local stage against the exploded chain, the tail plan and the join
+plan on hand-built edge cases."""
 
 from __future__ import annotations
 
@@ -95,15 +95,15 @@ def test_benchmark_alias_keeps_its_plans(tmp_path, golden_df, monkeypatch):
     plans = []
     real = extract._doc_local
 
-    def spy(docs, **kw):
+    def spy(docs, zones, **kw):
         plans.append((kw["threshold"], kw["tail"]))
-        return real(docs, **kw)
+        return real(docs, zones, **kw)
     monkeypatch.setattr(extract, "_doc_local", spy)
     docs = rd.read_parquet(f"{tmp_path}/documents_spans")
-    ref = build_media_lookup(f"{tmp_path}/media")
+    zones = build_media_lookup(f"{tmp_path}/media")
     for kw, has_tail in (({"skew_tail": "never"}, False),
                          ({"skew_threshold": 96, "skew_tail": "auto"}, True)):
-        ds = extract_spans_hybrid(docs, media_lookup_ref=ref,
+        ds = extract_spans_hybrid(docs, media_lookup_ref=zones,
                                   ocr_concurrency=2, **kw).materialize()
         assert re.search(r"ReadParquet->[^:\n]*MapBatches\(DocLocalExtract\)",
                          ds.stats()), ds.stats()
@@ -168,43 +168,86 @@ _EDGE_CASES = {
 
 
 @pytest.fixture(scope="module")
-def edge_lookup_ref(tmp_path_factory):
-    return media_lookup(tmp_path_factory.mktemp("edge_media"), _MEDIA)
+def edge_media(tmp_path_factory):
+    """(media dir, zone map) of ``_MEDIA``."""
+    media_dir = tmp_path_factory.mktemp("edge_media")
+    return str(media_dir), media_lookup(media_dir, _MEDIA)
+
+
+def _edge_batch(case: str) -> pa.Table:
+    return pa.Table.from_pylist([{"doc_id": d, "spans": s}
+                                 for d, s in _EDGE_CASES[case][0]],
+                                schema=DOCS_SCHEMA)
+
+
+def _keyed(rows) -> list[tuple]:
+    """(doc_id, order, kind, text for text rows / media_ref for media
+    rows) of each span row."""
+    return [(r["doc_id"], r["order"], r["kind"],
+             r["text"] if r["kind"] == "text" else r["media_ref"])
+            for r in rows]
+
+
+def _in_order(ds) -> list[dict]:
+    return sorted(ds.take_all(), key=lambda r: (r["doc_id"], r["order"]))
 
 
 @pytest.mark.parametrize("case", list(_EDGE_CASES))
-def test_doclocal_equals_exploded_chain(case, edge_lookup_ref):
-    docs, want = _EDGE_CASES[case]
-    batch = pa.Table.from_pylist([{"doc_id": d, "spans": s} for d, s in docs],
-                                 schema=DOCS_SCHEMA)
-    out = DocLocalExtract(media_lookup_ref=edge_lookup_ref)(batch)
+def test_doclocal_equals_exploded_chain(case, edge_media):
+    zones = edge_media[1]
+    batch = _edge_batch(case)
+    out = DocLocalExtract(zones)(batch)
 
-    chain = OcrStage(media_lookup_ref=edge_lookup_ref)(
-        classify_spans(explode_spans(batch)))
+    chain = OcrStage(zones)(classify_spans(explode_spans(batch)))
     ranked = _rank_bucket(filter_keep(chain).to_pandas())
     assert out.schema == OUT_SCHEMA
     assert out.to_pylist() == ranked.to_dict("records")
-    assert [(r["doc_id"], r["order"], r["kind"],
-             r["text"] if r["kind"] == "text" else r["media_ref"])
-            for r in out.to_pylist()] == want
+    assert _keyed(out.to_pylist()) == _EDGE_CASES[case][1]
 
 
 @pytest.mark.parametrize("case", list(_EDGE_CASES))
-def test_tail_plan_on_edge_cases(case, edge_lookup_ref, monkeypatch):
+def test_tail_plan_on_edge_cases(case, edge_media, monkeypatch):
     """The same cases through ``extract_spans`` with the tail forced:
     documents of one span or none run doc-local, the rest in the tail;
     a null-``spans`` document is in neither and yields no rows."""
     monkeypatch.setattr(extract, "SKEW_THRESHOLD", 1)
-    docs, want = _EDGE_CASES[case]
-    batch = pa.Table.from_pylist([{"doc_id": d, "spans": s} for d, s in docs],
-                                 schema=DOCS_SCHEMA)
     # a hand-sized plan: its span bound is over the threshold
-    ds = extract_spans(JobPlan(docs=rd.from_arrow(batch),
-                               media=edge_lookup_ref,
+    ds = extract_spans(JobPlan(docs=rd.from_arrow(_edge_batch(case)),
+                               media=edge_media[1],
                                max_spans=extract.SKEW_THRESHOLD + 1)
                        ).materialize()
     assert "_rank_bucket" in ds.stats()
-    rows = sorted(ds.take_all(), key=lambda r: (r["doc_id"], r["order"]))
-    assert [(r["doc_id"], r["order"], r["kind"],
-             r["text"] if r["kind"] == "text" else r["media_ref"])
-            for r in rows] == want
+    assert _keyed(_in_order(ds)) == _EDGE_CASES[case][1]
+
+
+@pytest.mark.parametrize("case", list(_EDGE_CASES))
+def test_join_plan_on_edge_cases(case, edge_media):
+    """The same cases through the join plan (a media Dataset): it
+    decodes the media table and finishes the joined rows with the same
+    ``apply_media_text`` as the zone-map plan, so both agree on null
+    spans, missing media, blank/corrupt pages and offset order."""
+    docs = _EDGE_CASES[case][0]
+    ds = extract_spans(JobPlan(
+        docs=rd.from_arrow(_edge_batch(case)),
+        media=rd.read_parquet(edge_media[0], columns=extract.MEDIA_COLUMNS),
+        max_spans=max(len(s or ()) for _d, s in docs))).materialize()
+    assert "MediaDecodeStage" in ds.stats()
+    assert _keyed(_in_order(ds)) == _EDGE_CASES[case][1]
+
+
+def test_join_plan_when_the_first_block_has_no_media(edge_media):
+    """Ray's hash shuffle drops a zero-row block and sends a side's
+    columns to every join partition only with that side's first block:
+    unguarded, a first documents block without a media span leaves the
+    partitions no media row reaches without the span columns, and their
+    join fails."""
+    first, second = (pa.Table.from_pylist([{"doc_id": d, "spans": [s]}],
+                                          schema=DOCS_SCHEMA)
+                     for d, s in (("d1", _text(0, _BODY)),
+                                  ("d2", _media(0, "m-page"))))
+    ds = extract_spans(JobPlan(
+        docs=rd.from_arrow([first, second]),
+        media=rd.read_parquet(edge_media[0], columns=extract.MEDIA_COLUMNS),
+        max_spans=1))
+    assert _keyed(_in_order(ds)) == [("d1", 0, "text", _BODY),
+                                     ("d2", 0, "media", "m-page")]

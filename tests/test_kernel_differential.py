@@ -14,6 +14,7 @@ tests are what catches a regression in either.
 from __future__ import annotations
 
 import struct
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -134,10 +135,11 @@ def test_pixel_stats_equals_reference_on_random_images(h, w, seed):
     rng = np.random.RandomState(seed)
     img = rng.randint(0, 256, size=(h, w)).astype(np.uint8)
     img[rng.rand(h, w) < 0.5] = 255        # mostly paper, like a page
-    got, want = px.pixel_stats(img), ref.pixel_stats(img)
-    if min(h, w) < px.SCALE:               # no whole block: both are nan
-        assert np.isnan(got.pop("partial_frac"))
-        assert np.isnan(want.pop("partial_frac"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got, want = px.pixel_stats(img), ref.pixel_stats(img)
+    if min(h, w) < px.SCALE:               # no whole block: none partial
+        assert got["partial_frac"] == 0.0
     assert got == want
 
 

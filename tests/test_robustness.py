@@ -151,7 +151,7 @@ class TestTornPayloads:
             "status": pa.array(["pending"] * n),
             "conf": pa.array([0.0] * n),
         })
-        out = OcrStage(media_lookup_ref=lookup)(batch)
+        out = OcrStage(lookup)(batch)
         assert out["status"].to_pylist() == ["corrupt"] * n
         assert out["cascade"].to_pylist() == ["none"] * n
 
@@ -202,7 +202,7 @@ class TestOversizePayload:
                                                             "m-small"])]
         batch = pa.Table.from_pylist([{"doc_id": "d1", "spans": spans}],
                                      schema=DOCS_SCHEMA)
-        out = DocLocalExtract(media_lookup_ref=lookup)(batch).to_pylist()
+        out = DocLocalExtract(lookup)(batch).to_pylist()
         assert [(r["order"], r["media_ref"], r["status"]) for r in out] \
             == [(0, "m-small", "ok")]
 
@@ -251,9 +251,9 @@ class TestWorkerDeath:
                 return super().__call__(batch)
 
         marker = str(tmp_path / "died")
-        ref = build_media_lookup(f"{small_corpus}/media")
+        zones = build_media_lookup(f"{small_corpus}/media")
         out = rd.read_parquet(f"{small_corpus}/documents_spans") \
-            .map_batches(DieOnce(marker, media_lookup_ref=ref),
+            .map_batches(DieOnce(marker, zones=zones),
                          batch_format="pyarrow").to_pandas()
         assert os.path.exists(marker)
         _assert_matches_golden(out, pd.DataFrame(golden_spans(SEED, N_DOCS,

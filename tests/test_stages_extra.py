@@ -154,45 +154,6 @@ class TestCascadeGates:
         assert rows["noisy"]["m_status"] == "low_conf"
 
 
-class TestWarmReader:
-    """The OCR stages run as tasks on pooled worker processes; each
-    process keeps ONE warm PageReader, re-keyed by lookup ref and
-    calibrator knots."""
-
-    def test_rekeys_and_holds_one_entry(self, tmp_path):
-        import gc
-        import weakref
-
-        from ocr_pipeline_ray.stages import ocr
-        from tests.conftest import media_lookup
-
-        ref_a = media_lookup(tmp_path / "media", {"m0": b"x"})
-        ref_b = media_lookup(tmp_path / "media", {"m0": b"x"})
-        knots = ([0.55, 0.98], [0.30, 0.90])
-
-        first = ocr.warm_reader(ref_a, knots)
-        assert ocr.warm_reader(ref_a, knots) is first
-        # equal knots in new containers are the same key
-        assert ocr.warm_reader(ref_a, (list(knots[0]),
-                                       tuple(knots[1]))) is first
-        assert ocr.warm_reader(ref_a) is not first
-        by_ref = ocr.warm_reader(ref_b, knots)
-        assert by_ref is not first
-        by_knots = ocr.warm_reader(ref_b, ([0.55, 0.98], [0.40, 0.90]))
-        assert by_knots is not by_ref
-        assert by_knots.tau_llm != by_ref.tau_llm
-
-        # one entry only: the replaced readers are no longer referenced
-        gone = [weakref.ref(first), weakref.ref(by_ref)]
-        del first, by_ref
-        gc.collect()
-        assert all(w() is None for w in gone)
-        assert ocr._warm is not None and ocr._warm[1] is by_knots
-        # a ref seen before is rebuilt, not served from an older entry
-        again = ocr.warm_reader(ref_a, knots)
-        assert again is not by_knots and ocr._warm[1] is again
-
-
 class TestPreprocessKernels:
     """P1-P5 are REAL transforms on FPG1: degraded pages must be
     recovered (text equality vs the clean decode), not just flagged."""
