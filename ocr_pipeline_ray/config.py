@@ -2,8 +2,8 @@
 
 Mirrors the reference's routing thresholds (reference config.py:10-12:
 tau_accept=0.95, tau_enhance=0.90, tau_llm=0.85), re-expressed as
-dataflow constants for the cascade stage, plus the shuffle and OCR
-batch knobs.
+dataflow constants for the cascade stage, plus the skew bound and the
+OCR batch size.
 """
 
 # Confidence-threshold cascade (SURVEY §2.7 R1). The reference's
@@ -20,9 +20,7 @@ TAU_LLM = 0.85
 LINK_DENSITY_DROP = 0.5    # > this fraction of link chars → boilerplate
 MIN_TEXT_CHARS = 12        # shorter text nodes are boilerplate unless heading
 
-# Shuffle knobs.
 SKEW_THRESHOLD = 512           # docs with more spans take the exploded+shuffle tail
-MEDIA_JOIN_BUCKETS = 64        # hash buckets for the large-side media join
 
 # OCR batch sizing (Ray Data scales the number of tasks, each on the
 # default one CPU).

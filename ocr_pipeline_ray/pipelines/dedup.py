@@ -35,7 +35,8 @@ import ray
 import ray.data as rd
 
 from ..functions import textstats as ts
-from ..stages.agg import bucketed_map_groups
+from ..stages.agg import (bucketed_map_groups, hash_join, partitions_for,
+                          reduce_buckets, table_bytes)
 
 N_DUP_DOCS = 10
 DUP_OFFSET = 100_000
@@ -97,8 +98,6 @@ def exact_dedup_augmented(sf_dir: str) -> pd.DataFrame:
 
     This is the DESIGNATED exact-dedup operator for the 100 TB story;
     the reduction is the shared ``bucketed_min_survivor`` operator."""
-    from .relational import reduce_buckets
-
     num_buckets = reduce_buckets(sf_dir, "documents")
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
@@ -214,8 +213,6 @@ def _near_dup_pairs_minhash_ds(sf_dir: str) -> "rd.Dataset":
     driver (the old design collected the pair list driver-side under
     a guard; that hop is gone).
     """
-    from .relational import _join_partitions
-
     def band_rows(batch: pa.Table) -> pa.Table:
         out_band, out_doc = [], []
         for did, text in zip(batch["doc_id"].to_pylist(), batch["text"].to_pylist()):
@@ -250,15 +247,8 @@ def _near_dup_pairs_minhash_ds(sf_dir: str) -> "rd.Dataset":
     cand = bucketed_map_groups(
         bucketed_map_groups(bands, "band_key", emit_pairs, 64),
         "doc_a", dedup_bucket, PAIR_DEDUP_BUCKETS).materialize()
-    n_cand = cand.count()  # scalar aggregate — no rows to the driver
-    if n_cand == 0:
+    if cand.count() == 0:  # scalar aggregate — no rows to the driver
         return rd.from_arrow(_EMPTY_PAIRS)
-
-    # Join partition count: candidate-sized, floored so every hash
-    # partition averages ≥32 rows (Ray 2.49's hash-shuffle aggregator
-    # emits schema-less zero-row partitions that break pyarrow's join).
-    n_parts = max(1, min(_join_partitions(sf_dir, "documents", "documents"),
-                         n_cand // 32))
 
     node_refs = cand.map_batches(
         lambda t: pa.table({"doc_id": pa.array(np.concatenate(
@@ -271,17 +261,17 @@ def _near_dup_pairs_minhash_ds(sf_dir: str) -> "rd.Dataset":
         .map_batches(_CandidateFilter(node_refs), batch_format="pyarrow") \
         .materialize()
 
-    sh_a = shing.map_batches(lambda t: pa.table(
-        {"join_a": t["doc_id"], "sh_a": t["sh"]}), batch_format="pyarrow")
-    sh_b = shing.map_batches(lambda t: pa.table(
-        {"join_b": t["doc_id"], "sh_b": t["sh"]}), batch_format="pyarrow")
+    sh_a = shing.rename_columns({"doc_id": "join_a", "sh": "sh_a"})
+    sh_b = shing.rename_columns({"doc_id": "join_b", "sh": "sh_b"})
 
-    paired = cand.join(sh_a, join_type="inner", num_partitions=n_parts,
-                       on=("doc_a",), right_on=("join_a",),
-                       aggregator_ray_remote_args={"num_cpus": 0.1}) \
-        .join(sh_b, join_type="inner", num_partitions=n_parts,
-              on=("doc_b",), right_on=("join_b",),
-              aggregator_ray_remote_args={"num_cpus": 0.1})
+    # materialized between the joins: the second join reads the first's
+    # schema, which a lazy join would run once more to get
+    nbytes = table_bytes(sf_dir, "documents", "documents")
+    paired = hash_join(
+        hash_join(cand, sh_a, join_type="inner", on=("doc_a",),
+                  right_on=("join_a",), nbytes=nbytes).materialize(),
+        sh_b, join_type="inner", on=("doc_b",), right_on=("join_b",),
+        nbytes=nbytes)
 
     def verify(batch: pa.Table) -> pa.Table:
         out_a, out_b, out_j = [], [], []
@@ -334,12 +324,9 @@ def jaccard_consecutive(sf_dir: str) -> pd.DataFrame:
     nxt = rd.read_parquet(f"{sf_dir}/documents.parquet",
                           columns=["doc_id", "text"]) \
         .map_batches(shift_key, batch_format="pyarrow")
-    from .relational import _join_partitions
-    joined = docs.join(nxt, join_type="inner",
-                       num_partitions=_join_partitions(sf_dir, "documents",
-                                                       "documents"),
-                       on=("doc_id",), right_on=("prev_id",),
-                       aggregator_ray_remote_args={"num_cpus": 0.1})
+    joined = hash_join(docs, nxt, join_type="inner", on=("doc_id",),
+                       right_on=("prev_id",),
+                       nbytes=table_bytes(sf_dir, "documents", "documents"))
 
     def sim(batch: pa.Table) -> pa.Table:
         js = [ts.jaccard(ts.token_shingles(a), ts.token_shingles(b))
@@ -459,15 +446,13 @@ def dedup_clusters(sf_dir: str) -> pd.DataFrame:
     final (output-sized) cluster table does. Oracle: DuckDB
     recursive-CTE transitive closure over the same pair SQL.
     """
-    from .relational import _join_partitions
-
     pairs_ds = _near_dup_pairs_minhash_ds(sf_dir).materialize()
     if pairs_ds.count() == 0:
         return pd.DataFrame({"doc_id": pd.Series([], dtype="int64"),
                              "cluster_id": pd.Series([], dtype="int64"),
                              "is_survivor": pd.Series([], dtype="int64")})
-    n_parts = _join_partitions(sf_dir, "documents", "documents")
-    return _propagate_components(pairs_ds, n_parts)
+    nbytes = table_bytes(sf_dir, "documents", "documents")
+    return _propagate_components(pairs_ds, partitions_for(nbytes))
 
 
 def _propagate_components(pairs, n_parts: int,
@@ -521,14 +506,9 @@ def _propagate_components(pairs, n_parts: int,
     # Per round, ONE bucketed-merge groupby resolves both message kinds
     # — neighbor propagation (label(src) → dst) and the pointer jump
     # (label(label(v)) → v) — followed by one bucketed min-reduce.
-    # DELIBERATELY NOT Dataset.join: as components converge, label
-    # values collapse onto few distinct keys, so a label-keyed hash
-    # join leaves most partitions EMPTY, and Ray 2.49's hash-shuffle
-    # aggregator emits schema-less zero-row partitions that crash
-    # pyarrow's join ("No match for FieldRef") — measured on a
-    # 4k-leaf star graph. A sort-based groupby has no empty-partition
-    # failure mode, spends no per-round join-aggregator actor startups,
-    # and the merge inside each bucket is one vectorized pandas pass.
+    # Not a hash join: each round would start its join aggregator
+    # actors again, while the merge inside each bucket is one
+    # vectorized pandas pass.
     # Request rows (kind=0) carry key=the node whose label is asked
     # for, val=the node the answer is delivered to; definition rows
     # (kind=1) carry key=node, val=its current label. Every request

@@ -33,6 +33,7 @@ and byte-identical results (tested).
 from __future__ import annotations
 
 import bisect
+import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -44,17 +45,13 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
-from ..config import MEDIA_JOIN_BUCKETS, OCR_BATCH_SIZE, SKEW_THRESHOLD
-from ..stages.agg import bucketed_map_groups
+from ..config import OCR_BATCH_SIZE, SKEW_THRESHOLD
+from ..stages.agg import bucketed_map_groups, cluster_cpus, hash_join
 from ..stages.classify import classify_spans
 from ..stages.explode import explode_spans
 from ..stages.ocr import (MEDIA_COLUMNS, MediaDecodeStage, OcrStage,
                           apply_media_text, read_zone_rows)
 from ..stages.reassemble import reassemble
-
-
-def _cluster_cpus() -> int:
-    return int(ray.cluster_resources().get("CPU", 1))
 
 
 # The calibration sample's rows: one per decoded sample page.
@@ -117,7 +114,7 @@ def _calibration_sample(media_path: str, sample_n: int):
 
     return rd.from_items([{"media_ref": ref} for _path, ref in pairs],
                          override_num_blocks=min(len(pairs),
-                                                 2 * _cluster_cpus())) \
+                                                 2 * cluster_cpus())) \
         .map_batches(decode_sample, batch_format="pyarrow")
 
 
@@ -247,7 +244,7 @@ def plan_job(docs_path, media_path: str,
     task = ray.remote(_file_plan)
     stats = ray.get([task.remote(f, keep) for f in files])
     min_block = rd.DataContext.get_current().target_min_block_size
-    tiny = len(files) < 2 * _cluster_cpus() \
+    tiny = len(files) < 2 * cluster_cpus() \
         and sum(s[0] for s in stats) < min_block
     docs = rd.read_parquet(files, override_num_blocks=len(files) if tiny
                            else None)
@@ -267,46 +264,25 @@ def _exploded(docs_ds, media, *, calib):
     exploded = docs_ds.map_batches(explode_spans, batch_format="pyarrow")
 
     if isinstance(media, rd.Dataset):
-        # Scale path: the media TABLE is decoded in place by a map
-        # stage (ensemble + cascade + calibration run where the payload
-        # bytes already live), and only the extracted TEXT rows enter
-        # the hash join with the pending media span rows — payloads
-        # never cross the shuffle. (The previous design joined payloads
-        # first and decoded after; shipping the binary column through
-        # the exchange was 3-10× slower and scaled super-linearly.)
-        # Text rows bypass the join. No explicit batch_size on the text
-        # chain: a mid-pipeline batch_size forces a re-bundling pass
-        # that measured 3x slower end-to-end; block-sized batches keep
-        # the chain fused
+        # The media table is decoded where its payload bytes live, and
+        # only its text rows enter the hash join with the pending media
+        # spans (shipping payloads through it measured 3-10× slower).
+        # Text spans bypass the join, with no batch_size: a mid-pipeline
+        # batch_size forces a re-bundling pass (measured 3× slower).
         media_text = media.select_columns(MEDIA_COLUMNS).map_batches(
             MediaDecodeStage(calib), batch_format="pyarrow",
             batch_size=OCR_BATCH_SIZE)
 
         def pending_media(batch: pa.Table) -> pa.Table:
-            # Ray's hash shuffle drops a zero-row block, and sends a
-            # side's columns to every join partition only with that
-            # side's first block. Without a row in that block, a
-            # partition no media row reaches has no span columns and
-            # its join fails, so each block also carries one all-null
-            # row (null kind), dropped after the join.
-            rows = classify_spans(batch.filter(pc.equal(batch["kind"],
+            return classify_spans(batch.filter(pc.equal(batch["kind"],
                                                         "media")))
-            return pa.concat_tables([rows, pa.table(
-                [pa.nulls(1, f.type) for f in rows.schema],
-                schema=rows.schema)])
 
-        def finish_joined(batch: pa.Table) -> pa.Table:
-            return apply_media_text(batch.filter(pc.is_valid(batch["kind"])))
-
-        # One memory-bound aggregator per partition at 0.1 CPU, one
-        # partition per cluster CPU: aggregators that outgrow the free
-        # CPU starve the OCR / map tasks into a deadlock.
-        joined = exploded.map_batches(pending_media, batch_format="pyarrow") \
-            .join(media_text, join_type="left_outer",
-                  num_partitions=min(MEDIA_JOIN_BUCKETS, _cluster_cpus()),
-                  on=("media_ref",),
-                  aggregator_ray_remote_args={"num_cpus": 0.1})
-        ds = joined.map_batches(finish_joined, batch_format="pyarrow") \
+        joined = hash_join(
+            exploded.map_batches(pending_media, batch_format="pyarrow"),
+            media_text, join_type="left_outer", on=("media_ref",),
+            right_on=("media_ref",),
+            nbytes=sum(map(os.path.getsize, media.input_files())))
+        ds = joined.map_batches(apply_media_text, batch_format="pyarrow") \
             .union(exploded.filter(expr="kind == 'text'")
                    .map_batches(classify_spans, batch_format="pyarrow")
                    .map_batches(apply_media_text, batch_format="pyarrow"))

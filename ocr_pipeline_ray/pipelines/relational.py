@@ -37,7 +37,8 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
-from ..stages.agg import bucketed_map_groups, global_sum, partial_merge
+from ..stages.agg import (bucketed_map_groups, global_sum, hash_join,
+                          partial_merge, reduce_buckets, table_bytes)
 
 SCALE = 1_000_000.0
 
@@ -49,25 +50,6 @@ def _i64(x: np.ndarray) -> np.ndarray:
     half-away, and exact .5 boundaries do occur (dyadic-rational
     scores), so round() would disagree between engines."""
     return np.floor(np.asarray(x, dtype=np.float64) * SCALE + 0.5).astype(np.int64)
-
-
-_PART_BYTES = 128 << 20   # on-disk bytes per join partition / bucket
-
-
-def _table_bytes(sf_dir: str, tables: tuple[str, ...]) -> int:
-    import os
-
-    return sum(os.path.getsize(f"{sf_dir}/{t}.parquet") for t in tables)
-
-
-def reduce_buckets(sf_dir: str, *tables: str) -> int:
-    """Fan-out for the key-complete bucketed reductions, derived from
-    the same on-disk-bytes rule as ``_join_partitions`` (one bucket per
-    ~128 MB of the consumed tables, floor 16): a FIXED bucket count
-    means one bucket task materializes 1/16 of all per-key partials in
-    a single pandas frame at any scale, which stops fitting exactly
-    when the join it consumes starts needing more partitions."""
-    return max(16, min(1024, _table_bytes(sf_dir, tables) // _PART_BYTES + 1))
 
 
 def bucketed_sum_topk(ds, *, key: str, carry: str, val: str, k: int,
@@ -120,24 +102,6 @@ def bucketed_distinct_count(ds, *, key: str, by: str,
 def _lineitem(sf_dir: str, columns: list[str], filter_expr=None):
     return rd.read_parquet(f"{sf_dir}/lineitem.parquet", columns=columns,
                            filter=filter_expr)
-
-
-def _join_partitions(sf_dir: str, *tables: str) -> int:
-    """Hash-join partition count scaled to the joined tables' on-disk
-    size (~one partition per 128 MB of compressed input, 8 to 512). A
-    FIXED count is wrong in both directions at scale: 8 partitions
-    against a 100 TB fact join serializes into 8 aggregators; hundreds
-    of partitions at sf0.01 pay Ray's ~200 ms/block aggregator constant
-    dozens of times over (measured: 64 aggregators 2× slower than 32
-    on sandbox inputs). Tables whose bytes are under one
-    ``DataContext.target_min_block_size`` block (the tiny-input rule
-    ``extract.plan_job`` uses for its read) get one partition: their
-    rows fit one block, and each extra partition starts one more
-    aggregator actor."""
-    total = _table_bytes(sf_dir, tables)
-    if total < rd.DataContext.get_current().target_min_block_size:
-        return 1
-    return max(8, min(512, total // _PART_BYTES + 1))
 
 
 # --- q1: pricing summary (grouped agg with partial pre-aggregation) ---
@@ -246,11 +210,9 @@ def q3_top_revenue_orders(sf_dir: str) -> pd.DataFrame:
         columns=["o_orderkey", "o_custkey", "o_orderdate"]) \
         .map_batches(semi_building, batch_format="pyarrow")
 
-    joined = _li_rev_partial(sf_dir).join(
-        orders_b, join_type="inner",
-        num_partitions=_join_partitions(sf_dir, "lineitem", "orders"),
-        on=("l_orderkey",), right_on=("o_orderkey",),
-        aggregator_ray_remote_args={"num_cpus": 0.1})
+    joined = hash_join(_li_rev_partial(sf_dir), orders_b, join_type="inner",
+                       on=("l_orderkey",), right_on=("o_orderkey",),
+                       nbytes=table_bytes(sf_dir, "lineitem", "orders"))
 
     per_order = bucketed_sum_topk(
         joined, key="l_orderkey", carry="o_orderdate", val="rev_i", k=10,
@@ -294,11 +256,10 @@ def q5_nation_revenue(sf_dir: str) -> pd.DataFrame:
                                  columns=["o_orderkey", "o_custkey"]) \
         .map_batches(attach_nation, batch_format="pyarrow")
 
-    joined = _li_rev_partial(sf_dir).join(
-        orders_nat, join_type="inner",
-        num_partitions=_join_partitions(sf_dir, "lineitem", "orders"),
-        on=("l_orderkey",), right_on=("o_orderkey",),
-        aggregator_ray_remote_args={"num_cpus": 0.1})
+    joined = hash_join(_li_rev_partial(sf_dir), orders_nat,
+                       join_type="inner", on=("l_orderkey",),
+                       right_on=("o_orderkey",),
+                       nbytes=table_bytes(sf_dir, "lineitem", "orders"))
 
     def partial(t: pa.Table) -> pa.Table:
         df = pd.DataFrame({"n_nationkey": t["n_nationkey"].to_numpy(),
@@ -402,11 +363,9 @@ def late_shipment_order_priority(sf_dir: str) -> pd.DataFrame:
     orders = rd.read_parquet(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey", "o_orderdate", "o_orderpriority"])
-    joined = li.join(orders, join_type="inner",
-                     num_partitions=_join_partitions(sf_dir, "lineitem",
-                                                     "orders"),
-                     on=("l_orderkey",), right_on=("o_orderkey",),
-                     aggregator_ray_remote_args={"num_cpus": 0.1})
+    joined = hash_join(li, orders, join_type="inner", on=("l_orderkey",),
+                       right_on=("o_orderkey",),
+                       nbytes=table_bytes(sf_dir, "lineitem", "orders"))
 
     def late_only(t: pa.Table) -> pa.Table:
         ship = t["l_shipdate"].to_numpy()
@@ -439,11 +398,9 @@ def customers_without_orders(sf_dir: str) -> pd.DataFrame:
     order_keys = rd.read_parquet(f"{sf_dir}/orders.parquet",
                                  columns=["o_custkey"]) \
         .map_batches(batch_distinct, batch_format="pyarrow")
-    anti = cust.join(order_keys, join_type="left_anti",
-                     num_partitions=_join_partitions(sf_dir, "customer",
-                                                     "orders"),
+    anti = hash_join(cust, order_keys, join_type="left_anti",
                      on=("c_custkey",), right_on=("o_custkey",),
-                     aggregator_ray_remote_args={"num_cpus": 0.1})
+                     nbytes=table_bytes(sf_dir, "customer", "orders"))
 
     def count_partial(t: pa.Table) -> pa.Table:
         df = pd.DataFrame({"c_mktsegment": t["c_mktsegment"].to_pylist()})
@@ -493,11 +450,9 @@ def orders_join_customer_stats(sf_dir: str) -> pd.DataFrame:
         .select_columns(["o_custkey", "price_i"])
     customer = rd.read_parquet(f"{sf_dir}/customer.parquet",
                                columns=["c_custkey", "c_mktsegment"])
-    joined = orders.join(customer, join_type="inner",
-                         num_partitions=_join_partitions(sf_dir, "orders",
-                                                         "customer"),
-                         on=("o_custkey",), right_on=("c_custkey",),
-                         aggregator_ray_remote_args={"num_cpus": 0.1})
+    joined = hash_join(orders, customer, join_type="inner",
+                       on=("o_custkey",), right_on=("c_custkey",),
+                       nbytes=table_bytes(sf_dir, "orders", "customer"))
 
     def partial(t: pa.Table) -> pa.Table:
         df = pd.DataFrame({"c_mktsegment": t["c_mktsegment"].to_pylist(),

@@ -365,7 +365,7 @@ def embedding_dup_clusters(sf_dir: str) -> pd.DataFrame:
     vec_id per component. Oracle: recursive-CTE transitive closure
     over the same pair SQL."""
     from .dedup import _propagate_components
-    from .relational import _join_partitions
+    from ..stages.agg import partitions_for, table_bytes
 
     pairs = embedding_near_dup_pairs(sf_dir)
     if not len(pairs):
@@ -373,6 +373,6 @@ def embedding_dup_clusters(sf_dir: str) -> pd.DataFrame:
                              "cluster_id": pd.Series([], dtype="int64"),
                              "is_survivor": pd.Series([], dtype="int64")})
     pairs = pairs.rename(columns={"vec_a": "doc_a", "vec_b": "doc_b"})
-    out = _propagate_components(
-        pairs, _join_partitions(sf_dir, "embeddings", "embeddings"))
+    out = _propagate_components(pairs, partitions_for(
+        table_bytes(sf_dir, "embeddings", "embeddings")))
     return out.rename(columns={"doc_id": "vec_id"})

@@ -17,7 +17,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data as rd
 
-from ..stages.agg import bucketed_map_groups, partial_merge
+from ..stages.agg import bucketed_map_groups, partial_merge, reduce_buckets
 
 from ..functions import textstats as ts
 
@@ -192,7 +192,6 @@ def prefix_dedup_survivors(sf_dir: str) -> pd.DataFrame:
     ``dedup.bucketed_min_survivor`` operator (``bucketed_map_groups``
     on the key, one vectorized ``groupby.min`` pass per bucket)."""
     from .dedup import bucketed_min_survivor
-    from .relational import reduce_buckets
 
     num_buckets = reduce_buckets(sf_dir, "documents")
     ds = _docs(sf_dir, ["doc_id", "text"])

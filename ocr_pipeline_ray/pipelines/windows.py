@@ -19,7 +19,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data as rd
 
-from ..stages.agg import bucketed_map_groups
+from ..stages.agg import bucketed_map_groups, reduce_buckets
 
 
 def _events(sf_dir: str, columns: list[str]):
@@ -36,8 +36,6 @@ def events_hourly(sf_dir: str) -> pd.DataFrame:
     result — the (type, hour) key domain GROWS with the time span
     (decades of data ≈ millions of keys), so an n_batches × keys
     driver merge is the wrong shape at scale."""
-    from .relational import reduce_buckets
-
     num_buckets = reduce_buckets(sf_dir, "events")
     ds = _events(sf_dir, ["ts", "event_type", "value"])
 

@@ -26,15 +26,39 @@
    plus one tiny frame per key. A multi-column group key needs no
    composite hash: bucketing on any one of its columns keeps each
    group in one bucket.
+
+Every hash join of the package goes through ``hash_join``, which owns
+the partition count, the aggregator resources and the guard for two
+facts of Ray 2.49.2's hash shuffle:
+
+- ``_shuffle_block`` sends no shard for a zero-row block
+  (``ray/data/_internal/execution/operators/hash_shuffle.py:222-224``),
+  yet ``_do_add_input_inner`` marks a side's schema as broadcast at
+  that side's first block (``:548``, ``:588-589``). So when the first
+  block a side sends has no rows, join partitions get no columns for
+  that side and the join raises ``ArrowInvalid: No match … FieldRef``;
+  a side with no rows at all fails the same way.
+- A map cannot repair such a block: Ray never calls a UDF on a
+  zero-row block, it passes the block on as it is
+  (``ray/data/_internal/planner/plan_udf_map_op.py:455-462``).
+
+So ``hash_join`` puts one all-null row ahead of each side, the block
+the shuffle sees first, and drops the left one after the join.
 """
 
 from __future__ import annotations
 
+import os
 from collections.abc import Callable
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
+import ray
+import ray.data as rd
+
+_PART_BYTES = 128 << 20   # on-disk input bytes per join partition / bucket
 
 
 def partial_merge(ds, partial_fn: Callable, keys: list[str],
@@ -135,3 +159,67 @@ def bucketed_map_groups(ds, key: str, fn: Callable, num_buckets: int):
 
     return ds.map_batches(add_bucket, batch_format="pyarrow") \
         .groupby("bucket").map_groups(fn, batch_format="pandas")
+
+
+def cluster_cpus() -> int:
+    return int(ray.cluster_resources().get("CPU", 1))
+
+
+def table_bytes(sf_dir: str, *tables: str) -> int:
+    return sum(os.path.getsize(f"{sf_dir}/{t}.parquet") for t in tables)
+
+
+def reduce_buckets(sf_dir: str, *tables: str) -> int:
+    """Buckets for a key-complete reduce over ``tables``: one per ~128 MB
+    on disk, floor 16, so a bucket's pandas frame stays bounded as the
+    input grows."""
+    return max(16, min(1024, table_bytes(sf_dir, *tables) // _PART_BYTES + 1))
+
+
+def partitions_for(nbytes: int) -> int:
+    """Shuffle partitions for ``nbytes`` of on-disk input: one under
+    ``DataContext.target_min_block_size`` (the rows fit one block, and
+    each partition starts an aggregator actor), else ~one per 128 MB,
+    8 to 512 (measured: 64 aggregators ran 2× slower than 32 at
+    sf0.01; 8 would serialize a 100 TB join)."""
+    if nbytes < rd.DataContext.get_current().target_min_block_size:
+        return 1
+    return max(8, min(512, nbytes // _PART_BYTES + 1))
+
+
+_PAD = "__pad"   # True on the left pad row; real left rows lack the column
+
+
+def _null_row(ds) -> pa.Table:
+    """One all-null row of ``ds``'s columns, typed as the shuffle sees
+    them: a pandas block's ``object`` column is typed by Arrow."""
+    schema = ds.schema()
+    if object in schema.types:
+        schema = ds.map_batches(lambda t: t, batch_format="pyarrow").schema()
+    return pa.table({n: pa.nulls(1, t)
+                     for n, t in zip(schema.names, schema.types)})
+
+
+def hash_join(left, right, *, join_type: str, on: tuple[str, ...],
+              right_on: tuple[str, ...], nbytes: int):
+    """``left.join(right)`` (inner, left_outer or left_anti) over
+    ``partitions_for(nbytes)`` partitions capped at the cluster's CPUs,
+    each with a 0.1-CPU aggregator: aggregators that outgrow the free
+    CPU starve the map tasks feeding them into a deadlock.
+
+    Each side sends one all-null row first (module docstring). Its null
+    key matches nothing. The left one, kept by outer and anti joins,
+    also has a ``_PAD`` column, which the shuffle's concatenation gives
+    every real left row as null: the rows where it is set are dropped
+    after the join, and the column with them. ``schema()`` runs the
+    first block of a side whose schema is not known yet."""
+    def unpad(t: pa.Table) -> pa.Table:
+        return t.filter(pc.is_null(t[_PAD])).drop_columns([_PAD])
+
+    left_pad = _null_row(left).append_column(_PAD, pa.array([True]))
+    return rd.from_arrow(left_pad).union(left) \
+        .join(rd.from_arrow(_null_row(right)).union(right),
+              join_type=join_type, on=on, right_on=right_on,
+              num_partitions=min(partitions_for(nbytes), cluster_cpus()),
+              aggregator_ray_remote_args={"num_cpus": 0.1}) \
+        .map_batches(unpad, batch_format="pyarrow")

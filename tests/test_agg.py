@@ -121,3 +121,75 @@ def test_bucketed_map_groups_names_the_operator_after_fn():
                          pd.DataFrame({"k": [3, 4], "v": [1, 1]})])
     out = agg.bucketed_map_groups(ds, "k", _group_sizes_fn(), 4).materialize()
     assert "_group_sizes" in out.stats()
+
+
+def test_partitions_for_follows_input_bytes():
+    floor = rd.DataContext.get_current().target_min_block_size
+    assert agg.partitions_for(0) == 1
+    assert agg.partitions_for(floor - 1) == 1
+    assert agg.partitions_for(floor) == 8
+    assert agg.partitions_for(20 * (128 << 20)) == 21
+    assert agg.partitions_for(1 << 50) == 512
+
+
+# Few distinct keys on each side, so some of a 4-partition join's
+# partitions get no rows from a side and depend on its broadcast schema.
+_LEFT = pa.table({"k": pa.array([i % 4 for i in range(16)] + [None],
+                                pa.int64()),
+                  "s": [f"l{i}" for i in range(17)]})
+_RIGHT = pa.table({"k2": pa.array([2, 7], pa.int64()), "b": [2.0, 7.0]})
+
+
+def _bucketed_left():
+    """``_LEFT``'s keyed rows as ``bucketed_map_groups`` output: 16
+    one-row blocks into 4 buckets, so most of its blocks have no rows
+    and no schema."""
+    def rows(g: pd.DataFrame) -> pd.DataFrame:
+        return g[["k", "s"]]
+
+    keyed = _LEFT.slice(0, 16)
+    return agg.bucketed_map_groups(
+        rd.from_arrow([keyed.slice(i, 1) for i in range(16)]), "k", rows,
+        4), keyed
+
+
+def _join_case(case):
+    empty_l, empty_r = _LEFT.slice(0, 0), _RIGHT.slice(0, 0)
+    if case == "empty_first_left":
+        return rd.from_arrow([empty_l, _LEFT]), _LEFT, \
+            rd.from_arrow(_RIGHT), _RIGHT
+    if case == "empty_first_right":
+        return rd.from_arrow(_LEFT), _LEFT, \
+            rd.from_arrow([empty_r, _RIGHT]), _RIGHT
+    if case == "zero_row_left":
+        return rd.from_arrow(empty_l), empty_l, rd.from_arrow(_RIGHT), _RIGHT
+    if case == "zero_row_right":
+        return rd.from_arrow(_LEFT), _LEFT, rd.from_arrow(empty_r), empty_r
+    left, keyed = _bucketed_left()
+    return left, keyed, rd.from_arrow(_RIGHT), _RIGHT
+
+
+@pytest.mark.parametrize("case", ["empty_first_left", "empty_first_right",
+                                  "zero_row_left", "zero_row_right",
+                                  "bucketed_left"])
+@pytest.mark.parametrize("join_type", ["inner", "left_outer", "left_anti"])
+def test_hash_join_equals_arrow_join(join_type, case):
+    """Every case here raised ``ArrowInvalid`` through a plain
+    ``Dataset.join`` over 4 partitions: the first block a side sends
+    has no rows (or the side has none). ``hash_join`` over 4 partitions
+    (the input bytes ask for 9, the 4-CPU session caps them) equals
+    ``pa.Table.join`` over the same rows; the left's null key row is
+    kept where the join type keeps it."""
+    left, left_rows, right, right_rows = _join_case(case)
+    want = left_rows.join(right_rows, keys="k", right_keys="k2",
+                          join_type=join_type.replace("_", " ")) \
+        .to_pandas()
+    got = agg.hash_join(left, right, join_type=join_type, on=("k",),
+                        right_on=("k2",), nbytes=1 << 30).to_pandas()
+    assert len(got) == len(want)
+    if len(want):
+        assert sorted(got.columns) == sorted(want.columns)
+        pd.testing.assert_frame_equal(
+            got[list(want.columns)].sort_values("s").reset_index(drop=True),
+            want.sort_values("s").reset_index(drop=True),
+            check_dtype=False)

@@ -557,3 +557,43 @@ def test_join_plan_in_job_entry(small_corpus, uninterrupted, tmp_path,
     assert r == {"completed": [2], "skipped": [0, 1, 3]}
     assert ran_join()
     assert _committed(out, 4).equals(_committed(uninterrupted, 4))
+
+
+def test_join_plan_resume_with_an_emptied_docs_block(small_corpus,
+                                                     tmp_path, extract_calls,
+                                                     monkeypatch):
+    """A join-plan resume whose pending partition has no doc in the
+    first two documents files: ``keep_pending`` empties their whole
+    blocks, so the join's left side starts with zero-row blocks, and
+    the two pending docs have few media spans, so most join partitions
+    get no left row (the block-size floor is lowered so that the media
+    bytes ask for more than one partition). The resume commits the
+    uninterrupted run's rows."""
+    from ocr_pipeline_ray.stages.agg import bucket_ids
+
+    docs = pq.read_table(f"{small_corpus}/documents_spans")
+    part = bucket_ids(docs["doc_id"], 4)
+    n_media = np.array([sum(s["kind"] == "media" for s in spans or ())
+                        for spans in docs["spans"].to_pylist()])
+    pending = np.flatnonzero((part == 1) & (n_media > 0))
+    a, b = pending[np.argsort(n_media[pending], kind="stable")[:2]]
+    rest = np.flatnonzero(part != 1)
+    src = tmp_path / "regrouped"
+    os.makedirs(src / "documents_spans")
+    os.symlink(os.path.join(small_corpus, "media"), src / "media")
+    for i, rows in enumerate([rest[:2], rest[2:4], np.append(rest[4:], a),
+                              [b]]):
+        pq.write_table(docs.take(rows),
+                       src / "documents_spans" / f"part-{i:04d}.parquet")
+    corpus = _relayout(str(src), tmp_path / "shuffled", 3)
+    monkeypatch.setattr(rd.DataContext.get_current(),
+                        "target_min_block_size", 1)
+
+    fresh, out = str(tmp_path / "fresh"), str(tmp_path / "out")
+    checkpoint.run_partitioned(corpus, fresh, num_parts=4)
+    shutil.copytree(fresh, out)
+    shutil.rmtree(os.path.join(out, "part=1"))
+    r = checkpoint.run_partitioned(corpus, out, num_parts=4)
+    assert r == {"completed": [1], "skipped": [0, 2, 3]}
+    assert all(isinstance(p.media, rd.Dataset) for p in extract_calls)
+    assert _committed(out, 4).equals(_committed(fresh, 4))

@@ -25,7 +25,8 @@ that checks; that list has to stay exact as well.
 
 State that outlives a task in a worker process (a name a package
 function rebinds with ``global``) is listed in ``PROCESS_STATE`` with
-its reason; that list has to stay exact too.
+its reason; that list has to stay exact too. Every hash join goes
+through ``stages/agg.hash_join``.
 """
 
 from __future__ import annotations
@@ -197,6 +198,22 @@ def test_package_does_not_import_ray_entry():
             if "__ray_entry__" in names:
                 importers.append(str(path.relative_to(REPO)))
     assert importers == []
+
+
+def test_every_join_goes_through_hash_join():
+    """``stages/agg.hash_join`` owns the partition count, the aggregator
+    resources and the empty-first-block guard of every hash join, so no
+    other non-test file calls ``Dataset.join`` (a ``.join`` call with a
+    ``join_type=`` keyword) itself."""
+    own = PKG / "stages" / "agg.py"
+    calls = [f"{path.relative_to(REPO)}:{node.lineno}"
+             for path in _non_test_files() if path != own
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "join"
+             and any(k.arg == "join_type" for k in node.keywords)]
+    assert calls == []
 
 
 def test_package_process_state_is_listed():

@@ -4,14 +4,16 @@ given sf dir and compare rows / schema / values exactly.
 Usage: python tools/check_oracle.py [sf_dir] [query ...]
 (defaults: /root/testdata/sf0.01, all queries that have an oracle)
 
-Prints one line per query and a last ``N/M OK`` line; exits 1 when any
-query FAILs or ERRORs.
+Prints one line per query, ending in its wall seconds (the query and
+its DuckDB check), and a last ``N/M OK`` line; exits 1 when any query
+FAILs or ERRORs.
 """
 
 from __future__ import annotations
 
 import os
 import sys
+import time
 
 import duckdb
 import numpy as np
@@ -64,6 +66,7 @@ def main() -> int:
             f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf_dir}/{t}.parquet')")
     n_ok = n_bad = 0
     for n in names:
+        t0 = time.perf_counter()
         try:
             got = qs[n](sf_dir)
             if n in oracles:
@@ -74,7 +77,7 @@ def main() -> int:
             line = f"{n}: ERROR {type(exc).__name__}: {exc}"
         n_ok += ": OK " in line
         n_bad += ": FAIL" in line or ": ERROR " in line
-        print(line, flush=True)
+        print(f"{line} [{time.perf_counter() - t0:.2f} s]", flush=True)
     ray.shutdown()
     print(f"{n_ok}/{len(names)} OK", flush=True)
     return 1 if n_bad else 0
