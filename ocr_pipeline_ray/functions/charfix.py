@@ -22,9 +22,10 @@ output text is byte-stable regardless of batch or partition
 boundaries — required for span-sequence equality.
 
 A pass costs 10 regex scans: F3 is one alternation of the four
-keyword rules, and each of the eight F2 rules opens with its character
-class so ``re`` can skip straight to candidate characters. Both forms
-match exactly what the separate / lookbehind-first rules matched
+keyword rules behind a lookahead on their first letters, and each of
+the eight F2 rules opens with its character class, so ``re`` can skip
+straight to candidate characters. Both forms match exactly what the
+separate / lookbehind-first rules matched
 (tests/test_kernel_differential.py). Text with no digit and no F3
 keyword skips the passes: every F2 rule needs an adjacent digit and
 F1 leaves digit-free words alone, so a pass over it is the identity
@@ -86,10 +87,13 @@ _F2_RULES: list[tuple[re.Pattern[str], str]] = [
 # key on; mirrors the reference's Electr[il]city / coze / C0Ze fixes),
 # one alternation whose group number names the canonical word. Each
 # branch matches a whole word, and no word matches two branches, so
-# one pass equals applying the branches one after another.
+# one pass equals applying the branches one after another. The
+# lookahead names the branches' first letters (under IGNORECASE ``k``
+# also matches the Kelvin sign U+212A, in the lookahead as in the
+# branches), so ``re`` tries the alternation only where one can match.
 _F3_WORDS = ("Electricity", "Consumption", "CO2e", "kWh")
 _F3_RULE = re.compile(
-    r"\b(?:(Electr[il1]c[il1]ty)"
+    r"(?=[eck])\b(?:(Electr[il1]c[il1]ty)"
     r"|([ck][o0]n[s5]umpt[il1][o0]n)"
     r"|(coze|c0ze|co2e|coz[e3]|c02e)"
     r"|(kwh))\b", re.IGNORECASE)

@@ -9,13 +9,16 @@ in one batch it buys nothing and costs a full all-to-all exchange
 
 This stage is the exploded path's own operator chain fused into one
 task: ``explode_spans`` → ``classify_spans`` → ``OcrStage`` →
-``filter_keep`` → the reassembly rank kernel ``_rank_bucket``, all
-called in-memory on one batch of whole documents. Because every
-document's spans are in the batch, the rank needs no shuffle; the two
-plans differ only in where the rank runs. Results are byte-identical
-to the exploded path by construction: each rule has one home (keep
-and rank in ``stages.reassemble``, text classification in
-``classify_spans``, media resolution and reading in ``OcrStage``).
+``filter_keep`` → the reassembly rank kernel ``rank_spans``, all
+called in-memory on one batch of whole documents, and all on Arrow
+tables: the batch never converts to pandas. Because every document's
+spans are in the batch, the rank needs no shuffle; the two plans
+differ only in where the rank runs (the shuffle tail's
+``_rank_bucket`` wraps the same ``rank_spans`` for its pandas
+groups). Results are byte-identical to the exploded path by
+construction: each rule has one home (keep and rank in
+``stages.reassemble``, text classification in ``classify_spans``,
+media resolution and reading in ``OcrStage``).
 Map-only → linear scaling, zero shuffle. It runs as Ray Data tasks on
 pooled worker processes, carrying its ``OcrStage`` (zone map and
 ``PageReader``), so it fuses with the read before it and boots no
@@ -34,7 +37,7 @@ import pyarrow as pa
 from .classify import classify_spans
 from .explode import explode_spans
 from .ocr import OcrStage
-from .reassemble import OUT_SCHEMA, _rank_bucket, filter_keep
+from .reassemble import filter_keep, rank_spans
 
 
 class DocLocalExtract:
@@ -43,13 +46,13 @@ class DocLocalExtract:
     In:  documents(doc_id, spans: list<struct<kind,text,media_ref,offset>>)
     Out: ``reassemble.OUT_SCHEMA`` span rows, ordered by
          ``(doc_id, order)`` — the exploded path's output for the
-         batch's documents.
+         batch's documents, ranked by ``rank_spans`` without leaving
+         Arrow.
     """
 
     def __init__(self, zones: pa.Table, calib=None) -> None:
         self.ocr = OcrStage(zones, calib)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        kept = filter_keep(self.ocr(classify_spans(explode_spans(batch))))
-        return pa.Table.from_pandas(_rank_bucket(kept.to_pandas()),
-                                    preserve_index=False).cast(OUT_SCHEMA)
+        return rank_spans(filter_keep(
+            self.ocr(classify_spans(explode_spans(batch)))))

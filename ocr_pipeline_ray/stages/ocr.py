@@ -177,15 +177,17 @@ def read_line(raw: str, dpi: int) -> tuple[str, float]:
     docked per dissenting engine. Deterministic ties →
     lexicographically smallest variant.
 
-    A line that fits the DPI's scan window and holds no confusable
-    word is decided before the vote: ``aggressive_digit_fix`` leaves
-    it as is and it has no suspect char, so all three engines read the
-    raw line at their base confidence, none dissents, and the vote
-    returns it at the highest base (``_CLEAN_CONF``). Most page lines
-    take this exit.
+    A line that fits the DPI's scan window and whose confusable words
+    of two or more chars are all digits is decided before the vote:
+    ``aggressive_digit_fix`` rewrites only those words, and a digit
+    maps to itself, so it leaves the line as is; the line has no
+    suspect char (a one-char confusable word without a digit counts
+    none), so all three engines read the raw line at their base
+    confidence, none dissents, and the vote returns it at the highest
+    base (``_CLEAN_CONF``). Most page lines take this exit.
     """
-    if (dpi >= 600 or len(raw) <= TRUNC_CHARS_300) \
-            and not _CONFUSABLE_WORD.search(raw):
+    if (dpi >= 600 or len(raw) <= TRUNC_CHARS_300) and all(
+            len(w) < 2 or w.isdigit() for w in _CONFUSABLE_WORD.findall(raw)):
         return raw, _CLEAN_CONF[dpi]
     readings = [(text, conf) for _name, text, conf in engine_readings(raw, dpi)]
 

@@ -144,8 +144,11 @@ def _build_font() -> dict[str, np.ndarray]:
 _FONT = _unpack_font()
 _FONT_CHARS = np.array(list(_FONT.keys()))
 _FONT_STACK = np.stack([_FONT[c].ravel() for c in _FONT_CHARS])  # (95, 35)
-_FONT_STACK_T = np.ascontiguousarray(_FONT_STACK.T.astype(np.int32))
-_FONT_INK = _FONT_STACK.sum(axis=1, dtype=np.int32)
+# float32, so the glyph match is one BLAS matmul (numpy's integer
+# matmul has no BLAS path); every operand and sum is an integer <= 70,
+# exact in float32
+_FONT_STACK_T = np.ascontiguousarray(_FONT_STACK.T.astype(np.float32))
+_FONT_INK = _FONT_STACK.sum(axis=1, dtype=np.float32)
 
 
 def render_lines(texts: list[str]) -> np.ndarray:
@@ -370,8 +373,9 @@ def read_lines(mask: np.ndarray, max_err: int | None = None,
     CELL_W cells with one reshape/transpose, and each cell's GLYPH_H ×
     GLYPH_W corner is matched to the nearest font glyph by Hamming
     distance, computed for every cell against the whole font at once as
-    ``|cell| + |glyph| − 2·cell·glyphᵀ`` in int32 (exact for 0/1
-    vectors; ties go to the first glyph in CHARSET order). A mask
+    ``|cell| + |glyph| − 2·cell·glyphᵀ`` in float32, one BLAS matmul
+    (exact: for 0/1 vectors every term is an integer ≤ 70; ties go to
+    the first glyph in CHARSET order). A mask
     narrower than one cell reads as one empty line per band.
     Deliberately NOT a majority vote:
     vote-pooling is itself a spatial denoiser, and folding one into
@@ -405,7 +409,7 @@ def _read_cells(mask: np.ndarray, max_err: int | None,
     cells = mask[:n_rows * CELL_H, :n_cols * CELL_W] \
         .reshape(n_rows, CELL_H, n_cols, CELL_W)[:, :GLYPH_H, :, :GLYPH_W] \
         .transpose(0, 2, 1, 3).reshape(n_rows * n_cols, GLYPH_H * GLYPH_W) \
-        .astype(np.int32)
+        .astype(np.float32)
     # Hamming distance of 0/1 vectors: |a| + |b| - 2·a·b
     dists = cells.sum(axis=1, keepdims=True) + _FONT_INK \
         - 2 * (cells @ _FONT_STACK_T)

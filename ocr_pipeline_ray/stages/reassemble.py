@@ -36,12 +36,29 @@ def filter_keep(batch: pa.Table) -> pa.Table:
     return batch.filter(pc.is_in(batch["status"], value_set=pa.array(KEEP_STATUSES)))
 
 
+def rank_spans(spans: pa.Table) -> pa.Table:
+    """The rank rule of both plans: span rows → ``OUT_SCHEMA`` rows
+    sorted by ``(doc_id, offset)``, with ``order`` each row's position
+    within its document (0-based). The sort is Arrow's stable sort, so
+    rows with equal keys keep their input order and null offsets go
+    last in their document; strings compare by UTF-8 bytes, which is
+    code-point order. ``order`` is the row's position minus the position
+    of its document's first row (the run starts of the sorted
+    ``doc_id``)."""
+    spans = spans.take(pc.sort_indices(
+        spans, [("doc_id", "ascending"), ("offset", "ascending")]))
+    ends = pc.run_end_encode(spans["doc_id"].combine_chunks()) \
+        .run_ends.to_numpy()
+    lengths = np.diff(ends, prepend=0)
+    order = np.arange(spans.num_rows) - np.repeat(ends - lengths, lengths)
+    return spans.append_column("order", pa.array(order)) \
+        .select(OUT_SCHEMA.names).cast(OUT_SCHEMA)
+
+
 def _rank_bucket(g: pd.DataFrame) -> pd.DataFrame:
-    # one task per hash bucket: sort the bucket once by (doc_id, offset),
-    # dense-rank per doc with a vectorized cumcount
-    g = g.sort_values(["doc_id", "offset"], kind="mergesort")
-    g = g.assign(order=g.groupby("doc_id").cumcount().astype(np.int32))
-    return g[OUT_SCHEMA.names]
+    # one task per hash bucket: ``rank_spans`` over all of its documents
+    return rank_spans(pa.Table.from_pandas(g, preserve_index=False)) \
+        .to_pandas()
 
 
 def reassemble(ds):
@@ -52,7 +69,7 @@ def reassemble(ds):
     shuffle key is ``crc32(doc_id) % 64`` (an int64 with 64 distinct
     values — far cheaper for the range-partitioned shuffle than sorting
     millions of utf8 doc_ids), and each bucket task ranks all of its
-    documents with one vectorized sort + cumcount. Same result as a
+    documents with one ``rank_spans`` (one Arrow sort). Same result as a
     per-doc groupby; the bucket count bounds reducer memory (one
     bucket's spans must fit a worker: at 10^12 docs that needs
     ~2^17 buckets)."""

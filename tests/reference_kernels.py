@@ -11,14 +11,20 @@ big-integer XOR in ``decode_page`` (stages/media_stub.py), a
 ``str.split`` whitespace collapse in ``classify_one``
 (stages/classify.py), an int16 ``sharpen3x3`` and a
 ``restore_and_read`` that thresholds only the pixels the reader
-samples. Every rewrite promises to return exactly what the version
-before it returned. Those versions are kept here verbatim so
+samples. Then the doc-local chain: its rank moved from a pandas round
+trip through ``_rank_bucket`` to the Arrow kernel ``rank_spans``
+(stages/reassemble.py), the glyph match to a float32 BLAS matmul, F3
+gained a first-letter lookahead, and ``read_line``'s clean-line exit
+now also takes lines whose longer confusable words are all digits.
+Every rewrite promises to return exactly what the version before it
+returned. Those versions are kept here verbatim so
 ``tests/test_kernel_differential.py`` can assert that promise on every
 input it generates. Only data (font tables, engine parameters,
-thresholds and geometry constants) is imported from the engine; every
-line of logic is frozen here. One rule did change on purpose: a noisy
-page's bilateral passes (two each, then one to three until the read
-rejects no cell), so ``restore_and_read`` here follows the new rule.
+thresholds, geometry constants and the output schema) is imported from
+the engine; every line of logic is frozen here. One rule did change on
+purpose: a noisy page's bilateral passes (two each, then one to three
+until the read rejects no cell), so ``restore_and_read`` here follows
+the new rule.
 """
 
 from __future__ import annotations
@@ -28,6 +34,8 @@ import re
 import struct
 
 import numpy as np
+import pandas as pd
+import pyarrow as pa
 
 from ocr_pipeline_ray.config import LINK_DENSITY_DROP, MIN_TEXT_CHARS
 from ocr_pipeline_ray.stages.media_stub import MAGIC_PAGE
@@ -38,6 +46,7 @@ from ocr_pipeline_ray.stages.pixels import (
     _CONTRAST_EQUALIZE, _MIDTONE_SHARPEN, _PAPER_NOISE, _PARTIAL_CLOSE,
     CELL_H, CELL_W, GLYPH_H, GLYPH_W, SCALE, _FONT_CHARS, _FONT_STACK,
     _MIN_GLYPH_DIST)
+from ocr_pipeline_ray.stages.reassemble import OUT_SCHEMA
 
 
 # --------------------------------------------------------------------------
@@ -425,3 +434,19 @@ def restore_rejects(img: np.ndarray) -> int:
     if img.min() == img.max():
         return 0
     return _rejects(_restore_mask(img, route_strategy(img)))
+
+
+# --------------------------------------------------------------------------
+# stages/reassemble.py and the tail of stages/doclocal.py
+
+def _rank_bucket(g: pd.DataFrame) -> pd.DataFrame:
+    # one task per hash bucket: sort the bucket once by (doc_id, offset),
+    # dense-rank per doc with a vectorized cumcount
+    g = g.sort_values(["doc_id", "offset"], kind="mergesort")
+    g = g.assign(order=g.groupby("doc_id").cumcount().astype(np.int32))
+    return g[OUT_SCHEMA.names]
+
+
+def doclocal_rank(kept: pa.Table) -> pa.Table:
+    return pa.Table.from_pandas(_rank_bucket(kept.to_pandas()),
+                                preserve_index=False).cast(OUT_SCHEMA)

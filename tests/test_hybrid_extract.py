@@ -26,8 +26,8 @@ from ocr_pipeline_ray.stages.classify import classify_spans
 from ocr_pipeline_ray.stages.doclocal import DocLocalExtract
 from ocr_pipeline_ray.stages.explode import explode_spans
 from ocr_pipeline_ray.stages.ocr import OcrStage
-from ocr_pipeline_ray.stages.reassemble import (OUT_SCHEMA, _rank_bucket,
-                                                filter_keep)
+from ocr_pipeline_ray.stages.reassemble import (OUT_SCHEMA, filter_keep,
+                                                rank_spans)
 from tests.conftest import media_lookup
 from tests.oracle.golden import golden_spans
 from tests.test_extract_golden import (N_DOCS, SEED, SKEW,
@@ -199,9 +199,9 @@ def test_doclocal_equals_exploded_chain(case, edge_media):
     out = DocLocalExtract(zones)(batch)
 
     chain = OcrStage(zones)(classify_spans(explode_spans(batch)))
-    ranked = _rank_bucket(filter_keep(chain).to_pandas())
+    ranked = rank_spans(filter_keep(chain))
     assert out.schema == OUT_SCHEMA
-    assert out.to_pylist() == ranked.to_dict("records")
+    assert out.to_pylist() == ranked.to_pylist()
     assert _keyed(out.to_pylist()) == _EDGE_CASES[case][1]
 
 

@@ -18,13 +18,14 @@ import warnings
 from types import SimpleNamespace
 
 import numpy as np
+import pyarrow as pa
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ocr_pipeline_ray.functions import charfix
 from ocr_pipeline_ray.sources.synth import gen_doc
-from ocr_pipeline_ray.stages import classify, media_stub, ocr
+from ocr_pipeline_ray.stages import classify, media_stub, ocr, reassemble
 from ocr_pipeline_ray.stages import pixels as px
 from tests import reference_kernels as ref
 from tests.oracle import golden
@@ -75,9 +76,21 @@ _KEYWORDS = ["Electr1c1ty", "ElectrIcIty", "electricity", "c0nsumpt1on",
              "Konsumpti0n", "CONSUMPTION", "COZE", "c0ze", "co2e", "C02E",
              "coz3", "Kwh", "kwh", "KWH", "kWh"]
 _CONFUSABLE = "0123456789lIoOzZsSgGbB|eEcCkKwWhHnNuUmMpPtTyYr .,-:/\n"
+
+# Characters Python's IGNORECASE folds onto ASCII letters (the Kelvin
+# sign onto k, long s onto s, dotless i and dotted I onto i), and the
+# F3 keywords where they touch ``|``, digits and each other.
+_FOLDS = ["\u212a", "\u017f", "\u0131", "\u0130"]
+_F3_EDGES = ["\u212awh", "\u212aWH", "\u212aonsumpti0n", "con\u017fumption",
+             "c0n\u017fumpt1on", "electr\u0131c\u0131ty", "ELECTR\u0130C\u0130TY",
+             "\u017fwh", "\u0131wh", "\u0130kwh", "kwh|", "|kwh", "|kwh|",
+             "kwh1", "1kwh", "12kwh 3", "co2e|5", "5|c0ze", "Electr1c1ty|5",
+             "|Consumpti0n|", "kwhkwh", "kwh|kwh", "c02e2", "coz3|",
+             "Electricity", "e", "c", "k", "|", "\u212a"]
+
 _fix_inputs = st.lists(
-    st.one_of(st.sampled_from(_KEYWORDS),
-              st.text(alphabet=_CONFUSABLE, max_size=8)),
+    st.one_of(st.sampled_from(_KEYWORDS + _F3_EDGES),
+              st.text(alphabet=_CONFUSABLE + "".join(_FOLDS), max_size=8)),
     max_size=12).map("".join)
 
 
@@ -98,6 +111,16 @@ def test_fix_text_equals_reference_on_corpus(corpus):
     assert len(texts) > 10_000
     bad = [t for t in texts if charfix.fix_text(t) != ref.fix_text(t)]
     assert bad == []
+
+
+def test_f3_on_case_folds_and_separators():
+    for edge in _F3_EDGES:
+        for text in (edge, f" {edge} ", f"7{edge}7", f"{edge}|{edge}"):
+            assert charfix.fix_text(text) == ref.fix_text(text), text
+            want = text
+            for pat, repl in ref._F3_RULES:
+                want = pat.sub(repl, want)
+            assert charfix._F3_RULE.sub(charfix._f3_word, text) == want, text
 
 
 # --------------------------------------------------------------------------
@@ -174,6 +197,84 @@ def test_read_lines_narrower_than_one_cell():
     assert px.read_lines(mask) == ref.read_lines(mask) == ["", ""]
 
 
+def _cells_mask(cells: list[np.ndarray]) -> np.ndarray:
+    """One logical line holding each (GLYPH_H·GLYPH_W,) 0/1 cell."""
+    mask = np.zeros((px.CELL_H, px.CELL_W * len(cells)), dtype=bool)
+    for i, cell in enumerate(cells):
+        mask[:px.GLYPH_H, i * px.CELL_W:i * px.CELL_W + px.GLYPH_W] = \
+            cell.reshape(px.GLYPH_H, px.GLYPH_W)
+    return mask
+
+
+def _physical(mask: np.ndarray) -> np.ndarray:
+    return np.kron(mask, np.ones((px.SCALE, px.SCALE), dtype=bool))
+
+
+def _glyph_matches(cells: list[np.ndarray], max_err: int) -> None:
+    mask = _cells_mask(cells)
+    got = px.read_lines(mask, max_err=max_err, physical=False)
+    assert got == ref.read_lines(mask, max_err=max_err, physical=False)
+    assert px.read_lines(_physical(mask), max_err=max_err) == got
+
+
+def test_read_lines_cell_at_exactly_max_err():
+    """Cells ``max_err`` flips from their glyph read as it; one flip
+    more reads as the reference reads it ('?' or another glyph)."""
+    font = px._FONT_STACK.astype(bool)
+    rng = np.random.RandomState(11)
+    default = px._MIN_GLYPH_DIST // 2 - 1
+    for max_err in (0, 3, default, 35):
+        cells, at = [], []
+        for g in rng.choice(len(font), size=12, replace=False):
+            for flips in (max_err, max_err + 1):
+                cell = font[g].copy()
+                cell[rng.choice(cell.size, min(flips, cell.size),
+                                replace=False)] ^= True
+                cells.append(cell)
+            at.append((g, cells[-2]))
+        _glyph_matches(cells, max_err)
+        got = px.read_lines(_cells_mask([c for _g, c in at]),
+                            max_err=max_err, physical=False)[0]
+        if max_err < px._MIN_GLYPH_DIST // 2:
+            assert got == "".join(px._FONT_CHARS[g] for g, _c in at).rstrip()
+
+
+def _equidistant_cell(a: int, b: int) -> np.ndarray:
+    """A cell half way from glyph ``a`` to glyph ``b`` (their Hamming
+    distance is even): ``a`` with half of the pixels where they differ
+    set as in ``b``."""
+    font = px._FONT_STACK.astype(bool)
+    diff = np.flatnonzero(font[a] != font[b])
+    cell = font[a].copy()
+    cell[diff[:len(diff) // 2]] = font[b][diff[:len(diff) // 2]]
+    return cell
+
+
+def test_read_lines_cell_equidistant_from_two_glyphs():
+    """A tie goes to the first glyph in CHARSET order, as in the
+    reference, at a margin that accepts the tie and one that rejects
+    it."""
+    font = px._FONT_STACK.astype(np.int64)
+    d = (font[:, None, :] != font[None, :, :]).sum(axis=2)
+    pairs = [(a, b) for a in range(len(font)) for b in range(a + 1, len(font))
+             if d[a, b] % 2 == 0][:40]
+    assert pairs
+    cells = []
+    for a, b in pairs:
+        cell = _equidistant_cell(a, b)
+        dist = (font != cell).sum(axis=1)
+        assert dist[a] == dist[b] == d[a, b] // 2
+        cells.append(cell)
+        if dist.min() == dist[a]:       # a real tie for the nearest glyph
+            for max_err in (d[a, b] // 2, d[a, b] // 2 - 1):
+                got = px.read_lines(_cells_mask([cell]), max_err=max_err,
+                                    physical=False)[0]
+                want = px._FONT_CHARS[np.argmin(dist)]
+                assert got == (want.rstrip() if max_err >= dist[a] else "?")
+    for max_err in (6, 7, 8, 10):
+        _glyph_matches(cells, max_err)
+
+
 def test_read_lines_rejects_bad_physical_shape_like_reference():
     mask = np.zeros((25, 9), dtype=bool)
     with pytest.raises(ValueError):
@@ -217,13 +318,48 @@ def test_read_line_equals_reference_on_confusables(raw, dpi):
 
 
 @pytest.mark.parametrize("n", [0, 1, 119, 120, 121, 300])
-@pytest.mark.parametrize("tail", ["", " 42", " lOZS", " abc", " kwh"])
+@pytest.mark.parametrize("tail", ["", " 42", " lOZS", " abc", " kwh", " l"])
 def test_read_line_equals_reference_around_scan_window(n, tail):
-    for body in ("x" * n, ("word " * n)[:n]):
+    """Words, digits and one-letter confusables filling the 300-DPI
+    window, to one char short of it and one char past it."""
+    for unit in ("x", "word ", "1", "42 ", "7 l ", "0|", "l ", "12 | "):
+        body = (unit * n)[:n]
         for raw in (body + tail, tail + body):
             for dpi in (300, 600):
                 assert ocr.read_line(raw, dpi) == ref.read_line(raw, dpi), \
                     (len(raw), dpi)
+
+
+# Lines at the edge of the clean-line exit: one-char confusable words
+# (letters, ``|``, digits), all-digit words, ``|``-joined words.
+_EXIT_EDGES = ["l", "I", "|", "o", "O", "s", "S", "g", "B", "z", "Z",
+               "l 42", "a l b", "I 1", "| 5", "0 O", "x s 7", "12 l 34",
+               "42", "0", "1234 5678", "Total 93.50", "07 2026", "00",
+               "12|34", "|12", "12|", "1|", "|1", "a|b", "l|l", "||",
+               "kWh|12", "Total|42", "4|2", "4 | 2", "1l", "l1", "Il",
+               "O0", "ss 12", "lOZS", "Meter 0042 kWh 1180 l"]
+
+
+def test_read_line_at_the_clean_exit_edges():
+    for edge in _EXIT_EDGES:
+        for raw in (edge, f"Total {edge}", f"{edge} due", f"{edge}|{edge}"):
+            for dpi in (300, 600):
+                assert ocr.read_line(raw, dpi) == ref.read_line(raw, dpi), \
+                    (raw, dpi)
+
+
+_exit_lines = st.lists(st.one_of(
+    st.text(alphabet="0123456789", min_size=1, max_size=6),
+    st.sampled_from(list("lIoOzZsSgGbB|") + ["a", "kWh", "x1", "Total"])),
+    max_size=20).flatmap(
+    lambda ws: st.sampled_from([" ", "|", ". ", ""]).map(
+        lambda sep: sep.join(ws)))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_exit_lines, st.sampled_from([300, 600]))
+def test_read_line_equals_reference_on_digit_lines(raw, dpi):
+    assert ocr.read_line(raw, dpi) == ref.read_line(raw, dpi)
 
 
 # --------------------------------------------------------------------------
@@ -409,3 +545,87 @@ def test_restore_and_read_equals_reference_on_random_pages(rows, cols, seed):
     img = rng.randint(0, 256, size=shape).astype(np.uint8)
     img[rng.rand(*shape) < 0.6] = 255
     assert px.restore_and_read(img) == ref.restore_and_read(img)
+
+
+# --------------------------------------------------------------------------
+# rank_spans (the doc-local rank) and the shuffle tail's _rank_bucket
+
+# doc_ids from ASCII case to the astral plane: Arrow sorts strings by
+# their UTF-8 bytes, pandas by their code points
+_DOC_IDS = ["d1", "d10", "d2", "D1", "", "z", "\u00e9", "\u00ff", "\u0100",
+            "\uffff", "\U0001f600"]
+_rank_rows = st.lists(st.tuples(
+    st.sampled_from(_DOC_IDS),
+    st.one_of(st.none(), st.integers(-2, 4)),         # duplicate offsets
+    st.sampled_from(["text", "media"]),
+    st.floats(0.0, 1.0),
+    st.sampled_from(["ok", "low_conf"])), max_size=40)
+
+
+def _span_table(rows, cuts: list[int]) -> pa.Table:
+    """Span rows in ``filter_keep``'s schema (``text`` names the input
+    row, so a reordering of equal keys shows), cut into chunks at
+    ``cuts``."""
+    t = pa.table({
+        "doc_id": pa.array([r[0] for r in rows], pa.string()),
+        "kind": pa.array([r[2] for r in rows], pa.string()),
+        "text": pa.array([f"row {i}" for i in range(len(rows))], pa.string()),
+        "media_ref": pa.array([None if r[2] == "text" else f"m{i}"
+                               for i, r in enumerate(rows)], pa.string()),
+        "offset": pa.array([r[1] for r in rows], pa.int32()),
+        "status": pa.array([r[4] for r in rows], pa.string()),
+        "conf": pa.array([r[3] for r in rows], pa.float64()),
+        "conf_calibrated": pa.array([r[3] / 2 for r in rows], pa.float64()),
+        "cascade": pa.array(["accepted"] * len(rows), pa.string()),
+    })
+    edges = sorted({0, t.num_rows, *(c for c in cuts if c < t.num_rows)})
+    return pa.concat_tables([t.slice(a, b - a)
+                             for a, b in zip(edges, edges[1:])] or [t])
+
+
+def _assert_rank_equals_reference(t: pa.Table) -> None:
+    got, want = reassemble.rank_spans(t), ref.doclocal_rank(t)
+    assert got.schema.equals(want.schema, check_metadata=True)
+    assert got.equals(want)
+    frame = t.to_pandas().assign(bucket=np.int64(3))
+    assert pa.Table.from_pandas(reassemble._rank_bucket(frame),
+                                preserve_index=False).equals(
+        pa.Table.from_pandas(ref._rank_bucket(frame), preserve_index=False))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_rank_rows, st.lists(st.integers(0, 40), max_size=4))
+def test_rank_spans_equals_reference(rows, cuts):
+    """Docs interleaved in the batch, unsorted, duplicate and null
+    offsets, in one or several chunks. Confidences are finite: the
+    pandas round trip turned a NaN into null, and no stage makes a NaN
+    confidence."""
+    _assert_rank_equals_reference(_span_table(rows, cuts))
+
+
+def test_rank_spans_on_edge_tables():
+    rows = [("d2", 1, "text", 0.5, "ok"), ("d1", None, "media", 0.9, "ok"),
+            ("d2", 1, "media", 0.7, "low_conf"), ("d1", 0, "text", 1.0, "ok"),
+            ("d2", 0, "text", 0.1, "ok"), ("d1", None, "text", 0.2, "ok")]
+    for t in (_span_table([], []), _span_table(rows, []),
+              _span_table(rows, [1, 2, 3, 4, 5])):
+        _assert_rank_equals_reference(t)
+    ranked = reassemble.rank_spans(_span_table(rows, [2]))
+    assert ranked.select(["doc_id", "order", "text"]).to_pylist() == [
+        {"doc_id": d, "order": o, "text": f"row {i}"} for d, o, i in
+        [("d1", 0, 3), ("d1", 1, 1), ("d1", 2, 5),
+         ("d2", 0, 4), ("d2", 1, 0), ("d2", 2, 2)]]
+
+
+def test_rank_spans_ranks_null_doc_ids_as_one_last_document():
+    """The pandas rank raised on a null ``doc_id`` (its cumcount skips
+    the null group); ``rank_spans`` ranks those rows as one document,
+    after every other."""
+    t = _span_table([(None, 1, "text", 1.0, "ok"), ("d1", 0, "text", 1.0, "ok"),
+                     (None, 0, "text", 1.0, "ok")], [])
+    with pytest.raises(ValueError):
+        ref.doclocal_rank(t)
+    assert reassemble.rank_spans(t).select(["doc_id", "order", "text"]) \
+        .to_pylist() == [{"doc_id": "d1", "order": 0, "text": "row 1"},
+                         {"doc_id": None, "order": 0, "text": "row 2"},
+                         {"doc_id": None, "order": 1, "text": "row 0"}]

@@ -26,7 +26,8 @@ that checks; that list has to stay exact as well.
 State that outlives a task in a worker process (a name a package
 function rebinds with ``global``) is listed in ``PROCESS_STATE`` with
 its reason; that list has to stay exact too. Every hash join goes
-through ``stages/agg.hash_join``.
+through ``stages/agg.hash_join``, and the doc-local chain's modules
+never convert to or from pandas.
 """
 
 from __future__ import annotations
@@ -213,6 +214,21 @@ def test_every_join_goes_through_hash_join():
              and isinstance(node.func, ast.Attribute)
              and node.func.attr == "join"
              and any(k.arg == "join_type" for k in node.keywords)]
+    assert calls == []
+
+
+def test_doc_local_chain_stays_in_arrow():
+    """The doc-local chain (explode → classify → OCR → rank, fused in
+    ``DocLocalExtract``) works on Arrow tables end to end: none of its
+    modules converts a batch to or from pandas."""
+    chain = [PKG / "stages" / f"{m}.py"
+             for m in ("doclocal", "ocr", "classify", "explode")]
+    calls = [f"{path.relative_to(REPO)}:{node.lineno}"
+             for path in chain
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("to_pandas", "from_pandas")]
     assert calls == []
 
 
