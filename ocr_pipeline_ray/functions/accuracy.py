@@ -1,7 +1,7 @@
-"""Accuracy metrics (SURVEY §2.6 F14; reference
-run_comprehensive_tests.py:40-70): character-level similarity ratio,
-word-hit rate over critical words, exact field match — used by the
-robustness harness to grade extraction against construction-time truth.
+"""Accuracy metric (SURVEY §2.6 F14; reference
+run_comprehensive_tests.py:40-70): the character-level similarity
+ratio between a degraded page's read and its construction-time truth,
+which ``modelops.degradation_bank`` scores every page with.
 """
 
 from __future__ import annotations
@@ -14,21 +14,3 @@ def char_accuracy(expected: str, actual: str) -> float:
     if not expected and not actual:
         return 1.0
     return SequenceMatcher(None, expected, actual).ratio()
-
-
-def word_hit_rate(expected: str, actual: str,
-                  critical: tuple[str, ...] = ()) -> float:
-    """Fraction of (critical or all expected) words present in actual."""
-    words = list(critical) if critical else expected.split()
-    if not words:
-        return 1.0
-    actual_set = set(actual.split())
-    return sum(1 for w in words if w in actual_set) / len(words)
-
-
-def field_exact_match(expected: dict, actual: dict) -> float:
-    """Fraction of expected (non-None) fields matched exactly."""
-    keys = [k for k, v in expected.items() if v is not None]
-    if not keys:
-        return 1.0
-    return sum(1 for k in keys if actual.get(k) == expected[k]) / len(keys)

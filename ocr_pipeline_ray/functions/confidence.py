@@ -1,12 +1,7 @@
-"""Confidence aggregation kernels (SURVEY §2.5 A2-A6), vectorized.
-
-- geomean_confidence: reference pipeline.py:386-414 — floor 1e-3, if
-  more than 20 tokens keep the top-80% (min 5), geometric mean.
-- logmean_confidence: pipeline.py:416-423 — exp(mean(log c)).
-- calibrated_confidence: pytorch_mobile/ocr_pipeline.py:1142-1173 —
-  0.4*raw + 0.35*field_acc + 0.25*completeness.
-
-Each reduces one confidence vector (a numpy array) to a score.
+"""Confidence aggregation (SURVEY §2.5 A2): ``geomean_confidence``,
+reference pipeline.py:386-414 — floor 1e-3, if more than 20 tokens
+keep the top-80% (min 5), geometric mean. It reduces one confidence
+vector (a numpy array) to a score.
 """
 
 from __future__ import annotations
@@ -36,17 +31,3 @@ def geomean_confidence(confs: np.ndarray) -> float:
     for x in c.tolist():
         total += math.log(x)
     return math.exp(total / c.size)
-
-
-def logmean_confidence(confs: np.ndarray) -> float:
-    c = np.maximum(np.asarray(confs, dtype=np.float64), _FLOOR)
-    if c.size == 0:
-        return 0.0
-    return float(np.exp(np.mean(np.log(c))))
-
-
-def calibrated_confidence(raw: float, field_acc: float,
-                          completeness: float) -> float:
-    """A6: weighted blend, clipped to [0, 1]."""
-    score = 0.4 * raw + 0.35 * field_acc + 0.25 * completeness
-    return float(min(1.0, max(0.0, score)))

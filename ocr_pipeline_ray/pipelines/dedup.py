@@ -457,22 +457,16 @@ def dedup_clusters(sf_dir: str) -> pd.DataFrame:
 
 def _propagate_components(pairs, n_parts: int,
                           max_rounds: int = 16) -> pd.DataFrame:
-    """The propagation core (see ``dedup_clusters``): (doc_a, doc_b)
-    pairs — a DATASET in the composed pipelines (straight from the
-    distributed pair generators; no driver hop) or a pandas frame in
-    tests — → (doc_id, cluster_id, is_survivor), min-label fixpoint in
-    Dataset ops. Split out so tests can drive it with adversarial edge
-    shapes (chains needing diameter rounds, not just the shallow
-    near-dup components). Sets ``_propagate_components.last_rounds``
-    to the number of propagation rounds executed (the log-diameter
-    claim is pytest-asserted against it) and RAISES if the fixpoint
-    was not reached within ``max_rounds`` — an unconverged label table
-    must never be mistaken for the oracle-equal answer."""
-    if isinstance(pairs, pd.DataFrame):
-        pairs = rd.from_arrow(pa.table({
-            "doc_a": pa.array(pairs["doc_a"], type=pa.int64()),
-            "doc_b": pa.array(pairs["doc_b"], type=pa.int64())}))
-
+    """The propagation core (see ``dedup_clusters``): a Dataset of
+    (doc_a, doc_b) pairs (``dedup_clusters`` passes its distributed pair
+    generator's output, no driver hop) → (doc_id, cluster_id,
+    is_survivor), min-label fixpoint in Dataset ops. Split out so tests can drive it with
+    adversarial edge shapes (chains needing diameter rounds, not just
+    the shallow near-dup components). Each round is one pair of
+    ``bucketed_map_groups`` calls, so the tests count rounds by spying
+    on it. RAISES if the fixpoint was not reached within
+    ``max_rounds`` — an unconverged label table must never be mistaken
+    for the oracle-equal answer."""
     def bidir(batch: pa.Table) -> pa.Table:
         a = batch["doc_a"].to_numpy(zero_copy_only=False)
         b = batch["doc_b"].to_numpy(zero_copy_only=False)
@@ -500,7 +494,6 @@ def _propagate_components(pairs, n_parts: int,
     # bucket fan-out for the per-round bucketed merges, scaled with the
     # node set (floored so buckets stay non-trivially sized)
     n_parts = max(1, min(n_parts, n_nodes // 32))
-    _propagate_components.last_n_parts = n_parts
     prev_sum = int(labels.sum("label"))
 
     # Per round, ONE bucketed-merge groupby resolves both message kinds
@@ -576,7 +569,6 @@ def _propagate_components(pairs, n_parts: int,
             break
         prev_sum = cur_sum
 
-    _propagate_components.last_rounds = rounds
     if not converged:
         raise RuntimeError(
             f"label propagation did not converge in {max_rounds} rounds "

@@ -58,10 +58,11 @@ def _query_unit(sf_dir: str) -> np.ndarray:
     return q / np.linalg.norm(q)
 
 
-def knn_brute_force(sf_dir: str, k: int = 10) -> pd.DataFrame:
-    """Top-k by cosine similarity to the vec_id=0 embedding (query vector
-    broadcast once; per-batch partial top-k; deterministic ordering by
-    (rounded sim desc, vec_id asc))."""
+def knn_brute_force(sf_dir: str) -> pd.DataFrame:
+    """Top-10 by cosine similarity to the vec_id=0 embedding (query
+    vector broadcast once; per-batch partial top-k; deterministic
+    ordering by (rounded sim desc, vec_id asc))."""
+    k = 10
     q_ref = ray.put(_query_unit(sf_dir))
 
     ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
@@ -372,7 +373,8 @@ def embedding_dup_clusters(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({"vec_id": pd.Series([], dtype="int64"),
                              "cluster_id": pd.Series([], dtype="int64"),
                              "is_survivor": pd.Series([], dtype="int64")})
-    pairs = pairs.rename(columns={"vec_a": "doc_a", "vec_b": "doc_b"})
+    pairs = rd.from_pandas(
+        pairs.rename(columns={"vec_a": "doc_a", "vec_b": "doc_b"}))
     out = _propagate_components(pairs, partitions_for(
         table_bytes(sf_dir, "embeddings", "embeddings")))
     return out.rename(columns={"doc_id": "vec_id"})

@@ -19,8 +19,6 @@ import pyarrow.compute as pc
 
 def explode_spans(batch: pa.Table) -> pa.Table:
     spans = batch["spans"].combine_chunks()
-    if isinstance(spans, pa.ChunkedArray):  # single chunk after combine
-        spans = spans.chunk(0) if spans.num_chunks else pa.array([], type=spans.type)
     flat = pc.list_flatten(spans)
     parents = pc.list_parent_indices(spans)
     doc_ids = pc.take(batch["doc_id"].combine_chunks(), parents)

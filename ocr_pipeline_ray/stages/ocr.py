@@ -278,22 +278,6 @@ _DECODE_ERRORS = (ValueError, struct.error, UnicodeDecodeError)
 MAX_PAYLOAD_BYTES = 64 * 1024 * 1024
 
 
-def ocr_page(payload: bytes, dpi: int = 300) -> tuple[str, float, str]:
-    """Decode one page at ``dpi`` → (canonical_text, confidence, status).
-    One ensemble pass, no cascade. Only FPG1 pages have a DPI; every
-    other payload reads as the cascade reads it."""
-    try:
-        if media_stub.classify_payload(payload) != "page":
-            return _cascade_unguarded(payload, TAU_ENHANCE)[:3]
-        raws = _page_lines(payload)
-        if not raws:
-            return "", 0.0, "blank"
-        text, conf, _min_conf = _read_page(raws, dpi)
-        return text, conf, "ok"
-    except _DECODE_ERRORS:
-        return "", 0.0, "corrupt"
-
-
 def ocr_page_cascade(payload: bytes, tau_enhance: float = TAU_ENHANCE
                      ) -> tuple[str, float, str, str]:
     """R1 cascade with a genuine re-decode: 300-DPI ensemble first; when

@@ -39,8 +39,6 @@ and degradations on every run/worker.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
 GLYPH_W, GLYPH_H = 5, 7
@@ -57,27 +55,17 @@ _MIN_GLYPH_DIST = 14           # pairwise Hamming floor (35-px glyphs):
 # max_err 6 — wide enough that residual post-restore damage of 1-2 px
 # per glyph never rejects, strict enough that every degradation still
 # breaks the naive read (measured over the full 96-page corpus)
-_INK_MIN, _INK_MAX = 10, 24    # ink budget per glyph
 
 INK, PAPER = 0, 255            # dark glyphs on light background
 
 
-def _glyph_bits(ch: str, salt: int) -> np.ndarray:
-    h = hashlib.md5(f"{ch}:{salt}".encode()).digest() \
-        + hashlib.md5(f"{ch}:{salt}:b".encode()).digest()
-    bits = np.unpackbits(np.frombuffer(h, dtype=np.uint8))[:GLYPH_W * GLYPH_H]
-    return bits.astype(bool).reshape(GLYPH_H, GLYPH_W)
-
-
-_SALT_BATCH = 64
-
 # The glyph table, precomputed: np.packbits of the (95, 35) bool matrix
 # in CHARSET order, base64. The table is pure deterministic data —
-# exactly what ``_build_font()`` derives from the md5 stream — baked in
-# because deriving it costs ~2.7 s of salt search PER PROCESS, and
-# every Ray worker importing this module inside the flagship's timed
-# window multiplied that into the dominant extraction cost (~30 actors
-# × 2.7 s measured). ``_build_font`` remains the generator and
+# exactly what the md5 salt search derives — baked in because deriving
+# it costs ~2.7 s of salt search PER PROCESS, and every Ray worker
+# importing this module inside the flagship's timed window multiplied
+# that into the dominant extraction cost (~30 actors × 2.7 s measured).
+# The generator is ``build_font`` in tests/reference_kernels.py, and
 # tests/test_pixels.py asserts the literal matches it bit for bit.
 _FONT_PACKED = (
     "AAAAAAjsoZofLIrrl10T+Y6opGdkuB35FD/dAHDLoRl07GJ5m//eGr4nofaRo8Hw"
@@ -101,44 +89,6 @@ def _unpack_font() -> dict[str, np.ndarray]:
     bits = np.unpackbits(raw)[:n * GLYPH_W * GLYPH_H]
     mat = bits.astype(bool).reshape(n, GLYPH_H, GLYPH_W)
     return {ch: mat[i] for i, ch in enumerate(CHARSET)}
-
-
-def _build_font() -> dict[str, np.ndarray]:
-    """Deterministic glyph table: per char, bump the salt until the
-    glyph's ink count is in budget AND it keeps ``_MIN_GLYPH_DIST``
-    Hamming distance from every glyph already placed (greedy over the
-    fixed charset order, FIRST qualifying salt wins ⇒ reproducible
-    everywhere). The salt search is vectorized — candidate salts are
-    hashed in batches and screened with one (batch × placed) XOR-sum
-    matrix instead of a per-salt Python pairwise loop; semantics (and
-    therefore the font) are identical, but the build drops from ~6 s
-    to well under a second. That matters because every Ray worker pays
-    this once at module import, inside the flagship's timed window —
-    ~30 actors × 6 s dominated extraction wall before this change."""
-    font: dict[str, np.ndarray] = {" ": np.zeros((GLYPH_H, GLYPH_W), bool)}
-    placed = [font[" "].ravel()]
-    placed_mat = np.stack(placed)
-    for ch in CHARSET:
-        if ch == " ":
-            continue
-        salt = 0
-        while True:
-            batch = np.stack([
-                _glyph_bits(ch, s).ravel()
-                for s in range(salt, salt + _SALT_BATCH)])
-            ink = batch.sum(axis=1)
-            ok = (ink >= _INK_MIN) & (ink <= _INK_MAX)
-            dist = (batch[:, None, :] ^ placed_mat[None, :, :]).sum(axis=2)
-            ok &= dist.min(axis=1) >= _MIN_GLYPH_DIST
-            hits = np.nonzero(ok)[0]
-            if hits.size:
-                g = batch[hits[0]]
-                font[ch] = g.reshape(GLYPH_H, GLYPH_W)
-                placed.append(g)
-                placed_mat = np.stack(placed)
-                break
-            salt += _SALT_BATCH
-    return font
 
 
 _FONT = _unpack_font()
@@ -505,12 +455,6 @@ _CONTRAST_EQUALIZE = 55.0   # clean ≈ 105-125, washed-out ≈ 10-18
 _PAPER_NOISE = 12.0         # clean/blur/dropout ≈ 0-5, sigma-90 ≈ 27+
 _MIDTONE_SHARPEN = 0.08     # clean = 0 exactly, 3-pass blur ≈ 0.3+
 _PARTIAL_CLOSE = 0.05       # clean = 0 exactly, dropout ≈ 0.25+
-
-
-def route_strategy(img: np.ndarray) -> str:
-    """R3 in pixel domain: statistics → restore strategy, the route
-    ``restore_and_read`` takes when no strategy is forced."""
-    return _route(pixel_stats(img))
 
 
 def _route(s: dict[str, float]) -> str:

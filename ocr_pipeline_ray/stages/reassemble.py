@@ -62,8 +62,10 @@ def _rank_bucket(g: pd.DataFrame) -> pd.DataFrame:
 
 
 def reassemble(ds):
-    """spans(doc_id, kind, text, media_ref, offset, status, conf) →
-    ordered spans(doc_id, order, kind, text, media_ref, conf, status).
+    """spans(doc_id, kind, text, media_ref, offset, status, conf,
+    conf_calibrated, cascade) → ordered ``OUT_SCHEMA`` spans(doc_id,
+    order, kind, text, media_ref, conf, conf_calibrated, status,
+    cascade).
 
     Hash-partitioned with ``bucketed_map_groups`` on ``doc_id``: the
     shuffle key is ``crc32(doc_id) % 64`` (an int64 with 64 distinct

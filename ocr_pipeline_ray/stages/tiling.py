@@ -17,8 +17,7 @@ whole is one worker's memory and one task's latency; tiled, it is an
 EXPLODE → per-patch kernel → REGROUP+BLEND pipeline (the same
 explode/process/regroup shape as the J5 region-crop join) where every
 patch is an independent row. ``explode_patches`` / ``blend_patches``
-are the Ray-side halves; ``tiled_apply`` is the single-array kernel
-used inside one ``map_batches`` task when the page fits.
+are the Ray-side halves (``modelops.pixel_tiled_restore`` runs them).
 
 Seam correctness: inside a patch the kernel sees real neighbours, so
 away from tile borders the tiled output EQUALS the untiled kernel
@@ -28,8 +27,6 @@ pytest-asserted (tests/test_tiling.py).
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
@@ -68,30 +65,6 @@ def _pad(img: np.ndarray, ph: int, pw: int) -> np.ndarray:
     return np.pad(img, ((0, ph - h), (0, pw - w)), mode=mode)
 
 
-def tiled_apply(img: np.ndarray, kernel: Callable[[np.ndarray], np.ndarray],
-                patch: int = PATCH, overlap: int = OVERLAP) -> np.ndarray:
-    """Apply ``kernel`` (uint8 → uint8, shape-preserving) over
-    overlapping tiles and blend. Equivalent to the reference's
-    ``_process_patches`` with ``kernel`` as the model."""
-    assert 0 <= overlap < patch, "overlap must be in [0, patch)"
-    h, w = img.shape
-    stride = patch - overlap
-    ph, ys = _grid(h, patch, stride)
-    pw, xs = _grid(w, patch, stride)
-    padded = _pad(img, ph, pw)
-    acc = np.zeros((ph, pw), dtype=np.float64)
-    wsum = np.zeros((ph, pw), dtype=np.float64)
-    mask = weight_mask(patch, overlap)
-    for y in ys:
-        for x in xs:
-            tile = padded[y:y + patch, x:x + patch]
-            out = kernel(tile).astype(np.float64)
-            acc[y:y + patch, x:x + patch] += out * mask
-            wsum[y:y + patch, x:x + patch] += mask
-    blended = acc / wsum
-    return np.clip(blended[:h, :w], 0, 255).round().astype(np.uint8)
-
-
 # ----------------------------------------------------------------------
 # Distributed halves: page row → patch rows → (kernel) → page bitmap.
 
@@ -112,9 +85,10 @@ def explode_patches(img: np.ndarray) -> list[dict]:
 
 
 def blend_patches(rows: list[dict]) -> np.ndarray:
-    """Regroup side: processed patch rows of ONE page → blended page.
-    Exact same accumulate/normalize as ``tiled_apply`` — the two paths
-    are pytest-asserted identical."""
+    """Regroup side: processed patch rows of ONE page → blended page:
+    each patch accumulated under ``weight_mask``, normalized by the
+    summed weights, the padding cropped off (tests/test_tiling.py
+    asserts it equals a single-array tiling)."""
     h, w = int(rows[0]["h"]), int(rows[0]["w"])
     stride = PATCH - OVERLAP
     ph, _ = _grid(h, PATCH, stride)

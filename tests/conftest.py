@@ -40,3 +40,26 @@ def media_lookup(media_dir, media: dict):
         "payload": pa.array(list(media.values()), type=pa.binary())}),
         os.path.join(media_dir, "part-0000.parquet"))
     return build_media_lookup(str(media_dir))
+
+
+def ocr_page(payload: bytes, dpi: int = 300) -> tuple[str, float, str]:
+    """One page read at ``dpi`` → (canonical_text, confidence, status):
+    the single ensemble pass the R1 cascade starts from, no retry. Only
+    FPG1 pages have a DPI; every other payload reads as the cascade
+    reads it."""
+    from ocr_pipeline_ray.config import TAU_ENHANCE
+    from ocr_pipeline_ray.stages import media_stub
+    from ocr_pipeline_ray.stages.ocr import (_DECODE_ERRORS,
+                                             _cascade_unguarded,
+                                             _page_lines, _read_page)
+
+    try:
+        if media_stub.classify_payload(payload) != "page":
+            return _cascade_unguarded(payload, TAU_ENHANCE)[:3]
+        raws = _page_lines(payload)
+        if not raws:
+            return "", 0.0, "blank"
+        text, conf, _min_conf = _read_page(raws, dpi)
+        return text, conf, "ok"
+    except _DECODE_ERRORS:
+        return "", 0.0, "corrupt"

@@ -25,6 +25,13 @@ the engine; every line of logic is frozen here. One rule did change on
 purpose: a noisy page's bilateral passes (two each, then one to three
 until the read rejects no cell), so ``restore_and_read`` here follows
 the new rule.
+
+Two references here are not earlier versions but code the engine no
+longer carries, because no job runs it: ``build_font``, the md5 salt
+search whose output stages/pixels.py bakes as its glyph table, and
+``tiled_apply``, the single-array form of the tiling that the
+distributed ``explode_patches`` / ``blend_patches`` halves must equal.
+``tiled_apply`` reuses the engine's tiling geometry helpers.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from __future__ import annotations
 import hashlib
 import re
 import struct
+from typing import Callable
 
 import numpy as np
 import pandas as pd
@@ -44,9 +52,11 @@ from ocr_pipeline_ray.stages.ocr import (
     TRUNC_PENALTY)
 from ocr_pipeline_ray.stages.pixels import (
     _CONTRAST_EQUALIZE, _MIDTONE_SHARPEN, _PAPER_NOISE, _PARTIAL_CLOSE,
-    CELL_H, CELL_W, GLYPH_H, GLYPH_W, SCALE, _FONT_CHARS, _FONT_STACK,
-    _MIN_GLYPH_DIST)
+    CELL_H, CELL_W, CHARSET, GLYPH_H, GLYPH_W, SCALE, _FONT_CHARS,
+    _FONT_STACK, _MIN_GLYPH_DIST)
 from ocr_pipeline_ray.stages.reassemble import OUT_SCHEMA
+from ocr_pipeline_ray.stages.tiling import OVERLAP, PATCH, _grid, _pad, \
+    weight_mask
 
 
 # --------------------------------------------------------------------------
@@ -434,6 +444,81 @@ def restore_rejects(img: np.ndarray) -> int:
     if img.min() == img.max():
         return 0
     return _rejects(_restore_mask(img, route_strategy(img)))
+
+
+# --------------------------------------------------------------------------
+# The glyph table's generator (stages/pixels.py bakes its output as
+# ``_FONT_PACKED``)
+
+_INK_MIN, _INK_MAX = 10, 24    # ink budget per glyph
+_SALT_BATCH = 64
+
+
+def _glyph_bits(ch: str, salt: int) -> np.ndarray:
+    h = hashlib.md5(f"{ch}:{salt}".encode()).digest() \
+        + hashlib.md5(f"{ch}:{salt}:b".encode()).digest()
+    bits = np.unpackbits(np.frombuffer(h, dtype=np.uint8))[:GLYPH_W * GLYPH_H]
+    return bits.astype(bool).reshape(GLYPH_H, GLYPH_W)
+
+
+def build_font() -> dict[str, np.ndarray]:
+    """Deterministic glyph table: per char, bump the salt until the
+    glyph's ink count is in budget AND it keeps ``_MIN_GLYPH_DIST``
+    Hamming distance from every glyph already placed (greedy over the
+    fixed charset order, FIRST qualifying salt wins). Candidate salts
+    are hashed in batches and screened with one (batch × placed)
+    XOR-sum matrix."""
+    font: dict[str, np.ndarray] = {" ": np.zeros((GLYPH_H, GLYPH_W), bool)}
+    placed = [font[" "].ravel()]
+    placed_mat = np.stack(placed)
+    for ch in CHARSET:
+        if ch == " ":
+            continue
+        salt = 0
+        while True:
+            batch = np.stack([
+                _glyph_bits(ch, s).ravel()
+                for s in range(salt, salt + _SALT_BATCH)])
+            ink = batch.sum(axis=1)
+            ok = (ink >= _INK_MIN) & (ink <= _INK_MAX)
+            dist = (batch[:, None, :] ^ placed_mat[None, :, :]).sum(axis=2)
+            ok &= dist.min(axis=1) >= _MIN_GLYPH_DIST
+            hits = np.nonzero(ok)[0]
+            if hits.size:
+                g = batch[hits[0]]
+                font[ch] = g.reshape(GLYPH_H, GLYPH_W)
+                placed.append(g)
+                placed_mat = np.stack(placed)
+                break
+            salt += _SALT_BATCH
+    return font
+
+
+# --------------------------------------------------------------------------
+# The single-array form of stages/tiling.py's explode → kernel → blend
+
+def tiled_apply(img: np.ndarray, kernel: Callable[[np.ndarray], np.ndarray],
+                patch: int = PATCH, overlap: int = OVERLAP) -> np.ndarray:
+    """Apply ``kernel`` (uint8 → uint8, shape-preserving) over
+    overlapping tiles and blend. Equivalent to the reference's
+    ``_process_patches`` with ``kernel`` as the model."""
+    assert 0 <= overlap < patch, "overlap must be in [0, patch)"
+    h, w = img.shape
+    stride = patch - overlap
+    ph, ys = _grid(h, patch, stride)
+    pw, xs = _grid(w, patch, stride)
+    padded = _pad(img, ph, pw)
+    acc = np.zeros((ph, pw), dtype=np.float64)
+    wsum = np.zeros((ph, pw), dtype=np.float64)
+    mask = weight_mask(patch, overlap)
+    for y in ys:
+        for x in xs:
+            tile = padded[y:y + patch, x:x + patch]
+            out = kernel(tile).astype(np.float64)
+            acc[y:y + patch, x:x + patch] += out * mask
+            wsum[y:y + patch, x:x + patch] += mask
+    blended = acc / wsum
+    return np.clip(blended[:h, :w], 0, 255).round().astype(np.uint8)
 
 
 # --------------------------------------------------------------------------

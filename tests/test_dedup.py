@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import ray.data as rd
 
 from ocr_pipeline_ray.functions import textstats as ts
 from ocr_pipeline_ray.pipelines import dedup
@@ -96,6 +97,25 @@ class TestDedupClusters:
     _propagate_components) vs driver union-find ground truth."""
 
     @staticmethod
+    def _spy(monkeypatch) -> list[tuple[str, int]]:
+        """(key column, bucket count) of every ``bucketed_map_groups``
+        call ``_propagate_components`` makes: each round is one call on
+        ``key`` then one on ``node``."""
+        calls = []
+        real = dedup.bucketed_map_groups
+
+        def spy(ds, key, fn, num_buckets):
+            calls.append((key, num_buckets))
+            return real(ds, key, fn, num_buckets)
+
+        monkeypatch.setattr(dedup, "bucketed_map_groups", spy)
+        return calls
+
+    @staticmethod
+    def _rounds(calls) -> int:
+        return sum(key == "node" for key, _n in calls)
+
+    @staticmethod
     def _union_find(pairs):
         parent: dict[int, int] = {}
 
@@ -115,7 +135,7 @@ class TestDedupClusters:
                               == out["cluster_id"]).astype("int64")
         return out
 
-    def test_chain_converges_in_log_rounds(self):
+    def test_chain_converges_in_log_rounds(self, monkeypatch):
         """A 100-node path graph under max_rounds=9 (8 propagation
         rounds + the equal-sum confirming round): the min label must
         cross 99 hops, so single-step propagation CANNOT converge (it
@@ -129,13 +149,16 @@ class TestDedupClusters:
         pairs = pd.DataFrame({
             "doc_a": np.arange(n - 1, dtype="int64") * 7,
             "doc_b": np.arange(1, n, dtype="int64") * 7})
-        got = _propagate_components(pairs, n_parts=4, max_rounds=9)
-        assert _propagate_components.last_rounds <= 9
+        calls = self._spy(monkeypatch)
+        got = _propagate_components(rd.from_pandas(pairs), n_parts=4,
+                                    max_rounds=9)
+        assert self._rounds(calls) <= 9
         assert (got["cluster_id"] == 0).all()
         assert got["is_survivor"].sum() == 1
         assert list(got["doc_id"]) == [i * 7 for i in range(n)]
 
-    def test_adversarial_volume_log_rounds_and_partition_scaling(self):
+    def test_adversarial_volume_log_rounds_and_partition_scaling(
+            self, monkeypatch):
         """VERDICT r4 #6: drive the fixpoint with a large adversarial
         pair graph — one giant star component + many disjoint chains,
         the shape a high-duplication corpus produces — and assert (a)
@@ -157,16 +180,16 @@ class TestDedupClusters:
                 "doc_a": np.arange(lo, lo + chain_len - 1, dtype="int64"),
                 "doc_b": np.arange(lo + 1, lo + chain_len, dtype="int64")}))
         pairs = pd.concat([star] + chains, ignore_index=True)
-        got = _propagate_components(pairs, n_parts=8)
+        calls = self._spy(monkeypatch)
+        got = _propagate_components(rd.from_pandas(pairs), n_parts=8)
         diameter = chain_len - 1
         # measured: 9 rounds (8 halvings of the 128-hop chains + the
         # equal-sum confirming round) = ceil(log2 128) + 2
-        assert _propagate_components.last_rounds \
-            <= int(np.ceil(np.log2(diameter))) + 2
+        assert self._rounds(calls) <= int(np.ceil(np.log2(diameter))) + 2
         # 2291 nodes / 32 floor = 71 > 8 → the requested fan-out wins,
         # i.e. the bucket count scaled with the graph, not the
         # small-graph floor
-        assert _propagate_components.last_n_parts == 8
+        assert {n for _key, n in calls} == {8}
         pd.testing.assert_frame_equal(got, self._union_find(pairs))
 
     def test_unconverged_raises_instead_of_silent_partial(self):
@@ -182,7 +205,8 @@ class TestDedupClusters:
             "doc_a": np.arange(n - 1, dtype="int64"),
             "doc_b": np.arange(1, n, dtype="int64")})
         with pytest.raises(RuntimeError, match="did not converge"):
-            _propagate_components(pairs, n_parts=4, max_rounds=2)
+            _propagate_components(rd.from_pandas(pairs), n_parts=4,
+                                  max_rounds=2)
 
     def test_random_graph_matches_union_find(self):
         from ocr_pipeline_ray.pipelines.dedup import _propagate_components
@@ -193,7 +217,7 @@ class TestDedupClusters:
         pairs = pd.DataFrame({
             "doc_a": np.minimum(a, a + off).astype("int64"),
             "doc_b": np.maximum(a, a + off).astype("int64")})
-        got = _propagate_components(pairs, n_parts=4)
+        got = _propagate_components(rd.from_pandas(pairs), n_parts=4)
         pd.testing.assert_frame_equal(got, self._union_find(pairs))
 
     def test_clusters_over_corpus_pairs(self, ray_session):

@@ -167,8 +167,9 @@ def test_warm_reader_rekeys_across_datasets(small_corpus, tmp_path,
 def test_cascade_is_a_real_redecode(golden_df):
     """Enhanced rows must exist and their text must be able to differ
     from the 300-DPI decode (the retry is not a confidence bump)."""
-    from ocr_pipeline_ray.stages.ocr import ocr_page, ocr_page_cascade
     from ocr_pipeline_ray.sources.synth import gen_doc
+    from ocr_pipeline_ray.stages.ocr import ocr_page_cascade
+    from tests.conftest import ocr_page
 
     enhanced = golden_df[golden_df["cascade"] == "enhanced"]
     assert len(enhanced) > 0, "no page ever took the enhanced branch"

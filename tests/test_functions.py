@@ -65,21 +65,6 @@ class TestConfidence:
         got = confidence.geomean_confidence(confs)
         assert got == pytest.approx(0.9)  # the 0.1s fall outside top-80%
 
-    def test_logmean_floor_empty_and_value(self):
-        assert confidence.logmean_confidence(np.array([])) == 0.0
-        assert confidence.logmean_confidence(np.array([0.0])) \
-            == pytest.approx(1e-3)
-        # exp(mean(log c)) over every token: no top-80% trim
-        assert confidence.logmean_confidence(np.array([0.25, 1.0])) \
-            == pytest.approx(0.5)
-        confs = np.array([0.1] * 5 + [0.9] * 20)
-        assert confidence.logmean_confidence(confs) \
-            == pytest.approx(0.1 ** 0.2 * 0.9 ** 0.8)
-
-    def test_calibrated_blend(self):
-        assert confidence.calibrated_confidence(1.0, 1.0, 1.0) == pytest.approx(1.0)
-        assert confidence.calibrated_confidence(0.0, 0.0, 0.0) == 0.0
-
 
 class TestTextstats:
     def test_jaccard_bounds(self):

@@ -205,6 +205,25 @@ def test_doclocal_equals_exploded_chain(case, edge_media):
     assert _keyed(out.to_pylist()) == _EDGE_CASES[case][1]
 
 
+def test_explode_ignores_the_chunk_layout():
+    """A ``spans`` column of zero chunks, or one split into two chunks,
+    explodes to the rows of the same column in one chunk."""
+    zero = pa.Table.from_batches([], DOCS_SCHEMA)
+    assert zero["spans"].num_chunks == 0
+    assert explode_spans(zero).equals(
+        explode_spans(DOCS_SCHEMA.empty_table()))
+
+    docs = [doc for case in _EDGE_CASES.values() for doc in case[0]]
+    one = pa.Table.from_pylist([{"doc_id": d, "spans": s} for d, s in docs],
+                               schema=DOCS_SCHEMA)
+    cut = one.num_rows // 2
+    two = pa.concat_tables([one.slice(0, cut), one.slice(cut)])
+    assert two["spans"].num_chunks == 2 and one["spans"].num_chunks == 1
+    want = explode_spans(one)
+    assert want.num_rows > 0
+    assert explode_spans(two).equals(want)
+
+
 @pytest.mark.parametrize("case", list(_EDGE_CASES))
 def test_tail_plan_on_edge_cases(case, edge_media, monkeypatch):
     """The same cases through ``extract_spans`` with the tail forced:

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from ocr_pipeline_ray.stages import pixels as px
+from tests.reference_kernels import build_font
 
 PAGES = [
     ["Invoice 4217 Total 93.50", "Meter 0042 kWh 1180", "Acct X9 Due 2026-09-01"],
@@ -70,10 +71,10 @@ class TestFont:
         assert np.array_equal(a, b)
 
     def test_baked_font_matches_generator(self):
-        """The baked _FONT_PACKED literal is exactly what _build_font
+        """The baked _FONT_PACKED literal is exactly what build_font
         derives from the md5 salt search (the literal exists only to
         spare every worker the ~2.7 s derivation at import)."""
-        built = px._build_font()
+        built = build_font()
         assert list(built) == list(px._FONT)
         for ch in built:
             assert np.array_equal(built[ch], px._FONT[ch]), repr(ch)
@@ -129,7 +130,7 @@ class TestKernelRecovery:
     def test_clean_routes_to_plain_binarize(self):
         for texts in PAGES:
             img = px.render_lines(texts)
-            assert px.route_strategy(img) == "binarize"
+            assert px._route(px.pixel_stats(img)) == "binarize"
             rec, strat = px.restore_and_read(img)
             assert rec == texts and strat == "binarize"
 

@@ -56,8 +56,8 @@ def test_corpus_contains_all_pixel_degradation_classes(raster_rows):
 def test_router_picks_matching_kernel_per_class(raster_rows):
     for deg, m in raster_rows:
         img = media_stub.decode_raster(m["payload"])
-        assert pixels.route_strategy(img) == _EXPECT_STRATEGY[deg], \
-            (deg, m["media_ref"])
+        assert pixels._route(pixels.pixel_stats(img)) \
+            == _EXPECT_STRATEGY[deg], (deg, m["media_ref"])
 
 
 def test_degraded_pages_defeat_naive_read_and_recover_restored(raster_rows):

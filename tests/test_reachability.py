@@ -12,6 +12,8 @@ definition whose name some other code also uses can still hide.
 
 The definitions that only tests call are listed in ``SURVIVORS``, each
 with the COVERAGE.md capability it covers; the list has to stay exact.
+It is empty: code that only tests use (a reference, a grader) lives
+under tests/.
 
 A call sets a parameter when it names the callee (a function, a method,
 or a class for its ``__init__``; ``X.remote(...)`` calls ``X``) and
@@ -25,7 +27,8 @@ that checks; that list has to stay exact as well.
 
 State that outlives a task in a worker process (a name a package
 function rebinds with ``global``) is listed in ``PROCESS_STATE`` with
-its reason; that list has to stay exact too. Every hash join goes
+its reason; that list has to stay exact too, and no package code sets
+an attribute on a package function or class. Every hash join goes
 through ``stages/agg.hash_join``, and the doc-local chain's modules
 never convert to or from pandas.
 """
@@ -39,19 +42,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 PKG = REPO / "ocr_pipeline_ray"
 
-SURVIVORS = {
-    "ocr_page": "R1: the single fixed-DPI read the cascade starts from "
-                "(F14 severity matrix)",
-    "route_strategy": "R3 quality-tier strategy, public form of "
-                      "pixels._route",
-    "tiled_apply": "P9 patch-tiled denoise on one array",
-    "_build_font": "P5-P8 raster font generator of the baked glyph table",
-    "logmean_confidence": "A2/A3 geomean/logmean",
-    "calibrated_confidence": "A5/A6 calibrated blends",
-    "word_hit_rate": "F14 accuracy metrics",
-    "field_exact_match": "F14 accuracy metrics",
-    "write_payloads": "S6 JSON payload writer (JSONL sink)",
-}
+SURVIVORS: dict[str, str] = {}
 
 # (callee, parameter) -> (the test that sets it, what the value checks)
 SEAMS = {
@@ -70,9 +61,6 @@ SEAMS = {
     ("restore_and_read", "strategy"): (
         "tests/test_pixels.py::test_mismatched_kernels_do_not_restore",
         "a forced wrong kernel does not restore, so the route matters"),
-    ("knn_brute_force", "k"): (
-        "tests/test_similarity.py::test_ivf_recall_vs_brute_force",
-        "the exhaustive k=10_000 ranking the IVF recall is checked on"),
     ("embedding_near_dup_pairs", "n_cells"): (
         "tests/test_similarity.py::"
         "test_near_dup_skewed_cell_split_and_mirror",
@@ -232,15 +220,42 @@ def test_doc_local_chain_stays_in_arrow():
     assert calls == []
 
 
+def _stored_attributes(target: ast.expr) -> list[ast.Attribute]:
+    if isinstance(target, ast.Attribute):
+        return [target]
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return [a for t in target.elts for a in _stored_attributes(t)]
+    if isinstance(target, ast.Starred):
+        return _stored_attributes(target.value)
+    return []
+
+
 def test_package_process_state_is_listed():
     """Every name a package function rebinds with ``global`` is state
     that a worker process keeps between tasks; each one is listed in
-    ``PROCESS_STATE`` with its reason, and the list has to stay exact."""
+    ``PROCESS_STATE`` with its reason, and the list has to stay exact.
+    An attribute set on a package function or class (``f.x = ...``)
+    outlives the task the same way, and none is allowed."""
+    trees = {path: ast.parse(path.read_text())
+             for path in sorted(PKG.rglob("*.py"))}
     bound = {f"{path.relative_to(PKG).as_posix()}:{name}"
-             for path in sorted(PKG.rglob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text()))
+             for path, tree in trees.items()
+             for node in ast.walk(tree)
              if isinstance(node, ast.Global) for name in node.names}
     assert bound == set(PROCESS_STATE)
+    defs = {node.name for tree in trees.values() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))}
+    set_on_defs = [
+        f"{path.relative_to(REPO)}:{attr.lineno}"
+        for path, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+        for attr in _stored_attributes(target)
+        if isinstance(attr.value, ast.Name) and attr.value.id in defs]
+    assert set_on_defs == []
 
 
 def _defaulted() -> list[tuple[str, str, int | None]]:

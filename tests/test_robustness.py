@@ -12,12 +12,11 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from ocr_pipeline_ray.functions.accuracy import (char_accuracy,
-                                                 field_exact_match,
-                                                 word_hit_rate)
+from ocr_pipeline_ray.functions.accuracy import char_accuracy
 from ocr_pipeline_ray.sources.synth import _corrupt_text
 from ocr_pipeline_ray.stages import media_stub
-from ocr_pipeline_ray.stages.ocr import engine_readings, ocr_page
+from ocr_pipeline_ray.stages.ocr import engine_readings
+from tests.conftest import ocr_page
 
 
 def _degraded_page(lines: list[str], sev_idx: int, seed: int) -> bytes:
@@ -25,6 +24,25 @@ def _degraded_page(lines: list[str], sev_idx: int, seed: int) -> bytes:
     recs = [(_corrupt_text(t, rng, sev_idx), 10, 30 * i)
             for i, t in enumerate(lines)]
     return media_stub.encode_page(recs, seed=seed)
+
+
+def word_hit_rate(expected: str, actual: str,
+                  critical: tuple[str, ...] = ()) -> float:
+    """Fraction of (critical or all expected) words present in actual
+    (F14, reference run_comprehensive_tests.py:40-70)."""
+    words = list(critical) if critical else expected.split()
+    if not words:
+        return 1.0
+    actual_set = set(actual.split())
+    return sum(1 for w in words if w in actual_set) / len(words)
+
+
+def field_exact_match(expected: dict, actual: dict) -> float:
+    """Fraction of expected (non-None) fields matched exactly (F14)."""
+    keys = [k for k, v in expected.items() if v is not None]
+    if not keys:
+        return 1.0
+    return sum(1 for k in keys if actual.get(k) == expected[k]) / len(keys)
 
 
 LINES = ["Total Consumption 2990 kWh", "Kg CO2e 1205",
@@ -124,7 +142,7 @@ class TestTornPayloads:
                 raster[:6]]                   # torn before h/w
 
     def test_cascade_yields_corrupt_rows_not_exceptions(self):
-        from ocr_pipeline_ray.stages.ocr import ocr_page, ocr_page_cascade
+        from ocr_pipeline_ray.stages.ocr import ocr_page_cascade
 
         for torn in self._torn():
             text, conf, status, cascade = ocr_page_cascade(torn)
@@ -216,7 +234,7 @@ class TestUniformRaster:
     @pytest.mark.parametrize("shape", [(48, 18), (240, 300)])
     @pytest.mark.parametrize("level", [0, 128, 255])
     def test_uniform_page_reads_blank(self, shape, level):
-        from ocr_pipeline_ray.stages.ocr import ocr_page, ocr_page_cascade
+        from ocr_pipeline_ray.stages.ocr import ocr_page_cascade
 
         payload = media_stub.encode_raster(np.full(shape, level, np.uint8))
         assert ocr_page_cascade(payload) == ("", 0.0, "blank", "none")

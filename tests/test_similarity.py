@@ -11,15 +11,25 @@ SF_DIR = "/root/testdata/sf0.001"
 
 
 def test_ivf_recall_vs_brute_force(ray_session):
-    exact = similarity.knn_brute_force(SF_DIR, k=10)
+    import pyarrow.parquet as pq
+
+    exact = similarity.knn_brute_force(SF_DIR)
     approx = similarity.ivf_topk(SF_DIR)
     assert len(approx) == 10
     recall = len(set(approx["vec_id"]) & set(exact["vec_id"])) / 10
     assert recall >= 0.5, f"IVF recall {recall} too low"
     # every approx hit's similarity must be a real (exact) similarity —
-    # IVF never fabricates scores, it only prunes candidates
-    exact_all = similarity.knn_brute_force(SF_DIR, k=10_000)
-    sim_of = dict(zip(exact_all["vec_id"], exact_all["cosine_sim"]))
+    # IVF never fabricates scores, it only prunes candidates; the
+    # exhaustive similarities, rounded as knn_brute_force rounds them
+    t = pq.read_table(f"{SF_DIR}/embeddings.parquet",
+                      columns=["vec_id", "embedding"])
+    ids = np.asarray(t["vec_id"].to_pylist(), dtype=np.int64)
+    mat = np.asarray(t["embedding"].to_pylist(), dtype=np.float64)
+    q = mat[ids == 0][0]
+    q = q / np.linalg.norm(q)
+    norms = np.linalg.norm(mat, axis=1)
+    sims = np.round((mat @ q) / np.where(norms > 0, norms, 1.0), 6)
+    sim_of = dict(zip(ids, sims))
     for _, row in approx.iterrows():
         assert abs(sim_of[row["vec_id"]] - row["cosine_sim"]) < 1e-9
 

@@ -97,8 +97,9 @@ class TestCascadeGates:
 
     def test_truncated_line_forces_redecode(self):
         from ocr_pipeline_ray.stages import media_stub
-        from ocr_pipeline_ray.stages.ocr import (TRUNC_CHARS_300, ocr_page,
+        from ocr_pipeline_ray.stages.ocr import (TRUNC_CHARS_300,
                                                  ocr_page_cascade)
+        from tests.conftest import ocr_page
 
         line = self._long_clean_line()
         assert len(line) > TRUNC_CHARS_300
@@ -166,7 +167,7 @@ class TestPreprocessKernels:
 
     def test_rotation_detected_and_recovered(self):
         from ocr_pipeline_ray.stages import multimodal
-        from ocr_pipeline_ray.stages.ocr import ocr_page
+        from tests.conftest import ocr_page
 
         clean = self._clean_page()
         rotated = multimodal.rotate_page_cw(clean)
@@ -193,7 +194,7 @@ class TestPreprocessKernels:
         import pyarrow as pa
 
         from ocr_pipeline_ray.stages import media_stub, multimodal
-        from ocr_pipeline_ray.stages.ocr import ocr_page
+        from tests.conftest import ocr_page
 
         # two-column page; row 2's left cell jitters into band 3 while
         # its right cell stays in band 2 → XY-cut reads R before L
@@ -215,7 +216,7 @@ class TestPreprocessKernels:
         import pyarrow as pa
 
         from ocr_pipeline_ray.stages import media_stub, multimodal
-        from ocr_pipeline_ray.stages.ocr import ocr_page
+        from tests.conftest import ocr_page
 
         lines = [(f"giant row {i}", 0, i * 40_000) for i in range(4)]
         big = media_stub.encode_page(lines, 3)

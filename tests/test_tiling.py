@@ -1,13 +1,16 @@
 """P9 patch-tiled overlap-blend dataflow (stages/tiling.py) — the
 reference's pad → overlapping patches → linear-ramp blend → un-pad
 machinery (jax_denoising_adapter.py:237-348) with P5-P8 kernels as the
-per-patch model. No Ray needed: pure array math."""
+per-patch model. The single-array form, ``tiled_apply``, lives in
+tests/reference_kernels.py; the distributed halves must equal it. No
+Ray needed: pure array math."""
 
 import numpy as np
 import pytest
 
 from ocr_pipeline_ray.stages import pixels as px
 from ocr_pipeline_ray.stages import tiling as tl
+from tests.reference_kernels import tiled_apply
 
 
 def _page(n_lines: int = 8, width: int = 40) -> tuple[np.ndarray, list[str]]:
@@ -27,7 +30,7 @@ class TestBlendMachinery:
         for h, w in [(20, 31), (48, 48), (50, 97), (100, 100), (131, 77),
                      (10, 31), (10, 97), (97, 10)]:
             img = rng.randint(0, 256, (h, w)).astype(np.uint8)
-            out = tl.tiled_apply(img, lambda t: t)
+            out = tiled_apply(img, lambda t: t)
             np.testing.assert_array_equal(out, img)
             np.testing.assert_array_equal(
                 tl.blend_patches(tl.explode_patches(img)), img)
@@ -36,7 +39,7 @@ class TestBlendMachinery:
         """No seam banding: a flat page through a nonlinear kernel must
         come out flat (any ripple = broken weight accounting)."""
         img = np.full((100, 130), 170, dtype=np.uint8)
-        out = tl.tiled_apply(img, px.bilateral)
+        out = tiled_apply(img, px.bilateral)
         assert np.unique(out).tolist() == [170]
 
     def test_explode_blend_equals_tiled_apply(self):
@@ -49,7 +52,7 @@ class TestBlendMachinery:
                 .reshape(tl.PATCH, tl.PATCH)
             r["tile"] = px.bilateral(tile).ravel()
         via_rows = tl.blend_patches(rows)
-        via_apply = tl.tiled_apply(img, px.bilateral)
+        via_apply = tiled_apply(img, px.bilateral)
         np.testing.assert_array_equal(via_rows, via_apply)
 
     def test_matches_untiled_kernel_away_from_seams(self):
@@ -58,7 +61,7 @@ class TestBlendMachinery:
         deviation far below anything glyph-visible."""
         img = px.degrade_noise(_page()[0], seed=11)
         untiled = px.bilateral(img)
-        tiled = tl.tiled_apply(img, px.bilateral)
+        tiled = tiled_apply(img, px.bilateral)
         h, w = img.shape
         stride = tl.PATCH - tl.OVERLAP
         radius = 2  # px.bilateral window radius
@@ -98,7 +101,7 @@ class TestTiledRestore:
         for seed in (5, 23, 91):
             noisy = px.degrade_noise(img, seed=seed)
             assert px.read_lines(px.binarize(noisy)) != expect
-            restored = tl.tiled_apply(
+            restored = tiled_apply(
                 noisy, lambda t: px.bilateral(px.bilateral(t)))
             assert px.read_lines(px.binarize(restored)) == expect
 
@@ -112,11 +115,11 @@ class TestTiledRestore:
         def err(out):
             return np.abs(out.astype(int) - untiled.astype(int)).sum()
 
-        blocky = tl.tiled_apply(img, px.bilateral, overlap=0)
-        blended = tl.tiled_apply(img, px.bilateral)
+        blocky = tiled_apply(img, px.bilateral, overlap=0)
+        blended = tiled_apply(img, px.bilateral)
         assert err(blended) < err(blocky)
 
     def test_bad_overlap_rejected(self):
         img, _ = _page(2)
         with pytest.raises(AssertionError):
-            tl.tiled_apply(img, lambda t: t, patch=32, overlap=32)
+            tiled_apply(img, lambda t: t, patch=32, overlap=32)
