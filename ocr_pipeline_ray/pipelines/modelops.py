@@ -20,6 +20,7 @@ import ray.data as rd
 from ..functions import calibration
 from ..sources.synth import _span_corpus
 from ..stages import multimodal
+from ..stages.agg import partial_merge
 from ..stages.ensemble import ensemble_merge
 
 
@@ -50,21 +51,15 @@ def media_feature_stats(sf_dir: str) -> pd.DataFrame:
     feats = media.map_batches(multimodal.media_features, batch_size=128,
                               batch_format="pyarrow")
 
-    def partial(t: pa.Table) -> pa.Table:
-        df = pd.DataFrame({
-            "media_kind": t["media_kind"].to_pylist(),
-            "size_i": [int(f[0]) for f in t["features"].to_pylist()],
-        })
-        g = df.groupby("media_kind", as_index=False).agg(
-            n=("size_i", "size"), total_bytes=("size_i", "sum"))
-        return pa.Table.from_pandas(g, preserve_index=False).replace_schema_metadata()
+    def rows(t: pa.Table) -> pa.Table:
+        size = pc.list_element(t["features"], 0)
+        return pa.table({"media_kind": t["media_kind"],
+                         "size_i": pc.cast(size, pa.int64(), safe=False)})
 
-    from ..stages.agg import partial_merge
     # cardinality: media_kind has 4 values — bounded, partial_merge-safe
-    out = partial_merge(feats, partial, keys=["media_kind"],
-                        agg_spec={"n": ("n", "sum"),
-                                  "total_bytes": ("total_bytes", "sum")})
-    out = out.astype({"n": "int64", "total_bytes": "int64"})
+    out = partial_merge(feats, rows, keys=["media_kind"],
+                        spec={"n": ("size_i", "count"),
+                              "total_bytes": ("size_i", "sum")})
     return out.sort_values("media_kind").reset_index(drop=True)
 
 
@@ -397,25 +392,11 @@ def pixel_restore_bank(sf_dir: str, sample_n: int = 96) -> pd.DataFrame:
         base.map_batches(run_bank, batch_size=16, batch_format="pyarrow"),
         f"{corpus}/pixel_bank_lineage")
 
-    def partial(t: pa.Table) -> pa.Table:
-        df = t.to_pandas()
-        g = df.groupby(["op", "strategy"], as_index=False).agg(
-            n_pages=("media_ref", "size"),
-            fixed128_ok=("fixed128_ok", "sum"),
-            otsu_only_ok=("otsu_only_ok", "sum"),
-            restored_ok=("restored_ok", "sum"))
-        return pa.Table.from_pandas(g, preserve_index=False) \
-            .replace_schema_metadata()
-
-    from ..stages.agg import partial_merge
     # cardinality: |ops| x |strategies| <= 25 — bounded, partial_merge-safe
-    out = partial_merge(lineage, partial, keys=["op", "strategy"],
-                        agg_spec={"n_pages": ("n_pages", "sum"),
-                                  "fixed128_ok": ("fixed128_ok", "sum"),
-                                  "otsu_only_ok": ("otsu_only_ok", "sum"),
-                                  "restored_ok": ("restored_ok", "sum")})
-    for c in ("n_pages", "fixed128_ok", "otsu_only_ok", "restored_ok"):
-        out[c] = out[c].astype("int64")
+    oks = ("fixed128_ok", "otsu_only_ok", "restored_ok")
+    out = partial_merge(lineage, lambda t: t, keys=["op", "strategy"],
+                        spec={"n_pages": ("media_ref", "count"),
+                              **{c: (c, "sum") for c in oks}})
     return out.sort_values(["op", "strategy"]).reset_index(drop=True)
 
 

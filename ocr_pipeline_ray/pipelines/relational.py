@@ -1,20 +1,23 @@
 """Relational operator suite over the TPC-H-ish testdata tables.
 
 Demonstrates the engine's general query capabilities — grouped
-aggregation with partial pre-aggregation, broadcast hash joins,
-semi/anti joins via broadcast key sets, sort/top-k, distinct — each
-expressed Ray-Data-first and paired with a DuckDB oracle in
-``__ray_entry__.oracle_sql`` (the driver's correctness gate).
+aggregation with partial pre-aggregation, broadcast joins of dimension
+tables, hash joins (inner and anti) of fact tables, a broadcast
+semi-join, sort/top-k, distinct — each expressed Ray-Data-first and
+paired with a DuckDB oracle in ``__ray_entry__.oracle_sql`` (the
+driver's correctness gate).
 
 Scale notes (100 TB design):
 - every read prunes columns (``columns=[...]``) and pushes filters
   into the parquet scan where possible;
-- fact-side aggregations pre-aggregate per batch inside
-  ``map_batches`` before the (small) final ``groupby`` — the shuffle
-  moves one row per (key, batch), not per input row;
-- dimension sides (customer, orders subsets, key sets) are broadcast
-  via ``ray.put`` once and read per actor/task, never re-shipped per
-  batch and never shuffled.
+- bounded-key aggregates state their aggregates once and run through
+  ``stages/agg.partial_merge``: each batch collapses to one row per
+  key inside ``map_batches`` and the driver merges the partials, so
+  one row per (key, batch) leaves the workers, not one per input row;
+- dimension sides (customer, nation, the filtered customer key set)
+  are broadcast via ``ray.put`` once and read per task, never
+  re-shipped per batch and never shuffled; fact tables (orders,
+  lineitem) meet only in ``stages/agg.hash_join``, never broadcast.
 
 Float determinism: distributed summation order differs from DuckDB's,
 so any float sum would differ in the last ulp and can flip a rounded
@@ -37,8 +40,8 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
-from ..stages.agg import (bucketed_map_groups, global_sum, hash_join,
-                          partial_merge, reduce_buckets, table_bytes)
+from ..stages.agg import (bucketed_map_groups, hash_join, partial_merge,
+                          reduce_buckets, table_bytes)
 
 SCALE = 1_000_000.0
 
@@ -112,31 +115,26 @@ def q1_pricing_summary(sf_dir: str) -> pd.DataFrame:
             "l_discount", "l_tax"]
     ds = _lineitem(sf_dir, cols)
 
-    def partial(t: pa.Table) -> pa.Table:
+    def rows(t: pa.Table) -> pa.Table:
         ext = t["l_extendedprice"].to_numpy()
         disc = t["l_discount"].to_numpy()
         tax = t["l_tax"].to_numpy()
-        df = pd.DataFrame({
-            "l_returnflag": t["l_returnflag"].to_pylist(),
-            "l_linestatus": t["l_linestatus"].to_pylist(),
+        return pa.table({
+            "l_returnflag": t["l_returnflag"],
+            "l_linestatus": t["l_linestatus"],
             "qty_i": _i64(t["l_quantity"].to_numpy()),
             "base_i": _i64(ext),
             "disc_price_i": _i64(ext * (1 - disc)),
             "charge_i": _i64(ext * (1 - disc) * (1 + tax)),
             "disc_i": _i64(disc),
         })
-        g = df.groupby(["l_returnflag", "l_linestatus"], as_index=False).agg(
-            qty_i=("qty_i", "sum"), base_i=("base_i", "sum"),
-            disc_price_i=("disc_price_i", "sum"), charge_i=("charge_i", "sum"),
-            disc_i=("disc_i", "sum"), count_order=("qty_i", "size"))
-        return pa.Table.from_pandas(g, preserve_index=False).replace_schema_metadata()
 
     # cardinality: (returnflag, linestatus) = 6 groups — bounded
+    sums = ["qty_i", "base_i", "disc_price_i", "charge_i", "disc_i"]
     out = partial_merge(
-        ds, partial, keys=["l_returnflag", "l_linestatus"],
-        agg_spec={c: (c, "sum") for c in
-                  ["qty_i", "base_i", "disc_price_i", "charge_i", "disc_i",
-                   "count_order"]})
+        ds, rows, keys=["l_returnflag", "l_linestatus"],
+        spec={**{c: (c, "sum") for c in sums},
+              "count_order": ("qty_i", "count")})
     n = out["count_order"].astype("float64")
     out["sum_qty"] = out["qty_i"] / SCALE
     out["sum_base_price"] = out["base_i"] / SCALE
@@ -145,7 +143,6 @@ def q1_pricing_summary(sf_dir: str) -> pd.DataFrame:
     out["avg_qty"] = (out["qty_i"] / SCALE) / n
     out["avg_price"] = (out["base_i"] / SCALE) / n
     out["avg_disc"] = (out["disc_i"] / SCALE) / n
-    out["count_order"] = out["count_order"].astype("int64")
     out = out[["l_returnflag", "l_linestatus", "sum_qty", "sum_base_price",
                "sum_disc_price", "sum_charge", "count_order", "avg_qty",
                "avg_price", "avg_disc"]]
@@ -261,15 +258,9 @@ def q5_nation_revenue(sf_dir: str) -> pd.DataFrame:
                        right_on=("o_orderkey",),
                        nbytes=table_bytes(sf_dir, "lineitem", "orders"))
 
-    def partial(t: pa.Table) -> pa.Table:
-        df = pd.DataFrame({"n_nationkey": t["n_nationkey"].to_numpy(),
-                           "rev_i": t["rev_i"].to_numpy()})
-        g = df.groupby("n_nationkey", as_index=False)["rev_i"].sum()
-        return pa.Table.from_pandas(g, preserve_index=False).replace_schema_metadata()
-
     # cardinality: n_nationkey = 25 groups — bounded
-    out = partial_merge(joined, partial, keys=["n_nationkey"],
-                        agg_spec={"rev_i": ("rev_i", "sum")})
+    out = partial_merge(joined, lambda t: t, keys=["n_nationkey"],
+                        spec={"rev_i": ("rev_i", "sum")})
     out["n_name"] = out["n_nationkey"].map(nation_name)
     out["revenue"] = out["rev_i"] / SCALE
     return out[["n_name", "revenue"]].sort_values("n_name").reset_index(drop=True)
@@ -289,13 +280,14 @@ def q6_forecast_revenue(sf_dir: str) -> pd.DataFrame:
         ),
     )
 
-    def partial(t: pa.Table) -> pa.Table:
-        rev_i = int(_i64(t["l_extendedprice"].to_numpy()
-                         * t["l_discount"].to_numpy()).sum())
-        return pa.table({"rev_i": pa.array([rev_i], type=pa.int64())})
+    def rows(t: pa.Table) -> pa.Table:
+        return pa.table({"rev_i": _i64(t["l_extendedprice"].to_numpy()
+                                       * t["l_discount"].to_numpy())})
 
-    total = global_sum(ds, partial, "rev_i")
-    return pd.DataFrame([{"revenue": total / SCALE}])
+    # one global row, or none when no row passes the filter: revenue 0
+    total = partial_merge(ds, rows, keys=[],
+                          spec={"rev_i": ("rev_i", "sum")})["rev_i"].sum()
+    return pd.DataFrame([{"revenue": int(total) / SCALE}])
 
 
 # --- top-k / sort ---
@@ -321,25 +313,17 @@ def customer_segment_stats(sf_dir: str) -> pd.DataFrame:
     ds = rd.read_parquet(f"{sf_dir}/customer.parquet",
                          columns=["c_mktsegment", "c_acctbal"])
 
-    def partial(t: pa.Table) -> pa.Table:
-        df = pd.DataFrame({
-            "c_mktsegment": t["c_mktsegment"].to_pylist(),
-            "bal_i": _i64(t["c_acctbal"].to_numpy()),
-            "bal": t["c_acctbal"].to_numpy(),
-        })
-        g = df.groupby("c_mktsegment", as_index=False).agg(
-            bal_i=("bal_i", "sum"), n_customers=("bal_i", "size"),
-            min_acctbal=("bal", "min"), max_acctbal=("bal", "max"))
-        return pa.Table.from_pandas(g, preserve_index=False).replace_schema_metadata()
+    def rows(t: pa.Table) -> pa.Table:
+        return t.append_column("bal_i", pa.array(
+            _i64(t["c_acctbal"].to_numpy())))
 
     # cardinality: c_mktsegment = 5 groups — bounded
-    out = partial_merge(ds, partial, keys=["c_mktsegment"],
-                        agg_spec={"bal_i": ("bal_i", "sum"),
-                                  "n_customers": ("n_customers", "sum"),
-                                  "min_acctbal": ("min_acctbal", "min"),
-                                  "max_acctbal": ("max_acctbal", "max")})
+    out = partial_merge(ds, rows, keys=["c_mktsegment"],
+                        spec={"bal_i": ("bal_i", "sum"),
+                              "n_customers": ("bal_i", "count"),
+                              "min_acctbal": ("c_acctbal", "min"),
+                              "max_acctbal": ("c_acctbal", "max")})
     out["avg_acctbal"] = (out["bal_i"] / SCALE) / out["n_customers"].astype("float64")
-    out["n_customers"] = out["n_customers"].astype("int64")
     out = out[["c_mktsegment", "n_customers", "avg_acctbal",
                "min_acctbal", "max_acctbal"]]
     return out.sort_values("c_mktsegment").reset_index(drop=True)
@@ -402,19 +386,12 @@ def customers_without_orders(sf_dir: str) -> pd.DataFrame:
                      on=("c_custkey",), right_on=("o_custkey",),
                      nbytes=table_bytes(sf_dir, "customer", "orders"))
 
-    def count_partial(t: pa.Table) -> pa.Table:
-        df = pd.DataFrame({"c_mktsegment": t["c_mktsegment"].to_pylist()})
-        g = df.groupby("c_mktsegment", as_index=False).agg(
-            n_customers=("c_mktsegment", "size"))
-        return pa.Table.from_pandas(g, preserve_index=False).replace_schema_metadata()
-
     # cardinality: c_mktsegment = 5 groups — bounded
-    out = partial_merge(anti, count_partial, keys=["c_mktsegment"],
-                        agg_spec={"n_customers": ("n_customers", "sum")})
+    out = partial_merge(anti, lambda t: t, keys=["c_mktsegment"],
+                        spec={"n_customers": ("c_mktsegment", "count")})
     if out.empty:  # empty aggregates lose their schema on to_pandas
         return pd.DataFrame({"c_mktsegment": pd.Series([], dtype="object"),
                              "n_customers": pd.Series([], dtype="int64")})
-    out["n_customers"] = out["n_customers"].astype("int64")
     return out.sort_values("c_mktsegment").reset_index(drop=True)
 
 
@@ -454,19 +431,11 @@ def orders_join_customer_stats(sf_dir: str) -> pd.DataFrame:
                        on=("o_custkey",), right_on=("c_custkey",),
                        nbytes=table_bytes(sf_dir, "orders", "customer"))
 
-    def partial(t: pa.Table) -> pa.Table:
-        df = pd.DataFrame({"c_mktsegment": t["c_mktsegment"].to_pylist(),
-                           "price_i": t["price_i"].to_numpy()})
-        g = df.groupby("c_mktsegment", as_index=False).agg(
-            n_orders=("price_i", "size"), price_i=("price_i", "sum"))
-        return pa.Table.from_pandas(g, preserve_index=False).replace_schema_metadata()
-
     # cardinality: c_mktsegment = 5 groups — bounded
-    out = partial_merge(joined, partial, keys=["c_mktsegment"],
-                        agg_spec={"n_orders": ("n_orders", "sum"),
-                                  "price_i": ("price_i", "sum")})
+    out = partial_merge(joined, lambda t: t, keys=["c_mktsegment"],
+                        spec={"n_orders": ("price_i", "count"),
+                              "price_i": ("price_i", "sum")})
     out["total_price"] = out["price_i"] / SCALE
-    out["n_orders"] = out["n_orders"].astype("int64")
     out = out[["c_mktsegment", "n_orders", "total_price"]]
     return out.sort_values("c_mktsegment").reset_index(drop=True)
 
@@ -474,22 +443,12 @@ def orders_join_customer_stats(sf_dir: str) -> pd.DataFrame:
 # --- multi-column distinct ---
 
 def distinct_lang_source(sf_dir: str) -> pd.DataFrame:
-    """DISTINCT over two columns: per-batch drop_duplicates partials →
-    driver dedup (the distinct-via-partials pattern; single-column
+    """DISTINCT over two columns: ``partial_merge`` with an empty spec
+    (per-batch distinct keys, merged on the driver; single-column
     distinct uses ds.unique in distinct_part_types)."""
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
                          columns=["lang", "source"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        df = t.to_pandas().drop_duplicates()
-        return pa.Table.from_pandas(df, preserve_index=False).replace_schema_metadata()
-
-    # incremental merge: driver memory stays |lang x source| + one
-    # partial batch, regardless of how many blocks stream past
-    out = pd.DataFrame(columns=["lang", "source"])
-    for b in ds.map_batches(partial, batch_format="pyarrow") \
-            .iter_batches(batch_format="pandas"):
-        out = pd.concat([out, b], ignore_index=True).drop_duplicates()
+    out = partial_merge(ds, lambda t: t, keys=["lang", "source"], spec={})
     return out.sort_values(["lang", "source"]).reset_index(drop=True)
 
 
@@ -535,20 +494,16 @@ def supplier_nation_stats(sf_dir: str) -> pd.DataFrame:
     name_of = dict(zip(nation["n_nationkey"].to_pylist(),
                        nation["n_name"].to_pylist()))
 
-    def partial(t: pa.Table) -> pa.Table:
-        df = pd.DataFrame({"s_nationkey": t["s_nationkey"].to_numpy(),
-                           "bal_i": _i64(t["s_acctbal"].to_numpy())})
-        g = df.groupby("s_nationkey", as_index=False).agg(
-            n_suppliers=("bal_i", "size"), bal_i=("bal_i", "sum"))
-        return pa.Table.from_pandas(g, preserve_index=False).replace_schema_metadata()
+    def rows(t: pa.Table) -> pa.Table:
+        return pa.table({"s_nationkey": t["s_nationkey"],
+                         "bal_i": _i64(t["s_acctbal"].to_numpy())})
 
     # cardinality: s_nationkey = 25 groups — bounded
-    out = partial_merge(ds, partial, keys=["s_nationkey"],
-                        agg_spec={"n_suppliers": ("n_suppliers", "sum"),
-                                  "bal_i": ("bal_i", "sum")})
+    out = partial_merge(ds, rows, keys=["s_nationkey"],
+                        spec={"n_suppliers": ("bal_i", "count"),
+                              "bal_i": ("bal_i", "sum")})
     out["n_name"] = out["s_nationkey"].map(name_of)
     out["total_acctbal"] = out["bal_i"] / SCALE
-    out["n_suppliers"] = out["n_suppliers"].astype("int64")
     out = out[["n_name", "n_suppliers", "total_acctbal"]]
     return out.sort_values("n_name").reset_index(drop=True)
 
@@ -567,24 +522,15 @@ def part_brand_stats(sf_dir: str) -> pd.DataFrame:
     ds = rd.read_parquet(f"{sf_dir}/part.parquet",
                          columns=["p_brand", "p_retailprice", "p_size"])
 
-    def partial(t: pa.Table) -> pa.Table:
-        df = pd.DataFrame({
-            "p_brand": t["p_brand"].to_pylist(),
-            "price_i": _i64(t["p_retailprice"].to_numpy()),
-            "p_size": t["p_size"].to_numpy(),
-        })
-        g = df.groupby("p_brand", as_index=False).agg(
-            price_i=("price_i", "sum"), n_parts=("price_i", "size"),
-            max_size=("p_size", "max"))
-        return pa.Table.from_pandas(g, preserve_index=False).replace_schema_metadata()
+    def rows(t: pa.Table) -> pa.Table:
+        return t.append_column("price_i", pa.array(
+            _i64(t["p_retailprice"].to_numpy())))
 
     # cardinality: p_brand = 25 groups — bounded
-    out = partial_merge(ds, partial, keys=["p_brand"],
-                        agg_spec={"price_i": ("price_i", "sum"),
-                                  "n_parts": ("n_parts", "sum"),
-                                  "max_size": ("max_size", "max")})
+    out = partial_merge(ds, rows, keys=["p_brand"],
+                        spec={"price_i": ("price_i", "sum"),
+                              "n_parts": ("price_i", "count"),
+                              "max_size": ("p_size", "max")})
     out["avg_price"] = (out["price_i"] / SCALE) / out["n_parts"].astype("float64")
-    out["n_parts"] = out["n_parts"].astype("int64")
-    out["max_size"] = out["max_size"].astype("int32")
     out = out[["p_brand", "n_parts", "avg_price", "max_size"]]
     return out.sort_values("p_brand").reset_index(drop=True)

@@ -29,6 +29,8 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
+from ..stages.agg import partial_merge, partitions_for, table_bytes
+
 N_COPY_VECS = 5
 COPY_OFFSET = 10_000
 COSINE_DUP_THRESHOLD = 0.999
@@ -89,8 +91,6 @@ def knn_brute_force(sf_dir: str) -> pd.DataFrame:
 def embedding_centroid_mass(sf_dir: str) -> pd.DataFrame:
     """Per label: count + mean of per-vector element sums (a scalar
     centroid statistic that stays SQL-checkable)."""
-    from ..stages.agg import partial_merge
-
     ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
                          columns=["label", "embedding"])
 
@@ -104,19 +104,11 @@ def embedding_centroid_mass(sf_dir: str) -> pd.DataFrame:
         return pa.table({"label": batch["label"],
                          "vs_i": pa.array(vs_i, type=pa.int64())})
 
-    def mass_partial(batch: pa.Table) -> pa.Table:
-        t = mass(batch)
-        g = t.to_pandas().groupby("label", as_index=False).agg(
-            n_vecs=("vs_i", "size"), vs_i=("vs_i", "sum"))
-        return pa.Table.from_pandas(g, preserve_index=False).replace_schema_metadata()
-
     # cardinality: label — small fixed label set, bounded
-    out = partial_merge(ds, mass_partial, keys=["label"],
-                        agg_spec={"n_vecs": ("n_vecs", "sum"),
-                                  "vs_i": ("vs_i", "sum")})
-    out["n_vecs"] = out["n_vecs"].astype("int64")
+    out = partial_merge(ds, mass, keys=["label"],
+                        spec={"n_vecs": ("vs_i", "count"),
+                              "vs_i": ("vs_i", "sum")})
     out["avg_vec_sum"] = (out["vs_i"] / 1e6) / out["n_vecs"].astype("float64")
-    out["label"] = out["label"].astype("int32")
     out = out[["label", "n_vecs", "avg_vec_sum"]]
     return out.sort_values("label").reset_index(drop=True)
 
@@ -157,8 +149,8 @@ def embedding_near_dup_pairs(sf_dir: str, n_cells: int = IVF_CELLS,
     1. TRAIN (driver, small): spherical k-means coarse quantizer on a
        ``train_sample`` prefix (same step as ivf_topk);
     2. COUNT (distributed, cheap): per-cell membership counts under the
-       margin assignment — np.bincount partials per batch, driver sum
-       of n_cells integers — to size the split-and-mirror salt;
+       margin assignment — a ``partial_merge`` of per-batch counts,
+       n_cells rows per batch — to size the split-and-mirror salt;
     3. ASSIGN (distributed): each batch normalizes its vectors, adds
        the seeded copies, and emits one (cell, vec_id, unit-vector)
        row per cell within ``_assign_margin`` of its best cell — a
@@ -175,6 +167,18 @@ def embedding_near_dup_pairs(sf_dir: str, n_cells: int = IVF_CELLS,
     tests/test_similarity.py, including a one-cell-concentrated skew
     corpus). Scale note: n_cells should grow ~√n so cells stay
     bounded; the salt handles the cells that stay hot anyway."""
+    out = _near_dup_pairs_ivf_ds(sf_dir, n_cells, train_sample,
+                                 cell_cap).to_pandas()
+    out = out.drop_duplicates(["vec_a", "vec_b"])
+    out = out.astype({"vec_a": "int64", "vec_b": "int64"})
+    return out.sort_values(["vec_a", "vec_b"]).reset_index(drop=True)
+
+
+def _near_dup_pairs_ivf_ds(sf_dir: str, n_cells: int, train_sample: int,
+                           cell_cap: int) -> "rd.Dataset":
+    """Steps 1-4 of ``embedding_near_dup_pairs``: a Dataset of
+    (vec_a, vec_b, cosine_sim) pairs, unsorted, with a pair found in
+    several cells repeated."""
     margin = _assign_margin(COSINE_DUP_THRESHOLD)
     sample_unit, _ids = _sample_unit(sf_dir, train_sample)
     centroids = _train_coarse_quantizer(sample_unit, n_cells)
@@ -208,10 +212,9 @@ def embedding_near_dup_pairs(sf_dir: str, n_cells: int = IVF_CELLS,
                                        type=pa.int64())})
 
     counts = np.zeros(n_cells, dtype=np.int64)
-    for b in _scan().map_batches(count_cells, batch_format="pyarrow",
-                                 batch_size=4096) \
-            .iter_batches(batch_format="pandas"):
-        counts[b["cell"].to_numpy()] += b["n"].to_numpy()
+    cells = partial_merge(_scan(), count_cells, keys=["cell"],
+                          spec={"n": ("n", "sum")})
+    counts[cells["cell"].to_numpy(np.int64)] = cells["n"].to_numpy(np.int64)
     shards = np.minimum(_MAX_SHARDS,
                         np.maximum(1, -(-counts // cell_cap))).astype(np.int64)
     shards_ref = ray.put(shards)
@@ -266,13 +269,9 @@ def embedding_near_dup_pairs(sf_dir: str, n_cells: int = IVF_CELLS,
             "cosine_sim": np.round(sims[iu[hit], ju[hit]], 4),
         })
 
-    out = _scan().map_batches(assign_cells, batch_format="pyarrow",
-                              batch_size=4096) \
-        .groupby("cell").map_groups(cell_pairs, batch_format="pandas") \
-        .to_pandas()
-    out = out.drop_duplicates(["vec_a", "vec_b"])
-    out = out.astype({"vec_a": "int64", "vec_b": "int64"})
-    return out.sort_values(["vec_a", "vec_b"]).reset_index(drop=True)
+    return _scan().map_batches(assign_cells, batch_format="pyarrow",
+                               batch_size=4096) \
+        .groupby("cell").map_groups(cell_pairs, batch_format="pandas")
 
 
 def _sample_unit(sf_dir: str, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -363,18 +362,23 @@ def embedding_dup_clusters(sf_dir: str) -> pd.DataFrame:
     propagation) composed over the IVF-bucketed pair generator instead
     of the MinHash one. Returns (vec_id, cluster_id, is_survivor) for
     every vector in at least one >=0.999-cosine pair; survivor = min
-    vec_id per component. Oracle: recursive-CTE transitive closure
-    over the same pair SQL."""
+    vec_id per component. The pair Dataset goes into the propagation
+    as it is, repeats included (a repeated edge changes no component):
+    no pair row reaches the driver. Oracle: recursive-CTE transitive
+    closure over the same pair SQL."""
     from .dedup import _propagate_components
-    from ..stages.agg import partitions_for, table_bytes
 
-    pairs = embedding_near_dup_pairs(sf_dir)
-    if not len(pairs):
+    # renamed in a map: Ray 2.49's rename_columns fails on the pandas
+    # blocks map_groups emits
+    pairs = _near_dup_pairs_ivf_ds(sf_dir, IVF_CELLS, IVF_TRAIN_SAMPLE,
+                                   CELL_SPLIT_CAP) \
+        .map_batches(lambda t: pa.table({"doc_a": t["vec_a"],
+                                         "doc_b": t["vec_b"]}),
+                     batch_format="pyarrow").materialize()
+    if pairs.count() == 0:
         return pd.DataFrame({"vec_id": pd.Series([], dtype="int64"),
                              "cluster_id": pd.Series([], dtype="int64"),
                              "is_survivor": pd.Series([], dtype="int64")})
-    pairs = rd.from_pandas(
-        pairs.rename(columns={"vec_a": "doc_a", "vec_b": "doc_b"}))
     out = _propagate_components(pairs, partitions_for(
         table_bytes(sf_dir, "embeddings", "embeddings")))
     return out.rename(columns={"doc_id": "vec_id"})

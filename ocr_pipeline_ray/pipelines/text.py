@@ -130,17 +130,10 @@ def quality_by_lang(sf_dir: str) -> pd.DataFrame:
         return pa.table({"lang": batch["lang"],
                          "q_i": pa.array(q_i, type=pa.int64())})
 
-    def score_partial(batch: pa.Table) -> pa.Table:
-        t = score(batch)
-        g = t.to_pandas().groupby("lang", as_index=False).agg(
-            n_docs=("q_i", "size"), q_i=("q_i", "sum"))
-        return pa.Table.from_pandas(g, preserve_index=False).replace_schema_metadata()
-
     # cardinality: lang = 5 values — bounded
-    out = partial_merge(ds, score_partial, keys=["lang"],
-                        agg_spec={"n_docs": ("n_docs", "sum"),
-                                  "q_i": ("q_i", "sum")})
-    out["n_docs"] = out["n_docs"].astype("int64")
+    out = partial_merge(ds, score, keys=["lang"],
+                        spec={"n_docs": ("q_i", "count"),
+                              "q_i": ("q_i", "sum")})
     out["avg_quality"] = (out["q_i"] / 1e6) / out["n_docs"].astype("float64")
     out = out[["lang", "n_docs", "avg_quality"]]
     return out.sort_values("lang").reset_index(drop=True)
@@ -156,16 +149,9 @@ def lang_id_confusion(sf_dir: str) -> pd.DataFrame:
         return pa.table({"lang": batch["lang"],
                          "predicted_lang": pa.array(preds, type=pa.string())})
 
-    def predict_partial(batch: pa.Table) -> pa.Table:
-        t = predict(batch)
-        g = t.to_pandas().groupby(["lang", "predicted_lang"],
-                                  as_index=False).agg(n=("lang", "size"))
-        return pa.Table.from_pandas(g, preserve_index=False).replace_schema_metadata()
-
     # cardinality: (lang, predicted) <= 5x5 — bounded
-    out = partial_merge(ds, predict_partial, keys=["lang", "predicted_lang"],
-                        agg_spec={"n": ("n", "sum")})
-    out["n"] = out["n"].astype("int64")
+    out = partial_merge(ds, predict, keys=["lang", "predicted_lang"],
+                        spec={"n": ("lang", "count")})
     return out.sort_values(["lang", "predicted_lang"]).reset_index(drop=True)
 
 

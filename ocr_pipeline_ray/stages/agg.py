@@ -1,11 +1,19 @@
 """How the engine reduces by key: two shapes, one module.
 
-1. Partial-aggregate → tiny driver-side merge (``partial_merge``,
-   ``global_sum``). The DISTRIBUTED pass does all per-row work and
-   collapses each batch to one row per key inside ``map_batches`` (so
-   the wire carries ~n_keys × n_batches rows, not n_input rows); the
-   final combine runs on the driver over that tiny partial table with
-   pandas. Use it for bounded-cardinality keys (dashboard rollups).
+1. Partial-aggregate → tiny driver-side merge (``partial_merge``).
+   A query states its aggregates once, as a spec of
+   ``out_col -> (in_col, how)`` with how in sum / min / max / count
+   (count counts rows, nulls included), and ``partial_merge`` runs both
+   phases in Arrow with it. The DISTRIBUTED pass does all per-row work
+   (the query's ``rows`` function) and collapses each batch to one row
+   per key with ``group_by(keys).aggregate`` inside ``map_batches``
+   (so the wire carries ~n_keys × n_batches rows, not n_input rows);
+   the driver folds those partials with the merge of each aggregate
+   (count and sum are summed, min and max kept). ``keys=[]`` is a
+   global aggregate (one row), an empty spec the distinct keys. Use it
+   for bounded-cardinality keys (dashboard rollups). Arrow's
+   ``group_by`` keeps a null key as its own group, as SQL's
+   ``GROUP BY`` does.
 
    Why not ``ds.groupby(...).aggregate(...)`` for the final combine:
    Ray Data's sort-based aggregate costs ~10 s of fixed overhead per
@@ -61,30 +69,40 @@ import ray.data as rd
 _PART_BYTES = 128 << 20   # on-disk input bytes per join partition / bucket
 
 
-def partial_merge(ds, partial_fn: Callable, keys: list[str],
-                  agg_spec: dict[str, tuple[str, str]]) -> pd.DataFrame:
-    """Run ``partial_fn`` per batch (must emit one row per key present,
-    pre-aggregated), stream the partials to the driver, merge with
-    pandas. ``agg_spec`` is pandas NamedAgg form: out_col -> (in_col, how)
-    where how is 'sum'/'min'/'max' (merge of partials must be associative).
-    """
-    partials = ds.map_batches(partial_fn, batch_format="pyarrow",
-                              batch_size=65536)
-    frames = [b for b in partials.iter_batches(batch_format="pandas")]
-    if not frames:
-        return pd.DataFrame(columns=keys + list(agg_spec))
-    merged = pd.concat(frames, ignore_index=True)
-    return merged.groupby(keys, as_index=False).agg(
-        **{out: (col, how) for out, (col, how) in agg_spec.items()})
+# how -> the aggregate that merges its partials
+_MERGE = {"sum": "sum", "min": "min", "max": "max", "count": "sum"}
 
 
-def global_sum(ds, partial_fn: Callable, col: str) -> int:
-    """Single global sum over per-batch partials (no shuffle at all)."""
-    total = 0
-    partials = ds.map_batches(partial_fn, batch_format="pyarrow")
-    for b in partials.iter_batches(batch_format="pandas"):
-        total += int(b[col].sum())
-    return total
+def _group(t: pa.Table, keys: list[str], aggs: list[tuple],
+           names: list[str]) -> pa.Table:
+    return t.group_by(keys).aggregate(aggs).rename_columns(keys + names)
+
+
+def partial_merge(ds, rows: Callable, keys: list[str],
+                  spec: dict[str, tuple[str, str]]) -> pd.DataFrame:
+    """Shape 1 (see module docstring): ``rows(batch) -> pa.Table`` gives
+    the per-row columns, ``spec`` maps each output column to
+    ``(in_col, how)``. Returns one row per key (pandas); empty, with the
+    spec's column names, when no batch arrives."""
+    names = list(spec)
+    # count counts rows: nulls too, and whatever its column
+    combine = [([], "count_all") if how == "count" else (col, how)
+               for col, how in spec.values()]
+    merge = [(out, _MERGE[how]) for out, (_col, how) in spec.items()]
+
+    def partial(t: pa.Table) -> pa.Table:
+        return _group(rows(t), keys, combine, names)
+
+    out = None
+    # folded per partial: driver memory stays n_keys + one partial
+    for part in ds.map_batches(partial, batch_format="pyarrow",
+                               batch_size=65536) \
+            .iter_batches(batch_format="pyarrow", batch_size=None):
+        out = part if out is None else \
+            _group(pa.concat_tables([out, part]), keys, merge, names)
+    if out is None:
+        return pd.DataFrame(columns=keys + names)
+    return out.to_pandas()
 
 
 def _crc32_byte_table() -> np.ndarray:

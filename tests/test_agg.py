@@ -1,5 +1,6 @@
-"""The shared hash-bucketed reduce (stages/agg.py): ``bucket_ids`` and
-``bucketed_map_groups``."""
+"""The shared reduce and join helpers of stages/agg.py:
+``partial_merge``, ``bucket_ids``, ``bucketed_map_groups`` and
+``hash_join``."""
 
 from __future__ import annotations
 
@@ -8,10 +9,81 @@ import zlib
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 import ray.data as rd
 
 from ocr_pipeline_ray.stages import agg
+
+
+# every aggregate, one of them over a column with nulls (count counts rows)
+_SPEC = {"total": ("v2", "sum"), "lo": ("v", "min"), "hi": ("w", "max"),
+         "n": ("w", "count")}
+
+
+def _partial_blocks() -> list[pa.Table]:
+    """Two 70,000-row blocks, more than one 65,536-row batch each, so
+    several partials reach the driver; every key has rows in both."""
+    rng = np.random.default_rng(3)
+    blocks = []
+    for _ in range(2):
+        n = 70_000
+        w = rng.normal(size=n)
+        blocks.append(pa.table({
+            "k": pa.array(rng.choice(["a", "b", "c"], n)),
+            "j": pa.array(rng.integers(0, 2, n), pa.int64()),
+            "v": pa.array(rng.integers(-1000, 1000, n), pa.int64()),
+            "w": pa.array(w, mask=rng.random(n) < 0.1)}))
+    return blocks
+
+
+@pytest.mark.parametrize("keys", [["k"], ["k", "j"], []])
+def test_partial_merge_equals_pandas(keys):
+    """Per-batch Arrow aggregate + driver merge == one pandas groupby
+    over all rows (``count`` is pandas' ``size``); ``keys=[]`` is one
+    global row."""
+    blocks = _partial_blocks()
+    got = agg.partial_merge(
+        rd.from_arrow(blocks),
+        lambda t: t.append_column("v2", pc.multiply(t["v"], 2)), keys,
+        _SPEC)
+    df = pa.concat_tables(blocks).to_pandas()
+    df["v2"] = df["v"] * 2
+    how = {"sum": "sum", "min": "min", "max": "max", "count": "size"}
+    if keys:
+        want = df.groupby(keys, as_index=False).agg(
+            **{out: (col, how[h]) for out, (col, h) in _SPEC.items()})
+        got = got.sort_values(keys).reset_index(drop=True)
+    else:
+        want = pd.DataFrame({out: [df[col].agg(how[h])]
+                             for out, (col, h) in _SPEC.items()})
+    pd.testing.assert_frame_equal(got[list(want.columns)], want)
+
+
+def test_partial_merge_empty_spec_gives_distinct_keys():
+    got = agg.partial_merge(rd.from_arrow(_partial_blocks()), lambda t: t,
+                            ["k", "j"], {})
+    assert sorted(map(tuple, got.values.tolist())) == \
+        [(k, j) for k in "abc" for j in (0, 1)]
+
+
+def test_partial_merge_keeps_a_null_key_group():
+    """As SQL's GROUP BY does (pandas' default groupby drops it)."""
+    t = pa.table({"k": ["x", None, None], "v": [1, 2, 3]})
+    got = agg.partial_merge(rd.from_arrow(t), lambda t: t, ["k"],
+                            {"n": ("v", "count")})
+    assert dict(zip(got["k"], got["n"])) == {"x": 1, None: 2}
+
+
+def test_partial_merge_of_only_empty_blocks_is_empty():
+    """Ray maps no zero-row block, so no partial arrives: no rows, the
+    spec's column names, ``keys=[]`` included."""
+    empty = _partial_blocks()[0].slice(0, 0)
+    for keys in (["k"], []):
+        got = agg.partial_merge(rd.from_arrow([empty, empty]), lambda t: t,
+                                keys, _SPEC)
+        assert len(got) == 0
+        assert list(got.columns) == keys + list(_SPEC)
 
 
 @pytest.mark.parametrize("num_parts", [1, 3, 8, 4096])

@@ -29,8 +29,9 @@ State that outlives a task in a worker process (a name a package
 function rebinds with ``global``) is listed in ``PROCESS_STATE`` with
 its reason; that list has to stay exact too, and no package code sets
 an attribute on a package function or class. Every hash join goes
-through ``stages/agg.hash_join``, and the doc-local chain's modules
-never convert to or from pandas.
+through ``stages/agg.hash_join``, every driver merge of per-batch
+partials through ``stages/agg.partial_merge``, and the doc-local
+chain's modules never convert to or from pandas.
 """
 
 from __future__ import annotations
@@ -202,6 +203,23 @@ def test_every_join_goes_through_hash_join():
              and isinstance(node.func, ast.Attribute)
              and node.func.attr == "join"
              and any(k.arg == "join_type" for k in node.keywords)]
+    assert calls == []
+
+
+def test_every_driver_merge_goes_through_partial_merge():
+    """``stages/agg.partial_merge`` is the one driver-side merge of
+    per-batch partials, so no other package file streams a Ray Dataset
+    to the driver batch by batch (an ``iter_batches`` call with a
+    ``batch_format=`` keyword; pyarrow's ``ParquetFile.iter_batches``
+    takes none)."""
+    own = PKG / "stages" / "agg.py"
+    calls = [f"{path.relative_to(REPO)}:{node.lineno}"
+             for path in sorted(PKG.rglob("*.py")) if path != own
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "iter_batches"
+             and any(k.arg == "batch_format" for k in node.keywords)]
     assert calls == []
 
 
